@@ -43,6 +43,7 @@ from .schedule import (
     EventCalendar,
     RoleAction,
     Tick,
+    Timeline,
     generate_poisson_events,
     generate_ticks,
     load_event_dates,
@@ -73,6 +74,7 @@ __all__ = [
     "SignatureAlgorithm",
     "Tick",
     "TickReport",
+    "Timeline",
     "TufSimError",
     "Uniform",
     "ValidationError",

@@ -27,6 +27,7 @@ from .runner import (
 from .schedule import (
     Cadence,
     EventCalendar,
+    Tick,
     generate_poisson_events,
     generate_ticks,
     load_event_dates,
@@ -197,10 +198,9 @@ def _execute(config: CliConfig, err: TextIO) -> str:
     ticks = generate_ticks(config.start, config.end, config.cadence)
 
     if config.verbose:
-        event_dates = {day for day, _ in calendar.update_events}
-        for tick in ticks:
-            if tick.sub_index == 0 and tick.date in event_dates:
-                print(f"- match {tick.date.isoformat()}", file=err)
+        for day in sorted({day for day, _ in calendar.update_events}):
+            if Tick(day) in ticks:
+                print(f"- match {day.isoformat()}", file=err)
 
     if config.assignment_path is not None:
         label = Path(config.assignment_path).stem

@@ -3,7 +3,9 @@
 A Repository holds an ordered list of role instances (Root, Timestamp,
 Snapshot, Target) and accumulates, tick by tick, the bytes and verification
 effort a worst-case client pays: one that downloads and verifies every
-signature the repository ever publishes.
+signature the repository ever publishes.  `publish_timestamp` advances one
+tick and is the reference; `publish_timestamps(n)` advances n ticks to the
+same state, jumping over quiet stretches in closed form.
 
 Semantics worth knowing before reading the code:
 
@@ -18,12 +20,18 @@ Semantics worth knowing before reading the code:
   flag is set by staged updates but never consulted or cleared.
 * Root-file publication charges the public key of every current role
   (reserve ones included) plus one signature per Root instance.
+* A tick is quiet when no root update is flagged, no role has its
+  rollover flag set, no pending role has an exhausted key and no
+  non-reserve Target is pending.  On a quiet tick only the non-reserve
+  Timestamps sign, and the state stays quiet until one of them exhausts
+  its key.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
 from .algorithms import SignatureAlgorithm
 
@@ -254,6 +262,65 @@ class Repository:
             rolled_roles=rolled,
             root_published=root_published,
         )
+
+    def publish_timestamps(self, count: int) -> None:
+        """Advance the repository by `count` ticks.
+
+        The state afterwards, ledger included, equals that after `count`
+        calls of publish_timestamp.  Runs of quiet ticks are applied in
+        closed form; every other tick goes through publish_timestamp.  The
+        float cost is accumulated one tick at a time, as publish_timestamp
+        would, so it matches bit for bit.
+        """
+        while count > 1:
+            stride = self._quiet_stride(count)
+            if stride <= 1:
+                self.publish_timestamp()
+                count -= 1
+                continue
+            signers = [
+                role
+                for role in self.roles
+                if role.role_type is RoleType.TIMESTAMP and not role.reserve
+            ]
+            sig_bytes = 0
+            cost = 0.0
+            for role in signers:
+                role.num_sigs += stride
+                role.lifetime_sigs += stride
+                sig_bytes += role.algorithm.sig_size
+                cost += role.algorithm.cost
+            self.accum_sig_size += stride * sig_bytes
+            self.accum_signatures += stride * len(signers)
+            accum_cost = self.accum_cost
+            for _ in repeat(None, stride):
+                accum_cost += cost
+            self.accum_cost = accum_cost
+            count -= stride
+        if count == 1:  # a single tick needs no quiet check
+            self.publish_timestamp()
+
+    def _quiet_stride(self, limit: int) -> int:
+        """How many of the next `limit` ticks are quiet, in a row; 0 if the
+        next tick is not.
+
+        The run ends when a non-reserve Timestamp's key is exhausted: the
+        tick after that rolls the key over.
+        """
+        if self.update_root:
+            return 0
+        stride = limit
+        for role in self.roles:
+            if role.rollover:
+                return 0
+            if role.pending and (
+                role.num_sigs == role.algorithm.max_sigs
+                or (role.role_type is RoleType.TARGET and not role.reserve)
+            ):
+                return 0
+            if role.role_type is RoleType.TIMESTAMP and not role.reserve:
+                stride = min(stride, role.algorithm.max_sigs - role.num_sigs)
+        return stride
 
     def ledger_totals(self) -> LedgerTotals:
         """Snapshot the accumulated totals; read-only."""

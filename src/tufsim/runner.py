@@ -3,13 +3,17 @@
 A run pairs a role architecture with an algorithm assignment and replays a
 tick calendar against a fresh repository.  Scripted role actions apply
 first on a date, then that date's update events, then the timestamp — a
-fixed order so identical inputs always produce identical ledgers.
+fixed order so identical inputs always produce identical ledgers.  The
+run visits only the dates that carry events or actions and advances the
+repository between them with `Repository.publish_timestamps`, so its cost
+grows with the number of change points, not the number of ticks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -124,15 +128,18 @@ def run_scenario(
     arch: Architecture,
     assignment: AlgorithmAssignment,
     calendar: EventCalendar,
-    ticks: list[Tick],
+    ticks: Sequence[Tick],
     catalog: list[SignatureAlgorithm],
 ) -> RunResult:
     """Execute one run and return its aggregated ledger.
 
-    All algorithm names — from role specs, the assignment, and scripted
-    add actions — resolve against the catalog before the first tick, so a
-    bad configuration never produces a partial ledger.  An update event
-    whose target matches no role becomes a warning, not an error.
+    `ticks` must be ascending, such as a `Timeline` or a plain list; a
+    date's events and actions apply on its first tick (sub_index 0), and
+    those of a date without one are skipped.  All algorithm names — from
+    role specs, the assignment, and scripted add actions — resolve against
+    the catalog before the first tick, so a bad configuration never
+    produces a partial ledger.  An update event whose target matches no
+    role becomes a warning, not an error.
     """
     role_algorithms = [
         _resolve(spec.algorithm_name, spec.name, assignment, catalog)
@@ -157,19 +164,24 @@ def run_scenario(
         actions_by_date.setdefault(action.date, []).append(action)
 
     warnings: list[str] = []
-    for tick in ticks:
-        if tick.sub_index == 0:
-            day = tick.date
-            if day in actions_by_date:
-                for action in actions_by_date[day]:
-                    _apply_action(repo, action, add_algorithms)
-                _check_role_coverage(repo, day, warnings)
-            for target in events_by_date.get(day, ()):
-                if repo.stage_update(target) == 0:
-                    warnings.append(
-                        f"{day.isoformat()}: update event for '{target}' matched no Target role"
-                    )
-        repo.publish_timestamp()
+    position = 0  # index of the next tick to publish
+    for day in sorted(events_by_date.keys() | actions_by_date.keys()):
+        try:
+            index = ticks.index(Tick(day))
+        except ValueError:
+            continue
+        repo.publish_timestamps(index - position)
+        position = index
+        if day in actions_by_date:
+            for action in actions_by_date[day]:
+                _apply_action(repo, action, add_algorithms)
+            _check_role_coverage(repo, day, warnings)
+        for target in events_by_date.get(day, ()):
+            if repo.stage_update(target) == 0:
+                warnings.append(
+                    f"{day.isoformat()}: update event for '{target}' matched no Target role"
+                )
+    repo.publish_timestamps(len(ticks) - position)
 
     totals = repo.ledger_totals()
     return RunResult(
@@ -189,7 +201,7 @@ def run_sweep(
     arch: Architecture,
     assignments: list[AlgorithmAssignment],
     calendar: EventCalendar,
-    ticks: list[Tick],
+    ticks: Sequence[Tick],
     catalog: list[SignatureAlgorithm],
 ) -> list[RunResult]:
     """Run each assignment against a fresh repository, preserving input order."""

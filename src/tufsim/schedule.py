@@ -1,8 +1,10 @@
 """Tick calendars, update-event lists, and scripted role changes.
 
-All values here are immutable after construction.  Update events are
-date-granular: several arrivals on one date collapse to a single event,
-and under sub-daily cadence an event fires on the first tick of its date.
+All values here are immutable after construction.  A tick calendar is a
+lazy `Timeline`: it stores its date range and cadence, not its ticks.
+Update events are date-granular: several arrivals on one date collapse to
+a single event, and under sub-daily cadence an event fires on the first
+tick of its date.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 
 from .errors import CalendarError
@@ -83,26 +86,63 @@ class EventCalendar:
         object.__setattr__(self, "role_actions", tuple(self.role_actions))
 
 
-def generate_ticks(start: date, end: date, cadence: Cadence) -> list[Tick]:
-    """Build the tick sequence for an inclusive date range.
+@dataclass(frozen=True)
+class Timeline(Sequence[Tick]):
+    """The ascending ticks of an inclusive date range at one cadence.
 
-    Daily yields one tick per date, hourly 24, per-minute 1440; weekly
-    yields one tick on the start date and each 7th date after it.
+    Daily has one tick per date, hourly 24, per-minute 1440; weekly has
+    one tick on the start date and each 7th date after it.  Ticks are
+    computed on access, so length, indexing and `index` take constant
+    time and memory whatever the range.
     """
-    if start > end:
-        raise CalendarError(f"start date {start} is after end date {end}")
-    ticks: list[Tick] = []
-    if cadence is Cadence.WEEKLY:
-        day = start
-        while day <= end:
-            ticks.append(Tick(day))
-            day += timedelta(days=7)
-        return ticks
-    for offset in range((end - start).days + 1):
-        day = start + timedelta(days=offset)
-        for sub in range(cadence.sub_ticks):
-            ticks.append(Tick(day, sub))
-    return ticks
+
+    start: date
+    end: date
+    cadence: Cadence
+    _step: int = field(init=False, repr=False, compare=False)
+    _subs: int = field(init=False, repr=False, compare=False)
+    _len: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.start > self.end:
+            raise CalendarError(f"start date {self.start} is after end date {self.end}")
+        step = 7 if self.cadence is Cadence.WEEKLY else 1
+        subs = self.cadence.sub_ticks
+        object.__setattr__(self, "_step", step)
+        object.__setattr__(self, "_subs", subs)
+        object.__setattr__(self, "_len", ((self.end - self.start).days // step + 1) * subs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self._len)[i]]
+        if not -self._len <= i < self._len:
+            raise IndexError("timeline index out of range")
+        day, sub = divmod(i % self._len, self._subs)
+        return Tick(self.start + timedelta(days=day * self._step), sub)
+
+    def __contains__(self, tick: object) -> bool:
+        try:
+            self.index(tick)
+        except ValueError:
+            return False
+        return True
+
+    def index(self, tick: object) -> int:
+        """Position of `tick`, by date arithmetic; ValueError if it is not
+        on this timeline."""
+        if isinstance(tick, Tick) and self.start <= tick.date <= self.end:
+            day, off_grid = divmod((tick.date - self.start).days, self._step)
+            if not off_grid and 0 <= tick.sub_index < self._subs:
+                return day * self._subs + tick.sub_index
+        raise ValueError(f"{tick!r} is not on the timeline")
+
+
+def generate_ticks(start: date, end: date, cadence: Cadence) -> Timeline:
+    """The lazy, ascending tick sequence for an inclusive date range."""
+    return Timeline(start, end, cadence)
 
 
 def load_event_dates(csv_text: str, default_target: str) -> EventCalendar:

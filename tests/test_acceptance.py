@@ -219,6 +219,16 @@ def test_criterion_7_throughput():
         hourly = time.perf_counter() - started
         assert hourly < 10.0, f"ten-year hourly run took {hourly:.3f}s"
 
+        # quiet ticks are jumped over: run time follows change points, not ticks
+        end = date(2020, 12, 31)
+        events = generate_poisson_events(0.1, START, end, 0, "Target 1")
+        budgeted = [make_alg("AlgH10", max_sigs=1024)]
+        started = time.perf_counter()
+        minute_year = generate_ticks(START, end, Cadence.MINUTE)
+        run_scenario(arch, Uniform("AlgH10"), events, minute_year, budgeted)
+        minute = time.perf_counter() - started
+        assert minute < 1.0, f"one-year minute run took {minute:.3f}s"
+
 
 def test_criterion_8_csv_contracts(tmp_path):
     with criterion(8, "CSV contracts: catalog quirks, report round-trip, CLI sweep"):

@@ -65,6 +65,24 @@ def test_report_is_sole_stdout_payload(inputs):
     assert "match" not in out
 
 
+def test_verbose_matches_only_dates_on_the_weekly_grid(inputs):
+    (inputs / "device_A.csv").write_text("Date\n2020-01-15\n2020-01-03\n2020-01-08\n2020-02-05\n")
+    args = base_args(inputs, "--verbose", "--cadence", "weekly")
+    args[args.index("--end") + 1] = "2020-01-31"
+    status, _, err = invoke(args)
+    assert status == 0
+    # 2020-01-03 is off the 7-day grid and 2020-02-05 is past the end
+    assert err == "- match 2020-01-08\n- match 2020-01-15\n"
+
+
+def test_verbose_matches_each_date_once_at_minute_cadence(inputs):
+    args = base_args(inputs, "--verbose", "--cadence", "minute")
+    args[args.index("--end") + 1] = "2020-01-03"
+    status, _, err = invoke(args)
+    assert status == 0
+    assert err == "- match 2020-01-03\n"
+
+
 def test_output_flag_writes_file(inputs, tmp_path):
     report = tmp_path / "report.csv"
     status, out, _ = invoke(base_args(inputs, "--output", str(report)))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -281,6 +283,82 @@ class TestLedgerTotals:
         repo = build_repo()
         repo.publish_timestamp()
         assert repo.ledger_totals() == repo.ledger_totals()
+
+
+def snapshot(repo: Repository) -> dict:
+    """Every ledger field and every RoleState field, cost as exact hex."""
+    state = {key: value for key, value in vars(repo).items() if key != "roles"}
+    state["accum_cost"] = repo.accum_cost.hex()
+    state["roles"] = [dataclasses.asdict(role) for role in repo.roles]
+    return state
+
+
+ROLE_NAMES = ["Root 1", "Timestamp 1", "Timestamp 2", "Snapshot 1", "Target 1", "Target 2"]
+differential_algs = st.builds(
+    make_alg,
+    name=st.just("Alg"),
+    sig_size=st.integers(0, 5000),
+    pk_size=st.integers(0, 2000),
+    max_sigs=st.sampled_from([1, 2, 3, 4, 5, 10**18]),
+    cost=st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 2.9, 4.3, 1e-9]),
+)
+differential_ops = st.one_of(
+    st.tuples(
+        st.just("add"), st.sampled_from(ROLE_NAMES), st.sampled_from(list(RoleType)),
+        differential_algs,
+    ),
+    st.tuples(st.just("remove"), st.sampled_from(ROLE_NAMES)),
+    st.tuples(st.just("reserve"), st.sampled_from(ROLE_NAMES), st.booleans()),
+    st.tuples(st.just("stage"), st.sampled_from(ROLE_NAMES)),
+)
+
+
+class TestPublishTimestamps:
+    """publish_timestamps(n) against n calls of the reference publish_timestamp."""
+
+    @given(
+        catalog=st.lists(differential_algs, min_size=4, max_size=4),
+        steps=st.lists(
+            st.tuples(
+                st.lists(differential_ops, max_size=3),
+                st.integers(0, 12) | st.integers(0, 3000),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_tick_by_tick(self, catalog, steps):
+        jumped, reference = Repository("Device_A"), Repository("Device_A")
+        for repo in (jumped, reference):
+            for role_type, algorithm in zip(RoleType, catalog):
+                repo.add_role(f"{role_type.value} 1", role_type, algorithm)
+        for ops, count in steps:
+            for repo in (jumped, reference):
+                for op in ops:
+                    if op[0] == "add":
+                        repo.add_role(op[1], op[2], op[3])
+                    elif op[0] == "remove":
+                        repo.remove_role(op[1])
+                    elif op[0] == "reserve":
+                        repo.set_reserve(op[1], op[2])
+                    else:
+                        repo.stage_update(op[1])
+            jumped.publish_timestamps(count)
+            for _ in range(count):
+                reference.publish_timestamp()
+            assert snapshot(jumped) == snapshot(reference)
+
+    def test_quiet_stretch_is_jumped(self, monkeypatch):
+        repo = build_repo(make_alg(max_sigs=1024, cost=0.1))
+        calls = []
+        single = repo.publish_timestamp
+        monkeypatch.setattr(repo, "publish_timestamp", lambda: calls.append(1) or single())
+        repo.publish_timestamps(10_000)
+        # the first tick plus one rollover tick per 1024 Timestamp signatures
+        assert repo.root_publications == len(calls) == 1 + 9
+        # every tick's Timestamp, one Target and Snapshot, one Root per root file
+        assert repo.accum_signatures == 10_000 + 2 + 10
 
 
 class RepositoryMachine(RuleBasedStateMachine):

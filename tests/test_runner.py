@@ -4,15 +4,21 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tufsim import (
+    ActionKind,
     Architecture,
     Cadence,
     ConfigurationError,
     EventCalendar,
     PerRole,
+    Repository,
+    RoleAction,
     RoleSpec,
     RoleType,
+    RunResult,
     Uniform,
     default_architecture,
     emit_report_csv,
@@ -210,6 +216,113 @@ class TestClosedFormOracle:
             assert result.pk_bytes == 4 * 50
             assert result.rollover_events == 4
             assert result.root_publications == 1
+
+
+def tick_by_tick(arch, assignment, calendar, ticks, catalog) -> RunResult:
+    """Reference run: walk every tick, act on each date's first tick.
+
+    Takes a Uniform assignment; names resolve against the catalog directly.
+    """
+    algorithms = {alg.name: alg for alg in catalog}
+
+    def algorithm(pinned):
+        return algorithms[pinned or assignment.algorithm_name]
+
+    repo = Repository(arch.device_name)
+    for spec in arch.role_specs:
+        repo.add_role(spec.name, spec.role_type, algorithm(spec.algorithm_name))
+        repo.roles[-1].reserve = spec.reserve
+    warnings = []
+    for tick in ticks:
+        if tick.sub_index == 0:
+            day = tick.date
+            actions = [a for a in calendar.role_actions if a.date == day]
+            for action in actions:
+                if action.kind is ActionKind.ADD:
+                    repo.add_role(action.name, action.role_type, algorithm(action.algorithm_name))
+                elif action.kind is ActionKind.REMOVE:
+                    repo.remove_role(action.name)
+                else:
+                    repo.set_reserve(action.name, action.flag)
+            missing = [t.value for t in RoleType if t not in {r.role_type for r in repo.roles}]
+            if actions and missing:
+                warnings.append(
+                    f"{day.isoformat()}: no {', '.join(missing)} role remains after scripted actions"
+                )
+            for event_day, target in sorted(calendar.update_events):
+                if event_day == day and repo.stage_update(target) == 0:
+                    warnings.append(
+                        f"{day.isoformat()}: update event for '{target}' matched no Target role"
+                    )
+        repo.publish_timestamp()
+    t = repo.ledger_totals()
+    return RunResult(
+        arch.device_name, assignment.label, t.sig_bytes, t.pk_bytes, t.cost,
+        t.signatures, t.rollover_events, t.root_publications, tuple(warnings),
+    )
+
+
+DIFF_NAMES = ["Root 2", "Timestamp 1", "Timestamp 2", "Snapshot 1", "Target 1", "Target 2"]
+# Date ranges stay near 400 ticks so the reference run stays quick.
+MAX_DAYS = {Cadence.WEEKLY: 120, Cadence.DAILY: 60, Cadence.HOURLY: 12, Cadence.MINUTE: 2}
+
+
+@st.composite
+def differential_runs(draw):
+    cadence = draw(st.sampled_from(list(Cadence)))
+    days = draw(st.integers(1, MAX_DAYS[cadence]))
+    catalog = [
+        make_alg(
+            f"Alg{i}",
+            sig_size=draw(st.integers(1, 3000)),
+            pk_size=draw(st.integers(1, 500)),
+            max_sigs=draw(st.sampled_from([1, 2, 3, 4, 5, 10**18])),
+            cost=draw(st.sampled_from([0.1, 0.5, 2.9, 4.3, 1 / 3])),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    names = [alg.name for alg in catalog]
+    pinned = st.none() | st.sampled_from(names)
+    specs = [RoleSpec(f"{t.value} 1", t, draw(pinned)) for t in RoleType]
+    specs += [
+        RoleSpec(name, draw(st.sampled_from(list(RoleType))), draw(pinned), draw(st.booleans()))
+        for name in draw(st.lists(st.sampled_from(DIFF_NAMES), max_size=4))
+    ]
+    # a few dates fall outside [start, end]; weekly ones may fall off the grid
+    when = st.integers(-2, days + 2).map(lambda offset: START + timedelta(days=offset))
+    events = draw(st.sets(st.tuples(when, st.sampled_from(DIFF_NAMES + ["Target 1"])), max_size=12))
+    actions = draw(
+        st.lists(
+            st.builds(RoleAction, date=when, kind=st.just(ActionKind.ADD),
+                      name=st.sampled_from(DIFF_NAMES),
+                      role_type=st.sampled_from(list(RoleType)), algorithm_name=pinned)
+            | st.builds(RoleAction, date=when, kind=st.just(ActionKind.REMOVE),
+                        name=st.sampled_from(DIFF_NAMES + ["Root 1", "Target 1"]))
+            | st.builds(RoleAction, date=when, kind=st.just(ActionKind.RESERVE),
+                        name=st.sampled_from(DIFF_NAMES + ["Timestamp 1"]),
+                        flag=st.booleans()),
+            max_size=6,
+        )
+    )
+    return (
+        Architecture("Device_A", tuple(specs)),
+        Uniform(draw(st.sampled_from(names))),
+        EventCalendar(update_events=events, role_actions=tuple(actions)),
+        generate_ticks(START, START + timedelta(days=days - 1), cadence),
+        catalog,
+    )
+
+
+class TestEngineMatchesTickByTick:
+    @given(run=differential_runs())
+    @settings(deadline=None, max_examples=100)
+    def test_same_result_and_report(self, run):
+        expected = tick_by_tick(*run)
+        arch, assignment, calendar, ticks, catalog = run
+        for sequence in (ticks, list(ticks)):
+            result = run_scenario(arch, assignment, calendar, sequence, catalog)
+            assert result == expected
+            assert emit_report_csv([result]) == emit_report_csv([expected])
 
 
 class TestRunSweep:

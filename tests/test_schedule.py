@@ -12,6 +12,8 @@ from tufsim import (
     CalendarError,
     EventCalendar,
     RoleType,
+    Tick,
+    Timeline,
     generate_poisson_events,
     generate_ticks,
     load_event_dates,
@@ -64,6 +66,90 @@ class TestGenerateTicks:
         else:
             expected = length * cadence.sub_ticks
         assert len(ticks) == expected
+
+
+def materialized_ticks(start, end, cadence):
+    """The tick list as generate_ticks used to build it, one Tick at a time."""
+    ticks = []
+    if cadence is Cadence.WEEKLY:
+        day = start
+        while day <= end:
+            ticks.append(Tick(day))
+            day += timedelta(days=7)
+        return ticks
+    for offset in range((end - start).days + 1):
+        day = start + timedelta(days=offset)
+        for sub in range(cadence.sub_ticks):
+            ticks.append(Tick(day, sub))
+    return ticks
+
+
+# Ranges stay under ~3000 ticks so the materialized oracle stays quick.
+ORACLE_DAYS = {Cadence.WEEKLY: 400, Cadence.DAILY: 400, Cadence.HOURLY: 60, Cadence.MINUTE: 2}
+
+
+class TestTimeline:
+    @given(
+        offset=st.integers(min_value=0, max_value=3000),
+        cadence=st.sampled_from(list(Cadence)),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_matches_materialized_list(self, offset, cadence, data):
+        start = START + timedelta(days=offset)
+        end = start + timedelta(days=data.draw(st.integers(0, ORACLE_DAYS[cadence] - 1)))
+        timeline = generate_ticks(start, end, cadence)
+        expected = materialized_ticks(start, end, cadence)
+        assert isinstance(timeline, Timeline)
+        assert list(timeline) == expected
+        assert len(timeline) == len(expected)
+        i = data.draw(st.integers(0, len(expected) - 1))
+        assert timeline[i] == expected[i]
+        assert timeline[i - len(expected)] == expected[i]
+        assert timeline.index(expected[i]) == i
+        assert expected[i] in timeline
+
+    def test_every_on_grid_tick_indexes_to_its_position(self):
+        for cadence in Cadence:
+            timeline = generate_ticks(START, date(2020, 1, 15), cadence)
+            for i, tick in enumerate(materialized_ticks(START, date(2020, 1, 15), cadence)):
+                assert timeline.index(tick) == i
+
+    def test_negative_indices_and_bounds(self):
+        timeline = generate_ticks(START, date(2020, 1, 2), Cadence.HOURLY)
+        assert timeline[-1] == Tick(date(2020, 1, 2), 23)
+        assert timeline[-48] == Tick(START, 0)
+        assert timeline[-25] == Tick(START, 23)
+        for i in (48, -49):
+            with pytest.raises(IndexError):
+                timeline[i]
+        assert timeline[46:] == [Tick(date(2020, 1, 2), 22), Tick(date(2020, 1, 2), 23)]
+
+    @pytest.mark.parametrize(
+        "cadence, tick",
+        [
+            (Cadence.WEEKLY, Tick(date(2020, 1, 3))),  # off the 7-day grid
+            (Cadence.WEEKLY, Tick(START, 1)),
+            (Cadence.DAILY, Tick(START, 1)),
+            (Cadence.HOURLY, Tick(START, 24)),
+            (Cadence.MINUTE, Tick(START, 1440)),
+            (Cadence.MINUTE, Tick(START, -1)),
+            (Cadence.DAILY, Tick(date(2019, 12, 31))),  # before start
+            (Cadence.DAILY, Tick(date(2020, 2, 1))),  # after end
+            (Cadence.WEEKLY, Tick(date(2020, 2, 5))),  # on the grid, after end
+            (Cadence.DAILY, date(2020, 1, 3)),  # not a Tick
+        ],
+    )
+    def test_index_rejects_ticks_off_the_timeline(self, cadence, tick):
+        timeline = generate_ticks(START, date(2020, 1, 31), cadence)
+        with pytest.raises(ValueError):
+            timeline.index(tick)
+        assert tick not in timeline
+
+    def test_size_does_not_grow_with_the_range(self):
+        timeline = generate_ticks(START, date(2119, 12, 31), Cadence.MINUTE)
+        assert len(timeline) == 36524 * 1440  # 2100 is not a leap year
+        assert timeline.index(Tick(date(2119, 12, 31), 1439)) == len(timeline) - 1
 
 
 class TestLoadEventDates:
