@@ -22,7 +22,7 @@ from .errors import (
     TufSimError,
     ValidationError,
 )
-from .repository import LedgerTotals, Repository, RoleState, RoleType, TickReport
+from .repository import LedgerTotals, Repository, RoleState, RoleType
 from .runner import (
     AlgorithmAssignment,
     Architecture,
@@ -73,7 +73,6 @@ __all__ = [
     "RunResult",
     "SignatureAlgorithm",
     "Tick",
-    "TickReport",
     "Timeline",
     "TufSimError",
     "Uniform",

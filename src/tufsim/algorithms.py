@@ -12,6 +12,7 @@ import io
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
+from ._table import read_table
 from .errors import AlgorithmNotFoundError, CatalogError, ValidationError
 
 _REQUIRED_COLUMNS = (
@@ -65,30 +66,17 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
     whitespace on header cells is ignored, column order is free, extra
     columns are ignored).  `Max Signatures` accepts integer literals and
     decimal scientific notation such as ``1E4``, truncated to an integer.
-    Blank rows are skipped.  Duplicate names are rejected.
+    Blank rows are skipped.  A cell missing from a short row reads as
+    empty and fails its field's check.  Empty and duplicate names are
+    rejected.
     """
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    if not rows:
-        raise CatalogError("catalog is empty; expected a header row")
-
-    header = [cell.strip() for cell in rows[0]]
-    for column in _REQUIRED_COLUMNS:
-        if column not in header:
-            raise CatalogError(f"catalog is missing required column '{column}'")
-    index = {column: header.index(column) for column in _REQUIRED_COLUMNS}
-
     catalog: list[SignatureAlgorithm] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        if len(row) <= max(index.values()):
-            raise CatalogError(
-                f"row {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        field = {column: row[i].strip() for column, i in index.items()}
-
-        name = field["Name"]
+    for lineno, (name, sig_size, pk_size, max_sigs, cost) in read_table(
+        csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS
+    ):
+        if not name:
+            raise CatalogError(f"row {lineno}: algorithm name is empty")
         if name in seen:
             raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
         seen.add(name)
@@ -96,10 +84,10 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
         catalog.append(
             SignatureAlgorithm(
                 name=name,
-                sig_size=_parse_int(field["Signature Size"], "Signature Size", lineno),
-                pk_size=_parse_int(field["Public Key Size"], "Public Key Size", lineno),
-                max_sigs=_parse_max_sigs(field["Max Signatures"], lineno),
-                cost=_parse_float(field["Computational Cost"], "Computational Cost", lineno),
+                sig_size=_parse_int(sig_size, "Signature Size", lineno),
+                pk_size=_parse_int(pk_size, "Public Key Size", lineno),
+                max_sigs=_parse_max_sigs(max_sigs, lineno),
+                cost=_parse_float(cost, "Computational Cost", lineno),
             )
         )
     return catalog

@@ -1,11 +1,17 @@
 """The update-repository state machine and its accounting ledger.
 
 A Repository holds an ordered list of role instances (Root, Timestamp,
-Snapshot, Target) and accumulates, tick by tick, the bytes and verification
-effort a worst-case client pays: one that downloads and verifies every
-signature the repository ever publishes.  `publish_timestamp` advances one
-tick and is the reference; `publish_timestamps(n)` advances n ticks to the
-same state, jumping over quiet stretches in closed form.
+Snapshot, Target) and counts, tick by tick, what a worst-case client pays:
+one that downloads and verifies every signature the repository ever
+publishes.  `publish_timestamp` advances one tick and is the reference;
+`publish_timestamps(n)` advances n ticks to the same state, jumping over
+quiet stretches in closed form.
+
+The ledger is integers only: each role's lifetime signature count, the
+counts of removed roles per algorithm, and the public-key bytes of every
+root file.  `ledger_totals` derives signature bytes and verification cost
+from the per-algorithm counts when read, cost by `math.fsum`, so totals do
+not depend on the order in which signatures were made.
 
 Semantics worth knowing before reading the code:
 
@@ -30,8 +36,9 @@ Semantics worth knowing before reading the code:
 from __future__ import annotations
 
 import enum
+import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 from .algorithms import SignatureAlgorithm
 
@@ -68,27 +75,6 @@ class RoleState:
 
 
 @dataclass(frozen=True)
-class TickReport:
-    """Deltas produced by one publish_timestamp call.
-
-    The repository accumulators after the tick equal the accumulators
-    before it plus these deltas, exactly (cost included: the per-tick sum
-    is what gets added).
-    """
-
-    signatures: dict[RoleType, int]
-    sig_bytes: int = 0
-    pk_bytes: int = 0
-    cost: float = 0.0
-    rolled_roles: int = 0
-    root_published: bool = False
-
-    @property
-    def total_signatures(self) -> int:
-        return sum(self.signatures.values())
-
-
-@dataclass(frozen=True)
 class LedgerTotals:
     """Read-only snapshot of a repository's accumulated client-side cost."""
 
@@ -112,13 +98,11 @@ class Repository:
     def __init__(self, name: str):
         self.name = name
         self.roles: list[RoleState] = []
-        self.accum_sig_size = 0
         self.accum_pk_size = 0
-        self.accum_cost = 0.0
-        self.accum_signatures = 0
         self.rollover_events = 0
         self.root_publications = 0
-        self.retired_sigs = 0  # lifetime_sigs carried by removed roles
+        # lifetime_sigs carried by removed roles, per algorithm
+        self.retired_counts: Counter[SignatureAlgorithm] = Counter()
         self.update_root = True  # a fresh repository needs a first root file
 
     def __str__(self) -> str:
@@ -142,15 +126,15 @@ class Repository:
     def remove_role(self, name: str) -> int:
         """Remove every role whose name matches; returns the number removed.
 
-        Removed roles' lifetime signature counts move to the retired tally
-        so the ledger conservation invariant keeps holding.
+        Removed roles' lifetime signature counts move to the per-algorithm
+        retired tally, so the ledger totals do not change.
         """
         kept = [role for role in self.roles if role.name != name]
         removed = len(self.roles) - len(kept)
         if removed:
             for role in self.roles:
                 if role.name == name:
-                    self.retired_sigs += role.lifetime_sigs
+                    self.retired_counts[role.algorithm] += role.lifetime_sigs
             self.roles[:] = kept
             self.update_root = True
         return removed
@@ -200,8 +184,8 @@ class Repository:
         self.rollover_events += rolled
         return rolled
 
-    def publish_timestamp(self) -> TickReport:
-        """Advance the repository by one tick and return the tick's deltas.
+    def publish_timestamp(self) -> None:
+        """Advance the repository by one tick.
 
         Order of play: (1) if any role rolled over or a root update is
         flagged, publish a root file — every role's public key is downloaded
@@ -209,68 +193,40 @@ class Repository:
         signs and is cleared; (3) if any Target signed, each non-reserve
         Snapshot signs; (4) each non-reserve Timestamp signs.
         """
-        signatures = {role_type: 0 for role_type in RoleType}
-        sig_bytes = 0
-        pk_bytes = 0
-        cost = 0.0
-
-        def sign(role: RoleState) -> None:
-            nonlocal sig_bytes, cost
-            role.num_sigs += 1
-            role.lifetime_sigs += 1
-            sig_bytes += role.algorithm.sig_size
-            cost += role.algorithm.cost
-            signatures[role.role_type] += 1
-
-        rolled = self.rollover_check()
-        root_published = False
-        if rolled > 0 or self.update_root:
-            root_published = True
+        signers: list[RoleState] = []
+        if self.rollover_check() > 0 or self.update_root:
             for role in self.roles:
-                pk_bytes += role.algorithm.pk_size
+                self.accum_pk_size += role.algorithm.pk_size
                 if role.role_type is RoleType.ROOT:
-                    sign(role)
+                    signers.append(role)
                 role.rollover = False
             self.update_root = False
             self.root_publications += 1
 
-        updates = 0
+        updated = False
         for role in self.roles:
             if role.role_type is RoleType.TARGET and role.pending and not role.reserve:
-                sign(role)
+                signers.append(role)
                 role.pending = False
-                updates += 1
-
-        if updates > 0:
-            for role in self.roles:
-                if role.role_type is RoleType.SNAPSHOT and not role.reserve:
-                    sign(role)
+                updated = True
 
         for role in self.roles:
-            if role.role_type is RoleType.TIMESTAMP and not role.reserve:
-                sign(role)
+            if not role.reserve and (
+                role.role_type is RoleType.TIMESTAMP
+                or (updated and role.role_type is RoleType.SNAPSHOT)
+            ):
+                signers.append(role)
 
-        self.accum_sig_size += sig_bytes
-        self.accum_pk_size += pk_bytes
-        self.accum_cost += cost
-        self.accum_signatures += sum(signatures.values())
-        return TickReport(
-            signatures=signatures,
-            sig_bytes=sig_bytes,
-            pk_bytes=pk_bytes,
-            cost=cost,
-            rolled_roles=rolled,
-            root_published=root_published,
-        )
+        for role in signers:
+            role.num_sigs += 1
+            role.lifetime_sigs += 1
 
     def publish_timestamps(self, count: int) -> None:
         """Advance the repository by `count` ticks.
 
-        The state afterwards, ledger included, equals that after `count`
-        calls of publish_timestamp.  Runs of quiet ticks are applied in
-        closed form; every other tick goes through publish_timestamp.  The
-        float cost is accumulated one tick at a time, as publish_timestamp
-        would, so it matches bit for bit.
+        The state afterwards equals that after `count` calls of
+        publish_timestamp.  Runs of quiet ticks are applied in closed form;
+        every other tick goes through publish_timestamp.
         """
         while count > 1:
             stride = self._quiet_stride(count)
@@ -278,24 +234,10 @@ class Repository:
                 self.publish_timestamp()
                 count -= 1
                 continue
-            signers = [
-                role
-                for role in self.roles
-                if role.role_type is RoleType.TIMESTAMP and not role.reserve
-            ]
-            sig_bytes = 0
-            cost = 0.0
-            for role in signers:
-                role.num_sigs += stride
-                role.lifetime_sigs += stride
-                sig_bytes += role.algorithm.sig_size
-                cost += role.algorithm.cost
-            self.accum_sig_size += stride * sig_bytes
-            self.accum_signatures += stride * len(signers)
-            accum_cost = self.accum_cost
-            for _ in repeat(None, stride):
-                accum_cost += cost
-            self.accum_cost = accum_cost
+            for role in self.roles:
+                if role.role_type is RoleType.TIMESTAMP and not role.reserve:
+                    role.num_sigs += stride
+                    role.lifetime_sigs += stride
             count -= stride
         if count == 1:  # a single tick needs no quiet check
             self.publish_timestamp()
@@ -323,14 +265,22 @@ class Repository:
         return stride
 
     def ledger_totals(self) -> LedgerTotals:
-        """Snapshot the accumulated totals; read-only."""
+        """Derive the totals from the signature counts; read-only.
+
+        Counts are merged per algorithm first, so the byte and cost sums
+        have one term per algorithm, whatever the role order.
+        """
+        counts = self.retired_counts.copy()
+        for role in self.roles:
+            counts[role.algorithm] += role.lifetime_sigs
+        sig_bytes = sum(n * algorithm.sig_size for algorithm, n in counts.items())
         return LedgerTotals(
             name=self.name,
-            sig_bytes=self.accum_sig_size,
+            sig_bytes=sig_bytes,
             pk_bytes=self.accum_pk_size,
-            total_bytes=self.accum_sig_size + self.accum_pk_size,
-            cost=self.accum_cost,
-            signatures=self.accum_signatures,
+            total_bytes=sig_bytes + self.accum_pk_size,
+            cost=math.fsum(n * algorithm.cost for algorithm, n in counts.items()),
+            signatures=sum(counts.values()),
             rollover_events=self.rollover_events,
             root_publications=self.root_publications,
         )

@@ -6,7 +6,10 @@ first on a date, then that date's update events, then the timestamp — a
 fixed order so identical inputs always produce identical ledgers.  The
 run visits only the dates that carry events or actions and advances the
 repository between them with `Repository.publish_timestamps`, so its cost
-grows with the number of change points, not the number of ticks.
+grows with the number of change points, not the number of ticks.  The
+result reads the repository's integer signature counts once, at the end:
+bytes are exact and the verification cost is one `math.fsum` over the
+algorithms, so no total depends on the order in which roles signed.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 
+from ._table import read_table
 from .algorithms import SignatureAlgorithm, find_algorithm
 from .errors import AlgorithmNotFoundError, ConfigurationError
 from .repository import Repository, RoleType
@@ -245,37 +249,22 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
     An empty Algorithm cell defers to the run's assignment; an empty
     Reserve cell means false.
     """
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    if not rows:
-        raise ConfigurationError("architecture file is empty; expected a header row")
-    header = [cell.strip() for cell in rows[0]]
-    for column in ("Role Name", "Role Type", "Algorithm", "Reserve"):
-        if column not in header:
-            raise ConfigurationError(
-                f"architecture file is missing the '{column}' column"
-            )
-    index = {name: header.index(name) for name in header}
-
     specs: list[RoleSpec] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-
-        def cell(column: str) -> str:
-            i = index[column]
-            return row[i].strip() if i < len(row) else ""
-
-        name = cell("Role Name")
+    for lineno, (name, type_text, algorithm, reserve_text) in read_table(
+        csv_text,
+        "architecture file",
+        ConfigurationError,
+        ("Role Name", "Role Type", "Algorithm", "Reserve"),
+    ):
         if not name:
             raise ConfigurationError(f"row {lineno}: role name is empty")
-        type_text = cell("Role Type")
         try:
             role_type = RoleType(type_text)
         except ValueError:
             raise ConfigurationError(
                 f"row {lineno}: unknown role type {type_text!r}"
             ) from None
-        reserve_text = cell("Reserve").lower()
+        reserve_text = reserve_text.lower()
         if reserve_text in ("", "false"):
             reserve = False
         elif reserve_text == "true":
@@ -288,7 +277,7 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
             RoleSpec(
                 name=name,
                 role_type=role_type,
-                algorithm_name=cell("Algorithm") or None,
+                algorithm_name=algorithm or None,
                 reserve=reserve,
             )
         )
@@ -297,24 +286,10 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
 
 def parse_assignment_csv(csv_text: str, label: str = "per-role") -> PerRole:
     """Parse a per-role assignment table: `Role Name,Algorithm`."""
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    if not rows:
-        raise ConfigurationError("assignment file is empty; expected a header row")
-    header = [cell.strip() for cell in rows[0]]
-    for column in ("Role Name", "Algorithm"):
-        if column not in header:
-            raise ConfigurationError(
-                f"assignment file is missing the '{column}' column"
-            )
-    name_col = header.index("Role Name")
-    alg_col = header.index("Algorithm")
-
     algorithms: dict[str, str] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        name = row[name_col].strip() if name_col < len(row) else ""
-        algorithm = row[alg_col].strip() if alg_col < len(row) else ""
+    for lineno, (name, algorithm) in read_table(
+        csv_text, "assignment file", ConfigurationError, ("Role Name", "Algorithm")
+    ):
         if not name or not algorithm:
             raise ConfigurationError(
                 f"row {lineno}: assignment rows need both a role name and an algorithm"

@@ -9,14 +9,13 @@ tick of its date.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
+from ._table import read_table
 from .errors import CalendarError
 from .repository import RoleType
 
@@ -151,24 +150,11 @@ def load_event_dates(csv_text: str, default_target: str) -> EventCalendar:
     Dates are ISO-8601 (YYYY-MM-DD).  Rows without a target bind to
     `default_target`; duplicate (date, target) pairs collapse.
     """
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    if not rows:
-        raise CalendarError("event file is empty; expected a 'Date' header")
-    header = [cell.strip() for cell in rows[0]]
-    if "Date" not in header:
-        raise CalendarError("event file is missing the 'Date' column")
-    date_col = header.index("Date")
-    target_col = header.index("Target") if "Target" in header else None
-
     events: set[tuple[date, str]] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        day = _parse_date(row[date_col].strip() if date_col < len(row) else "", lineno)
-        target = default_target
-        if target_col is not None and target_col < len(row) and row[target_col].strip():
-            target = row[target_col].strip()
-        events.add((day, target))
+    for lineno, (day, target) in read_table(
+        csv_text, "event file", CalendarError, ("Date",), ("Target",)
+    ):
+        events.add((_parse_date(day, lineno), target or default_target))
     return EventCalendar(update_events=frozenset(events))
 
 
@@ -179,32 +165,21 @@ def load_role_actions(csv_text: str) -> EventCalendar:
     add/remove/reserve; fields irrelevant to an action stay empty.  An add
     row may leave Algorithm empty to inherit the run's assignment.
     """
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    if not rows:
-        raise CalendarError("action file is empty; expected a header row")
-    header = [cell.strip() for cell in rows[0]]
-    for column in ("Date", "Action", "Name", "RoleType", "Algorithm", "Flag"):
-        if column not in header:
-            raise CalendarError(f"action file is missing the '{column}' column")
-    index = {name: header.index(name) for name in header}
-
-    def cell(row: list[str], column: str) -> str:
-        i = index[column]
-        return row[i].strip() if i < len(row) else ""
-
     actions: list[RoleAction] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not any(c.strip() for c in row):
-            continue
-        day = _parse_date(cell(row, "Date"), lineno)
-        kind_text = cell(row, "Action").lower()
+    for lineno, (day_text, kind_text, name, type_text, algorithm, flag_text) in read_table(
+        csv_text,
+        "action file",
+        CalendarError,
+        ("Date", "Action", "Name", "RoleType", "Algorithm", "Flag"),
+    ):
+        day = _parse_date(day_text, lineno)
+        kind_text = kind_text.lower()
         try:
             kind = ActionKind(kind_text)
         except ValueError:
             raise CalendarError(
                 f"row {lineno}: unknown action {kind_text!r}; expected add, remove or reserve"
             ) from None
-        name = cell(row, "Name")
         if not name:
             raise CalendarError(f"row {lineno}: action is missing a role name")
 
@@ -212,16 +187,15 @@ def load_role_actions(csv_text: str) -> EventCalendar:
         algorithm_name = None
         flag = None
         if kind is ActionKind.ADD:
-            type_text = cell(row, "RoleType")
             try:
                 role_type = RoleType(type_text)
             except ValueError:
                 raise CalendarError(
                     f"row {lineno}: unknown role type {type_text!r}"
                 ) from None
-            algorithm_name = cell(row, "Algorithm") or None
+            algorithm_name = algorithm or None
         elif kind is ActionKind.RESERVE:
-            flag_text = cell(row, "Flag").lower()
+            flag_text = flag_text.lower()
             if flag_text not in ("true", "false"):
                 raise CalendarError(
                     f"row {lineno}: reserve action needs Flag true or false"

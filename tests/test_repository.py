@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,25 @@ def build_repo(alg=None) -> Repository:
     return repo
 
 
-def conserved(repo: Repository) -> bool:
-    return repo.accum_signatures == (
-        sum(r.lifetime_sigs for r in repo.roles) + repo.retired_sigs
+def publish(repo: Repository) -> SimpleNamespace:
+    """Advance one tick and return what it added to the ledger, plus the
+    signatures per role type counted from the roles' lifetime_sigs."""
+    before = repo.ledger_totals()
+    lifetimes = [(role, role.lifetime_sigs) for role in repo.roles]
+    assert repo.publish_timestamp() is None
+    after = repo.ledger_totals()
+    signatures = {role_type: 0 for role_type in RoleType}
+    for role, lifetime in lifetimes:
+        signatures[role.role_type] += role.lifetime_sigs - lifetime
+    return SimpleNamespace(
+        signatures=signatures,
+        total_signatures=after.signatures - before.signatures,
+        sig_bytes=after.sig_bytes - before.sig_bytes,
+        pk_bytes=after.pk_bytes - before.pk_bytes,
+        cost=after.cost - before.cost,
+        rolled_roles=after.rollover_events - before.rollover_events,
+        root_published=after.root_publications > before.root_publications,
+        lifetimes=lifetimes,
     )
 
 
@@ -32,7 +49,7 @@ class TestConstruction:
     def test_fresh_repository(self):
         repo = Repository("Device_A")
         assert repo.roles == []
-        assert repo.accum_signatures == 0
+        assert repo.ledger_totals().signatures == 0
         assert repo.update_root is True
 
     def test_fresh_totals_are_zero(self):
@@ -45,7 +62,7 @@ class TestConstruction:
 
     def test_publish_on_roleless_repository(self):
         repo = Repository("Device_A")
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.root_published is True
         assert report.total_signatures == 0
         assert (report.sig_bytes, report.pk_bytes, report.cost) == (0, 0, 0.0)
@@ -103,14 +120,14 @@ class TestRoleManagement:
         assert repo.remove_role("Target 1") == 2
 
     def test_remove_moves_lifetime_to_retired_tally(self):
-        repo = build_repo()
+        alg = make_alg()
+        repo = build_repo(alg)
         for _ in range(3):
             repo.publish_timestamp()
-        before = repo.accum_signatures
+        before = repo.ledger_totals()
         repo.remove_role("Timestamp 1")
-        assert repo.retired_sigs == 3
-        assert conserved(repo)
-        assert repo.accum_signatures == before
+        assert repo.retired_counts == {alg: 3}
+        assert repo.ledger_totals() == before
 
 
 class TestReserve:
@@ -123,7 +140,7 @@ class TestReserve:
         repo = build_repo()
         repo.publish_timestamp()
         repo.set_reserve("Timestamp 1", True)
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.signatures[RoleType.TIMESTAMP] == 0
 
     def test_cleared_reserve_signs_again(self):
@@ -132,13 +149,13 @@ class TestReserve:
         repo.set_reserve("Timestamp 1", True)
         repo.publish_timestamp()
         repo.set_reserve("Timestamp 1", False)
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.signatures[RoleType.TIMESTAMP] == 1
 
     def test_reserve_key_still_published_in_root_file(self):
         repo = build_repo()
         repo.set_reserve("Target 1", True)
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.root_published
         assert report.pk_bytes == 4 * 50
         assert report.signatures[RoleType.TARGET] == 0
@@ -147,7 +164,7 @@ class TestReserve:
         # the root phase does not consult the reserve flag on Root roles
         repo = build_repo()
         repo.set_reserve("Root 1", True)
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.signatures[RoleType.ROOT] == 1
 
 
@@ -201,7 +218,7 @@ class TestRolloverCheck:
 class TestPublishTimestamp:
     def test_first_tick(self):
         repo = build_repo()
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.total_signatures == 4
         assert report.signatures == {
             RoleType.ROOT: 1,
@@ -218,7 +235,7 @@ class TestPublishTimestamp:
     def test_steady_state_tick(self):
         repo = build_repo()
         repo.publish_timestamp()
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.total_signatures == 1
         assert report.sig_bytes == 100
         assert report.pk_bytes == 0
@@ -229,25 +246,24 @@ class TestPublishTimestamp:
         repo = build_repo()
         repo.publish_timestamp()
         repo.stage_update("Target 1")
-        report = repo.publish_timestamp()
+        report = publish(repo)
         assert report.total_signatures == 3
         assert report.pk_bytes == 0
         assert report.signatures[RoleType.ROOT] == 0
 
-    def test_report_deltas_match_accumulators(self):
+    def test_ledger_deltas_match_the_tick_s_signatures(self):
         repo = build_repo(make_alg(max_sigs=2))
         for i in range(8):
             if i % 3 == 0:
                 repo.stage_update("Target 1")
-            before = repo.ledger_totals()
-            report = repo.publish_timestamp()
-            after = repo.ledger_totals()
-            assert after.sig_bytes - before.sig_bytes == report.sig_bytes
-            assert after.pk_bytes - before.pk_bytes == report.pk_bytes
-            assert after.signatures - before.signatures == report.total_signatures
-            assert after.cost - before.cost == report.cost
-            assert after.root_publications - before.root_publications == int(
-                report.root_published
+            report = publish(repo)
+            signed = [(role, role.lifetime_sigs - n) for role, n in report.lifetimes]
+            assert report.sig_bytes == sum(r.algorithm.sig_size * k for r, k in signed)
+            assert report.total_signatures == sum(k for _, k in signed)
+            assert report.cost == sum(r.algorithm.cost * k for r, k in signed)
+            assert report.root_published == (report.signatures[RoleType.ROOT] > 0)
+            assert report.pk_bytes == (
+                sum(r.algorithm.pk_size for r in repo.roles) if report.root_published else 0
             )
 
     def test_pk_bytes_accrue_only_with_root_publication(self):
@@ -255,12 +271,11 @@ class TestPublishTimestamp:
         for i in range(20):
             if i == 10:
                 repo.add_role("Target 2", RoleType.TARGET, make_alg())
-            before = repo.accum_pk_size
-            report = repo.publish_timestamp()
+            report = publish(repo)
             if report.root_published:
                 assert report.pk_bytes == sum(r.algorithm.pk_size for r in repo.roles)
             else:
-                assert repo.accum_pk_size == before
+                assert report.pk_bytes == 0
 
 
 class TestLedgerTotals:
@@ -286,9 +301,8 @@ class TestLedgerTotals:
 
 
 def snapshot(repo: Repository) -> dict:
-    """Every ledger field and every RoleState field, cost as exact hex."""
+    """Every ledger field and every RoleState field."""
     state = {key: value for key, value in vars(repo).items() if key != "roles"}
-    state["accum_cost"] = repo.accum_cost.hex()
     state["roles"] = [dataclasses.asdict(role) for role in repo.roles]
     return state
 
@@ -358,7 +372,7 @@ class TestPublishTimestamps:
         # the first tick plus one rollover tick per 1024 Timestamp signatures
         assert repo.root_publications == len(calls) == 1 + 9
         # every tick's Timestamp, one Target and Snapshot, one Root per root file
-        assert repo.accum_signatures == 10_000 + 2 + 10
+        assert repo.ledger_totals().signatures == 10_000 + 2 + 10
 
 
 class RepositoryMachine(RuleBasedStateMachine):
@@ -375,6 +389,7 @@ class RepositoryMachine(RuleBasedStateMachine):
         ]:
             self.repo.add_role(name, role_type, make_alg(max_sigs=2))
         self.prev = self.repo.ledger_totals()
+        self.prev_lifetimes = []
 
     names = st.sampled_from(["Root 0", "Timestamp 0", "Role 1", "Role 2", "Target 0"])
 
@@ -407,8 +422,14 @@ class RepositoryMachine(RuleBasedStateMachine):
         for role in self.repo.roles:
             assert 0 <= role.num_sigs <= role.algorithm.max_sigs
             assert role.lifetime_sigs >= role.num_sigs
-        assert conserved(self.repo)
         totals = self.repo.ledger_totals()
+        # conservation: the signature total moves exactly with the current
+        # roles' lifetime counts, so a removal leaves it where it was
+        baseline = {id(role): n for role, n in self.prev_lifetimes}
+        assert totals.signatures - self.prev.signatures == sum(
+            role.lifetime_sigs - baseline.get(id(role), 0) for role in self.repo.roles
+        )
+        self.prev_lifetimes = [(role, role.lifetime_sigs) for role in self.repo.roles]
         assert totals.sig_bytes >= self.prev.sig_bytes
         assert totals.pk_bytes >= self.prev.pk_bytes
         assert totals.cost >= self.prev.cost

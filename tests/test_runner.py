@@ -22,6 +22,7 @@ from tufsim import (
     Uniform,
     default_architecture,
     emit_report_csv,
+    generate_poisson_events,
     generate_ticks,
     load_role_actions,
     parse_architecture_csv,
@@ -323,6 +324,30 @@ class TestEngineMatchesTickByTick:
             result = run_scenario(arch, assignment, calendar, sequence, catalog)
             assert result == expected
             assert emit_report_csv([result]) == emit_report_csv([expected])
+
+
+class TestLedgerIsOrderIndependent:
+    def test_hourly_decade_cost_is_exact(self):
+        end = date(2029, 12, 31)
+        result = run_scenario(
+            default_architecture(),
+            Uniform("AlgA"),
+            generate_poisson_events(0.1, START, end, 0, "Target 1"),
+            generate_ticks(START, end, Cadence.HOURLY),
+            [make_alg(cost=0.1)],
+        )
+        assert result.total_signatures == 88_325
+        # 88,325 one-tick adds of 0.1 would drift to 8832.500000014446
+        assert result.cost == 8832.5
+
+    @given(run=differential_runs(), data=st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_role_order_does_not_change_the_result(self, run, data):
+        arch, *rest = run
+        shuffled = Architecture(
+            arch.device_name, tuple(data.draw(st.permutations(arch.role_specs)))
+        )
+        assert run_scenario(shuffled, *rest) == run_scenario(arch, *rest)
 
 
 class TestRunSweep:
