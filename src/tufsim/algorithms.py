@@ -68,7 +68,7 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
     decimal scientific notation such as ``1E4``, truncated to an integer.
     Blank rows are skipped.  A cell missing from a short row reads as
     empty and fails its field's check.  Empty and duplicate names are
-    rejected.
+    rejected.  Every error names its row.
     """
     catalog: list[SignatureAlgorithm] = []
     seen: set[str] = set()
@@ -81,15 +81,18 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
             raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
         seen.add(name)
 
-        catalog.append(
-            SignatureAlgorithm(
-                name=name,
-                sig_size=_parse_int(sig_size, "Signature Size", lineno),
-                pk_size=_parse_int(pk_size, "Public Key Size", lineno),
-                max_sigs=_parse_max_sigs(max_sigs, lineno),
-                cost=_parse_float(cost, "Computational Cost", lineno),
+        try:
+            catalog.append(
+                SignatureAlgorithm(
+                    name=name,
+                    sig_size=_parse_int(sig_size, "Signature Size", lineno),
+                    pk_size=_parse_int(pk_size, "Public Key Size", lineno),
+                    max_sigs=_parse_max_sigs(max_sigs, lineno),
+                    cost=_parse_float(cost, "Computational Cost", lineno),
+                )
             )
-        )
+        except ValidationError as exc:  # a range check in SignatureAlgorithm
+            raise ValidationError(f"row {lineno}: {exc}") from None
     return catalog
 
 

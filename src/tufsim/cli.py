@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import TextIO
@@ -27,7 +26,6 @@ from .runner import (
 from .schedule import (
     Cadence,
     EventCalendar,
-    Tick,
     generate_poisson_events,
     generate_ticks,
     load_event_dates,
@@ -37,25 +35,6 @@ from .schedule import (
 
 DEFAULT_DEVICE = "Device_A"
 DEFAULT_TARGET = "Target 1"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated CLI inputs for one invocation."""
-
-    algorithms_path: str
-    start: date
-    end: date
-    cadence: Cadence
-    events_path: str | None = None
-    actions_path: str | None = None
-    architecture_path: str | None = None
-    assignment_path: str | None = None
-    poisson_rate: float | None = None
-    seed: int | None = None
-    default_target: str = DEFAULT_TARGET
-    output_path: str | None = None
-    verbose: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,10 +90,10 @@ def run_cli(
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        config = _parse_config(argv)
-        report = _execute(config, err)
-        if config.output_path is not None:
-            Path(config.output_path).write_text(report, encoding="utf-8")
+        args = _parse_config(argv)
+        report = _execute(args, err)
+        if args.output is not None:
+            Path(args.output).write_text(report, encoding="utf-8")
         else:
             out.write(report)
     except TufSimError as exc:
@@ -137,27 +116,13 @@ def _parse_date(text: str) -> date:
         raise argparse.ArgumentTypeError(f"invalid date {text!r}; expected YYYY-MM-DD")
 
 
-def _parse_config(argv: list[str] | None) -> CliConfig:
+def _parse_config(argv: list[str] | None) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if args.events is not None and args.poisson_rate is not None:
         raise ConfigurationError("--events and --poisson-rate are mutually exclusive")
     if args.seed is not None and args.poisson_rate is None:
         raise ConfigurationError("--seed only applies when --poisson-rate is set")
-    return CliConfig(
-        algorithms_path=args.algorithms,
-        events_path=args.events,
-        actions_path=args.actions,
-        architecture_path=args.arch,
-        assignment_path=args.assignment,
-        start=args.start,
-        end=args.end,
-        cadence=Cadence(args.cadence),
-        poisson_rate=args.poisson_rate,
-        seed=args.seed,
-        default_target=args.target,
-        output_path=args.output,
-        verbose=args.verbose,
-    )
+    return args
 
 
 def _read(path: str) -> str:
@@ -167,44 +132,40 @@ def _read(path: str) -> str:
         raise ConfigurationError(f"cannot read '{path}': {exc.strerror or exc}") from None
 
 
-def _execute(config: CliConfig, err: TextIO) -> str:
-    catalog = parse_algorithm_catalog(_read(config.algorithms_path))
+def _execute(args: argparse.Namespace, err: TextIO) -> str:
+    catalog = parse_algorithm_catalog(_read(args.algorithms))
     if not catalog:
-        raise ConfigurationError(
-            f"algorithm catalog '{config.algorithms_path}' has no entries"
-        )
+        raise ConfigurationError(f"algorithm catalog '{args.algorithms}' has no entries")
 
-    if config.architecture_path is not None:
-        arch = parse_architecture_csv(
-            _read(config.architecture_path), device_name=DEFAULT_DEVICE
-        )
+    if args.arch is not None:
+        arch = parse_architecture_csv(_read(args.arch), device_name=DEFAULT_DEVICE)
     else:
         arch = default_architecture(DEFAULT_DEVICE)
 
     calendar = EventCalendar()
-    if config.events_path is not None:
-        calendar = load_event_dates(_read(config.events_path), config.default_target)
-    elif config.poisson_rate is not None:
+    if args.events is not None:
+        calendar = load_event_dates(_read(args.events), args.target)
+    elif args.poisson_rate is not None:
         calendar = generate_poisson_events(
-            config.poisson_rate,
-            config.start,
-            config.end,
-            config.seed if config.seed is not None else 0,
-            config.default_target,
+            args.poisson_rate,
+            args.start,
+            args.end,
+            args.seed if args.seed is not None else 0,
+            args.target,
         )
-    if config.actions_path is not None:
-        calendar = merge_calendars(calendar, load_role_actions(_read(config.actions_path)))
+    if args.actions is not None:
+        calendar = merge_calendars(calendar, load_role_actions(_read(args.actions)))
 
-    ticks = generate_ticks(config.start, config.end, config.cadence)
+    ticks = generate_ticks(args.start, args.end, Cadence(args.cadence))
 
-    if config.verbose:
+    if args.verbose:
         for day in sorted({day for day, _ in calendar.update_events}):
-            if Tick(day) in ticks:
+            if ticks.position(day) is not None:
                 print(f"- match {day.isoformat()}", file=err)
 
-    if config.assignment_path is not None:
-        label = Path(config.assignment_path).stem
-        assignments = [parse_assignment_csv(_read(config.assignment_path), label=label)]
+    if args.assignment is not None:
+        label = Path(args.assignment).stem
+        assignments = [parse_assignment_csv(_read(args.assignment), label=label)]
     else:
         assignments = [Uniform(alg.name) for alg in catalog]
 

@@ -4,7 +4,8 @@ A run pairs a role architecture with an algorithm assignment and replays a
 tick calendar against a fresh repository.  Scripted role actions apply
 first on a date, then that date's update events, then the timestamp — a
 fixed order so identical inputs always produce identical ledgers.  The
-run visits only the dates that carry events or actions and advances the
+run visits only the dates that carry events or actions, asks the
+`Timeline` which tick each lands on, and advances the
 repository between them with `Repository.publish_timestamps`, so its cost
 grows with the number of change points, not the number of ticks.  The
 result reads the repository's integer signature counts once, at the end:
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -24,7 +24,7 @@ from ._table import read_table
 from .algorithms import SignatureAlgorithm, find_algorithm
 from .errors import AlgorithmNotFoundError, ConfigurationError
 from .repository import Repository, RoleType
-from .schedule import ActionKind, EventCalendar, RoleAction, Tick
+from .schedule import ActionKind, EventCalendar, RoleAction, Timeline
 
 REPORT_COLUMNS = (
     "Device",
@@ -132,18 +132,19 @@ def run_scenario(
     arch: Architecture,
     assignment: AlgorithmAssignment,
     calendar: EventCalendar,
-    ticks: Sequence[Tick],
+    ticks: Timeline,
     catalog: list[SignatureAlgorithm],
 ) -> RunResult:
     """Execute one run and return its aggregated ledger.
 
-    `ticks` must be ascending, such as a `Timeline` or a plain list; a
-    date's events and actions apply on its first tick (sub_index 0), and
-    those of a date without one are skipped.  All algorithm names — from
-    role specs, the assignment, and scripted add actions — resolve against
-    the catalog before the first tick, so a bad configuration never
-    produces a partial ledger.  An update event whose target matches no
-    role becomes a warning, not an error.
+    A date's events and actions apply on its first tick.  All algorithm
+    names — from role specs, the assignment, and scripted add actions —
+    resolve against the catalog before the first tick, so a bad
+    configuration never produces a partial ledger.  Inputs that cannot
+    take effect become warnings, not errors: an event or action on a date
+    without a tick, an update event, remove or reserve that matches no
+    role, and a per-role assignment row naming no role of the
+    architecture or of an add action.
     """
     role_algorithms = [
         _resolve(spec.algorithm_name, spec.name, assignment, catalog)
@@ -168,24 +169,36 @@ def run_scenario(
         actions_by_date.setdefault(action.date, []).append(action)
 
     warnings: list[str] = []
-    position = 0  # index of the next tick to publish
+    if isinstance(assignment, PerRole):
+        named = {spec.name for spec in arch.role_specs} | {a.name for a in add_algorithms}
+        warnings += [
+            f"assignment row for '{name}' names no role of the architecture or an add action"
+            for name in assignment.algorithms
+            if name not in named
+        ]
+    published = 0
     for day in sorted(events_by_date.keys() | actions_by_date.keys()):
-        try:
-            index = ticks.index(Tick(day))
-        except ValueError:
+        actions = actions_by_date.get(day, ())
+        targets = events_by_date.get(day, ())
+        index = ticks.position(day)
+        if index is None:
+            dropped = [f"{a.kind.value} action for '{a.name}'" for a in actions]
+            dropped += [f"update event for '{target}'" for target in targets]
+            warnings += [f"{day}: {item} falls on no tick and was not applied" for item in dropped]
             continue
-        repo.publish_timestamps(index - position)
-        position = index
-        if day in actions_by_date:
-            for action in actions_by_date[day]:
-                _apply_action(repo, action, add_algorithms)
+        repo.publish_timestamps(index - published)
+        published = index
+        if actions:
+            for action in actions:
+                if not _apply_action(repo, action, add_algorithms):
+                    warnings.append(
+                        f"{day}: {action.kind.value} action for '{action.name}' matched no role"
+                    )
             _check_role_coverage(repo, day, warnings)
-        for target in events_by_date.get(day, ()):
+        for target in targets:
             if repo.stage_update(target) == 0:
-                warnings.append(
-                    f"{day.isoformat()}: update event for '{target}' matched no Target role"
-                )
-    repo.publish_timestamps(len(ticks) - position)
+                warnings.append(f"{day}: update event for '{target}' matched no Target role")
+    repo.publish_timestamps(len(ticks) - published)
 
     totals = repo.ledger_totals()
     return RunResult(
@@ -205,7 +218,7 @@ def run_sweep(
     arch: Architecture,
     assignments: list[AlgorithmAssignment],
     calendar: EventCalendar,
-    ticks: Sequence[Tick],
+    ticks: Timeline,
     catalog: list[SignatureAlgorithm],
 ) -> list[RunResult]:
     """Run each assignment against a fresh repository, preserving input order."""
@@ -329,13 +342,14 @@ def _apply_action(
     repo: Repository,
     action: RoleAction,
     add_algorithms: dict[RoleAction, SignatureAlgorithm],
-) -> None:
+) -> bool:
+    """Apply one scripted action; False when a remove or reserve matched no role."""
     if action.kind is ActionKind.ADD:
         repo.add_role(action.name, action.role_type, add_algorithms[action])
-    elif action.kind is ActionKind.REMOVE:
-        repo.remove_role(action.name)
-    else:
-        repo.set_reserve(action.name, bool(action.flag))
+        return True
+    if action.kind is ActionKind.REMOVE:
+        return repo.remove_role(action.name) > 0
+    return repo.set_reserve(action.name, bool(action.flag)) > 0
 
 
 def _check_role_coverage(repo: Repository, day: date, warnings: list[str]) -> None:
@@ -343,5 +357,5 @@ def _check_role_coverage(repo: Repository, day: date, warnings: list[str]) -> No
     missing = [t.value for t in RoleType if t not in present]
     if missing:
         warnings.append(
-            f"{day.isoformat()}: no {', '.join(missing)} role remains after scripted actions"
+            f"{day}: no {', '.join(missing)} role remains after scripted actions"
         )

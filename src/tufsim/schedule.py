@@ -4,15 +4,16 @@ All values here are immutable after construction.  A tick calendar is a
 lazy `Timeline`: it stores its date range and cadence, not its ticks.
 Update events are date-granular: several arrivals on one date collapse to
 a single event, and under sub-daily cadence an event fires on the first
-tick of its date.
+tick of its date.  `Timeline.position` is the one place that decides
+which tick a date lands on, if any.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 from ._table import read_table
@@ -86,61 +87,47 @@ class EventCalendar:
 
 
 @dataclass(frozen=True)
-class Timeline(Sequence[Tick]):
+class Timeline:
     """The ascending ticks of an inclusive date range at one cadence.
 
     Daily has one tick per date, hourly 24, per-minute 1440; weekly has
-    one tick on the start date and each 7th date after it.  Ticks are
-    computed on access, so length, indexing and `index` take constant
-    time and memory whatever the range.
+    one tick on the start date and each 7th date after it.  Only the range
+    and cadence are stored: `len` and `position` are date arithmetic, and
+    iteration builds each `Tick` as it is reached.
     """
 
     start: date
     end: date
     cadence: Cadence
-    _step: int = field(init=False, repr=False, compare=False)
-    _subs: int = field(init=False, repr=False, compare=False)
-    _len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start > self.end:
             raise CalendarError(f"start date {self.start} is after end date {self.end}")
-        step = 7 if self.cadence is Cadence.WEEKLY else 1
-        subs = self.cadence.sub_ticks
-        object.__setattr__(self, "_step", step)
-        object.__setattr__(self, "_subs", subs)
-        object.__setattr__(self, "_len", ((self.end - self.start).days // step + 1) * subs)
+
+    @property
+    def _step(self) -> int:
+        return 7 if self.cadence is Cadence.WEEKLY else 1
 
     def __len__(self) -> int:
-        return self._len
+        return ((self.end - self.start).days // self._step + 1) * self.cadence.sub_ticks
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(self._len)[i]]
-        if not -self._len <= i < self._len:
-            raise IndexError("timeline index out of range")
-        day, sub = divmod(i % self._len, self._subs)
-        return Tick(self.start + timedelta(days=day * self._step), sub)
+    def __iter__(self) -> Iterator[Tick]:
+        for offset in range(0, (self.end - self.start).days + 1, self._step):
+            day = self.start + timedelta(days=offset)
+            for sub in range(self.cadence.sub_ticks):
+                yield Tick(day, sub)
 
-    def __contains__(self, tick: object) -> bool:
-        try:
-            self.index(tick)
-        except ValueError:
-            return False
-        return True
-
-    def index(self, tick: object) -> int:
-        """Position of `tick`, by date arithmetic; ValueError if it is not
-        on this timeline."""
-        if isinstance(tick, Tick) and self.start <= tick.date <= self.end:
-            day, off_grid = divmod((tick.date - self.start).days, self._step)
-            if not off_grid and 0 <= tick.sub_index < self._subs:
-                return day * self._subs + tick.sub_index
-        raise ValueError(f"{tick!r} is not on the timeline")
+    def position(self, day: date) -> int | None:
+        """Index of the first tick on `day`; None when `day` is outside the
+        range or off the weekly grid, so nothing on it can apply."""
+        offset, off_grid = divmod((day - self.start).days, self._step)
+        if off_grid or not self.start <= day <= self.end:
+            return None
+        return offset * self.cadence.sub_ticks
 
 
 def generate_ticks(start: date, end: date, cadence: Cadence) -> Timeline:
-    """The lazy, ascending tick sequence for an inclusive date range."""
+    """The lazy, ascending ticks of an inclusive date range."""
     return Timeline(start, end, cadence)
 
 

@@ -92,6 +92,13 @@ def test_zero_max_signatures_is_invalid():
         parse_algorithm_catalog(text)
 
 
+@pytest.mark.parametrize("row", ["AlgB,100,50,0,1.5", "AlgB,-1,50,1E4,1.5"])
+def test_range_error_names_its_row(row):
+    text = HEADER + "\nAlgA,100,50,1E4,1.5\n" + row + "\n"
+    with pytest.raises(ValidationError, match=r"^row 3: AlgB: "):
+        parse_algorithm_catalog(text)
+
+
 def test_negative_size_is_invalid():
     with pytest.raises(ValidationError):
         SignatureAlgorithm("AlgA", -1, 50, 10, 1.0)

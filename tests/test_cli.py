@@ -71,8 +71,13 @@ def test_verbose_matches_only_dates_on_the_weekly_grid(inputs):
     args[args.index("--end") + 1] = "2020-01-31"
     status, _, err = invoke(args)
     assert status == 0
-    # 2020-01-03 is off the 7-day grid and 2020-02-05 is past the end
-    assert err == "- match 2020-01-08\n- match 2020-01-15\n"
+    # 2020-01-03 is off the 7-day grid and 2020-02-05 is past the end:
+    # no match line, and a warning in each of the three runs
+    dropped = (
+        "warning: 2020-01-03: update event for 'Target 1' falls on no tick and was not applied\n"
+        "warning: 2020-02-05: update event for 'Target 1' falls on no tick and was not applied\n"
+    )
+    assert err == "- match 2020-01-08\n- match 2020-01-15\n" + 3 * dropped
 
 
 def test_verbose_matches_each_date_once_at_minute_cadence(inputs):
@@ -80,7 +85,9 @@ def test_verbose_matches_each_date_once_at_minute_cadence(inputs):
     args[args.index("--end") + 1] = "2020-01-03"
     status, _, err = invoke(args)
     assert status == 0
-    assert err == "- match 2020-01-03\n"
+    # the 2020-01-07 event is past the end: a warning in each of the three runs
+    dropped = "warning: 2020-01-07: update event for 'Target 1' falls on no tick and was not applied\n"
+    assert err == "- match 2020-01-03\n" + 3 * dropped
 
 
 def test_output_flag_writes_file(inputs, tmp_path):
@@ -174,6 +181,23 @@ def test_unknown_target_warning_goes_to_stderr(inputs, tmp_path):
     assert status == 0
     assert "warning:" in err and "Ghost" in err
     assert "Ghost" not in out
+
+
+def test_remove_or_reserve_matching_no_role_warns(inputs, tmp_path):
+    actions = tmp_path / "actions.csv"
+    actions.write_text(
+        "Date,Action,Name,RoleType,Algorithm,Flag\n"
+        "2020-01-08,remove,Target 9,,,\n"
+        "2020-01-08,reserve,Nobody,,,true\n"
+    )
+    _, plain, _ = invoke(base_args(inputs))
+    status, out, err = invoke(base_args(inputs, "--actions", str(actions)))
+    assert status == 0
+    assert out == plain
+    assert err == 3 * (
+        "warning: 2020-01-08: remove action for 'Target 9' matched no role\n"
+        "warning: 2020-01-08: reserve action for 'Nobody' matched no role\n"
+    )
 
 
 def test_architecture_file(inputs, tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -223,6 +225,8 @@ def tick_by_tick(arch, assignment, calendar, ticks, catalog) -> RunResult:
     """Reference run: walk every tick, act on each date's first tick.
 
     Takes a Uniform assignment; names resolve against the catalog directly.
+    A date that no tick carries gets its dropped-item warnings in date
+    order, found from the ticks themselves rather than `Timeline.position`.
     """
     algorithms = {alg.name: alg for alg in catalog}
 
@@ -234,17 +238,35 @@ def tick_by_tick(arch, assignment, calendar, ticks, catalog) -> RunResult:
         repo.add_role(spec.name, spec.role_type, algorithm(spec.algorithm_name))
         repo.roles[-1].reserve = spec.reserve
     warnings = []
+    item_dates = {day for day, _ in calendar.update_events} | {a.date for a in calendar.role_actions}
+    dropped = sorted(item_dates - {tick.date for tick in ticks})
+
+    def warn_dropped(before):
+        while dropped and (before is None or dropped[0] < before):
+            day = dropped.pop(0)
+            items = [f"{a.kind.value} action for '{a.name}'"
+                     for a in calendar.role_actions if a.date == day]
+            items += [f"update event for '{target}'"
+                      for event_day, target in sorted(calendar.update_events) if event_day == day]
+            warnings.extend(f"{day}: {item} falls on no tick and was not applied" for item in items)
+
     for tick in ticks:
         if tick.sub_index == 0:
             day = tick.date
+            warn_dropped(day)
             actions = [a for a in calendar.role_actions if a.date == day]
             for action in actions:
                 if action.kind is ActionKind.ADD:
                     repo.add_role(action.name, action.role_type, algorithm(action.algorithm_name))
+                    matched = 1
                 elif action.kind is ActionKind.REMOVE:
-                    repo.remove_role(action.name)
+                    matched = repo.remove_role(action.name)
                 else:
-                    repo.set_reserve(action.name, action.flag)
+                    matched = repo.set_reserve(action.name, action.flag)
+                if not matched:
+                    warnings.append(
+                        f"{day}: {action.kind.value} action for '{action.name}' matched no role"
+                    )
             missing = [t.value for t in RoleType if t not in {r.role_type for r in repo.roles}]
             if actions and missing:
                 warnings.append(
@@ -256,6 +278,7 @@ def tick_by_tick(arch, assignment, calendar, ticks, catalog) -> RunResult:
                         f"{day.isoformat()}: update event for '{target}' matched no Target role"
                     )
         repo.publish_timestamp()
+    warn_dropped(None)
     t = repo.ledger_totals()
     return RunResult(
         arch.device_name, assignment.label, t.sig_bytes, t.pk_bytes, t.cost,
@@ -319,11 +342,64 @@ class TestEngineMatchesTickByTick:
     @settings(deadline=None, max_examples=100)
     def test_same_result_and_report(self, run):
         expected = tick_by_tick(*run)
+        result = run_scenario(*run)
+        assert result == expected
+        assert emit_report_csv([result]) == emit_report_csv([expected])
+
+
+class TestInputsThatCannotApplyWarn:
+    def test_weekly_off_grid_items_warn_instead_of_vanishing(self):
+        ticks = generate_ticks(START, date(2020, 1, 31), Cadence.WEEKLY)
+        calendar = EventCalendar(
+            update_events={(date(2020, 1, 3), "Target 1")},
+            role_actions=(RoleAction(date(2020, 1, 4), ActionKind.REMOVE, "Root 1"),),
+        )
+        result = run_scenario(default_architecture(), Uniform("AlgA"), calendar, ticks, [make_alg()])
+        empty = run_scenario(
+            default_architecture(), Uniform("AlgA"), EventCalendar(), ticks, [make_alg()]
+        )
+        assert replace(result, warnings=()) == empty
+        assert result.warnings == (
+            "2020-01-03: update event for 'Target 1' falls on no tick and was not applied",
+            "2020-01-04: remove action for 'Root 1' falls on no tick and was not applied",
+        )
+
+    def test_assignment_row_naming_no_role_warns(self):
+        rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA"}
+        add = RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 2", RoleType.TARGET)
+        calendar = EventCalendar(role_actions=(add,))
+        extra = PerRole({**rows, "Target 7": "AlgA", "Target 2": "AlgA", "Ghost": "AlgZ"})
+        result = run_scenario(
+            default_architecture(), extra, calendar, ten_day_ticks(), [make_alg()]
+        )
+        plain = run_scenario(
+            default_architecture(), PerRole({**rows, "Target 2": "AlgA"}), calendar,
+            ten_day_ticks(), [make_alg()],
+        )
+        assert replace(result, warnings=()) == plain
+        assert result.warnings == tuple(
+            f"assignment row for '{name}' names no role of the architecture or an add action"
+            for name in ("Target 7", "Ghost")
+        )
+
+    @given(run=differential_runs())
+    @settings(deadline=None, max_examples=100)
+    def test_dropped_items_only_add_one_warning_each(self, run):
         arch, assignment, calendar, ticks, catalog = run
-        for sequence in (ticks, list(ticks)):
-            result = run_scenario(arch, assignment, calendar, sequence, catalog)
-            assert result == expected
-            assert emit_report_csv([result]) == emit_report_csv([expected])
+        tick_dates = {tick.date for tick in ticks}
+        kept = EventCalendar(
+            update_events={e for e in calendar.update_events if e[0] in tick_dates},
+            role_actions=tuple(a for a in calendar.role_actions if a.date in tick_dates),
+        )
+        dropped = len(calendar.update_events) + len(calendar.role_actions)
+        dropped -= len(kept.update_events) + len(kept.role_actions)
+        full = run_scenario(arch, assignment, calendar, ticks, catalog)
+        on_ticks = run_scenario(arch, assignment, kept, ticks, catalog)
+        assert replace(full, warnings=()) == replace(on_ticks, warnings=())
+        extra = Counter(full.warnings) - Counter(on_ticks.warnings)
+        assert len(full.warnings) == len(on_ticks.warnings) + dropped
+        assert sum(extra.values()) == dropped
+        assert all(w.endswith(" falls on no tick and was not applied") for w in extra)
 
 
 class TestLedgerIsOrderIndependent:

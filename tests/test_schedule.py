@@ -26,7 +26,7 @@ START = date(2020, 1, 1)
 
 class TestGenerateTicks:
     def test_daily_inclusive_count(self):
-        ticks = generate_ticks(START, date(2020, 1, 10), Cadence.DAILY)
+        ticks = list(generate_ticks(START, date(2020, 1, 10), Cadence.DAILY))
         assert len(ticks) == 10
         assert ticks[0].date == START and ticks[-1].date == date(2020, 1, 10)
 
@@ -88,6 +88,11 @@ def materialized_ticks(start, end, cadence):
 ORACLE_DAYS = {Cadence.WEEKLY: 400, Cadence.DAILY: 400, Cadence.HOURLY: 60, Cadence.MINUTE: 2}
 
 
+def first_tick_index(ticks, day):
+    """Linear-scan oracle for `Timeline.position`."""
+    return next((i for i, tick in enumerate(ticks) if tick.date == day), None)
+
+
 class TestTimeline:
     @given(
         offset=st.integers(min_value=0, max_value=3000),
@@ -103,27 +108,15 @@ class TestTimeline:
         assert isinstance(timeline, Timeline)
         assert list(timeline) == expected
         assert len(timeline) == len(expected)
-        i = data.draw(st.integers(0, len(expected) - 1))
-        assert timeline[i] == expected[i]
-        assert timeline[i - len(expected)] == expected[i]
-        assert timeline.index(expected[i]) == i
-        assert expected[i] in timeline
+        day = start + timedelta(days=data.draw(st.integers(-8, (end - start).days + 8)))
+        assert timeline.position(day) == first_tick_index(expected, day)
 
     def test_every_on_grid_tick_indexes_to_its_position(self):
         for cadence in Cadence:
             timeline = generate_ticks(START, date(2020, 1, 15), cadence)
             for i, tick in enumerate(materialized_ticks(START, date(2020, 1, 15), cadence)):
-                assert timeline.index(tick) == i
-
-    def test_negative_indices_and_bounds(self):
-        timeline = generate_ticks(START, date(2020, 1, 2), Cadence.HOURLY)
-        assert timeline[-1] == Tick(date(2020, 1, 2), 23)
-        assert timeline[-48] == Tick(START, 0)
-        assert timeline[-25] == Tick(START, 23)
-        for i in (48, -49):
-            with pytest.raises(IndexError):
-                timeline[i]
-        assert timeline[46:] == [Tick(date(2020, 1, 2), 22), Tick(date(2020, 1, 2), 23)]
+                if tick.sub_index == 0:
+                    assert timeline.position(tick.date) == i
 
     @pytest.mark.parametrize(
         "cadence, tick",
@@ -137,19 +130,22 @@ class TestTimeline:
             (Cadence.DAILY, Tick(date(2019, 12, 31))),  # before start
             (Cadence.DAILY, Tick(date(2020, 2, 1))),  # after end
             (Cadence.WEEKLY, Tick(date(2020, 2, 5))),  # on the grid, after end
-            (Cadence.DAILY, date(2020, 1, 3)),  # not a Tick
+            (Cadence.DAILY, Tick(date(2020, 1, 3), 1)),  # a date with one tick
         ],
     )
     def test_index_rejects_ticks_off_the_timeline(self, cadence, tick):
         timeline = generate_ticks(START, date(2020, 1, 31), cadence)
-        with pytest.raises(ValueError):
-            timeline.index(tick)
-        assert tick not in timeline
+        ticks = list(timeline)
+        assert tick not in ticks
+        # position agrees with the ticks: None exactly when no tick has the
+        # date, else the index of the date's first tick
+        assert timeline.position(tick.date) == first_tick_index(ticks, tick.date)
 
     def test_size_does_not_grow_with_the_range(self):
         timeline = generate_ticks(START, date(2119, 12, 31), Cadence.MINUTE)
         assert len(timeline) == 36524 * 1440  # 2100 is not a leap year
-        assert timeline.index(Tick(date(2119, 12, 31), 1439)) == len(timeline) - 1
+        assert timeline.position(date(2119, 12, 31)) == len(timeline) - 1440
+        assert timeline.position(date(2120, 1, 1)) is None
 
 
 class TestLoadEventDates:
