@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generate update events at this mean daily rate")
     parser.add_argument("--seed", type=int, metavar="INT",
                         help="seed for --poisson-rate event generation")
-    parser.add_argument("--target", default=DEFAULT_TARGET, metavar="NAME",
-                        help="target bound to events without one (default: 'Target 1')")
+    parser.add_argument("--target", metavar="NAME",
+                        help="target bound to events without one (default: 'Target 1'); "
+                             "needs --events or --poisson-rate")
     parser.add_argument("--assignment", metavar="PATH",
                         help="per-role assignment CSV; default sweeps every catalog algorithm")
     parser.add_argument("--output", metavar="PATH",
@@ -122,6 +123,8 @@ def _parse_config(argv: list[str] | None) -> argparse.Namespace:
         raise ConfigurationError("--events and --poisson-rate are mutually exclusive")
     if args.seed is not None and args.poisson_rate is None:
         raise ConfigurationError("--seed only applies when --poisson-rate is set")
+    if args.target is not None and args.events is None and args.poisson_rate is None:
+        raise ConfigurationError("--target only applies with --events or --poisson-rate")
     return args
 
 
@@ -130,6 +133,12 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read '{path}': {exc.strerror or exc}") from None
+
+
+def _every_event_names_a_target(events_text: str) -> bool:
+    # cells are read stripped, so "" can only be a missing Target cell
+    events = load_event_dates(events_text, "").update_events
+    return all(target for _, target in events)
 
 
 def _execute(args: argparse.Namespace, err: TextIO) -> str:
@@ -142,16 +151,23 @@ def _execute(args: argparse.Namespace, err: TextIO) -> str:
     else:
         arch = default_architecture(DEFAULT_DEVICE)
 
+    target = DEFAULT_TARGET if args.target is None else args.target
     calendar = EventCalendar()
     if args.events is not None:
-        calendar = load_event_dates(_read(args.events), args.target)
+        events_text = _read(args.events)
+        calendar = load_event_dates(events_text, target)
+        if args.target is not None and _every_event_names_a_target(events_text):
+            print(
+                "warning: --target not used: every row of the event file names its Target",
+                file=err,
+            )
     elif args.poisson_rate is not None:
         calendar = generate_poisson_events(
             args.poisson_rate,
             args.start,
             args.end,
             args.seed if args.seed is not None else 0,
-            args.target,
+            target,
         )
     if args.actions is not None:
         calendar = merge_calendars(calendar, load_role_actions(_read(args.actions)))

@@ -18,12 +18,12 @@ Semantics worth knowing before reading the code:
 * Every role starts with pending = rollover = True, so the first tick
   publishes a root file endorsing all public keys, and every initial
   Target and Snapshot signs once even with no update staged.
-* Target roles are the only ones whose pending flag is ever cleared.
-  Root, Timestamp and Snapshot stay perpetually pending, which is what
-  arms their signature-budget rollover: an exhausted key is detected and
-  replaced the moment it would be needed again.
-* A Snapshot signs whenever any Target signed this tick; its own pending
-  flag is set by staged updates but never consulted or cleared.
+* Target roles are the only ones whose pending flag is ever set or
+  cleared after they are added.  Root, Timestamp and Snapshot roles are
+  always pending, which is what arms their signature-budget rollover in
+  `rollover_check`: an exhausted key is detected and replaced the moment
+  it would be needed again.
+* A Snapshot signs whenever any Target signed this tick.
 * Root-file publication charges the public key of every current role
   (reserve ones included) plus one signature per Root instance.
 * A tick is quiet when no root update is flagged, no role has its
@@ -151,18 +151,15 @@ class Repository:
     def stage_update(self, target_name: str) -> int:
         """Require a signature of every Target named `target_name`.
 
-        If anything matched, every Snapshot role is marked pending as well.
-        Returns the number of matching Targets; no cost accrues here.
+        Only Targets are marked: the Snapshots they pull along are decided
+        at the tick, from whether any Target signed.  Returns the number of
+        matching Targets; no cost accrues here.
         """
         matched = 0
         for role in self.roles:
             if role.name == target_name and role.role_type is RoleType.TARGET:
                 role.pending = True
                 matched += 1
-        if matched > 0:
-            for role in self.roles:
-                if role.role_type is RoleType.SNAPSHOT:
-                    role.pending = True
         return matched
 
     def rollover_check(self) -> int:
@@ -187,39 +184,49 @@ class Repository:
     def publish_timestamp(self) -> None:
         """Advance the repository by one tick.
 
-        Order of play: (1) if any role rolled over or a root update is
-        flagged, publish a root file — every role's public key is downloaded
-        and every Root instance signs; (2) each pending non-reserve Target
-        signs and is cleared; (3) if any Target signed, each non-reserve
-        Snapshot signs; (4) each non-reserve Timestamp signs.
+        After `rollover_check`, if any role rolled over or a root update is
+        flagged, a root file is published: every role's public key is
+        downloaded and every Root instance signs.  Then one pass over the
+        roles: each non-reserve Timestamp signs, each pending non-reserve
+        Target signs and is cleared, and the non-reserve Snapshots are
+        collected; they sign after the pass if any Target signed.
         """
-        signers: list[RoleState] = []
+        # read an enum member once per tick, not once per role: the class
+        # attribute lookup costs about ten times a local read
+        root, timestamp = RoleType.ROOT, RoleType.TIMESTAMP
+        snapshot, target = RoleType.SNAPSHOT, RoleType.TARGET
         if self.rollover_check() > 0 or self.update_root:
             for role in self.roles:
                 self.accum_pk_size += role.algorithm.pk_size
-                if role.role_type is RoleType.ROOT:
-                    signers.append(role)
+                if role.role_type is root:
+                    role.num_sigs += 1
+                    role.lifetime_sigs += 1
                 role.rollover = False
             self.update_root = False
             self.root_publications += 1
 
+        snapshots: list[RoleState] = []
         updated = False
         for role in self.roles:
-            if role.role_type is RoleType.TARGET and role.pending and not role.reserve:
-                signers.append(role)
+            if role.reserve:
+                continue
+            role_type = role.role_type
+            if role_type is target:
+                if not role.pending:
+                    continue
                 role.pending = False
                 updated = True
-
-        for role in self.roles:
-            if not role.reserve and (
-                role.role_type is RoleType.TIMESTAMP
-                or (updated and role.role_type is RoleType.SNAPSHOT)
-            ):
-                signers.append(role)
-
-        for role in signers:
+            elif role_type is snapshot:
+                snapshots.append(role)
+                continue
+            elif role_type is not timestamp:
+                continue
             role.num_sigs += 1
             role.lifetime_sigs += 1
+        if updated:
+            for role in snapshots:
+                role.num_sigs += 1
+                role.lifetime_sigs += 1
 
     def publish_timestamps(self, count: int) -> None:
         """Advance the repository by `count` ticks.

@@ -119,6 +119,33 @@ def test_events_and_poisson_are_mutually_exclusive(inputs):
     assert "mutually exclusive" in err
 
 
+def test_target_requires_events_or_poisson_rate(inputs):
+    args = base_args(inputs, "--target", "Nobody")
+    del args[2:4]  # no --events
+    status, out, err = invoke(args)
+    assert status != 0
+    assert out == ""
+    assert "--target" in err
+
+
+def test_target_unused_by_fully_targeted_events_warns(inputs, tmp_path):
+    events = tmp_path / "targeted.csv"
+    events.write_text("Date,Target\n2020-01-03,Target 1\n2020-01-07,Target 1\n")
+    args = base_args(inputs)
+    args[3] = str(events)
+    _, plain, plain_err = invoke(args)
+    status, out, err = invoke([*args, "--target", "Nobody"])
+    assert status == 0
+    assert out == plain and plain_err == ""
+    assert err == "warning: --target not used: every row of the event file names its Target\n"
+
+    # one row without a Target binds it to the flag, so the flag is used
+    events.write_text("Date,Target\n2020-01-03,Target 1\n2020-01-07,\n")
+    status, _, err = invoke([*args, "--target", "Nobody"])
+    assert status == 0
+    assert err == 3 * "warning: 2020-01-07: update event for 'Nobody' matched no Target role\n"
+
+
 def test_start_after_end(inputs):
     args = base_args(inputs)
     args[args.index("--end") + 1] = "2019-01-01"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 from types import SimpleNamespace
 
@@ -169,7 +170,7 @@ class TestReserve:
 
 
 class TestStageUpdate:
-    def test_stage_sets_target_and_snapshot_pending(self):
+    def test_stage_sets_target_pending(self):
         repo = build_repo()
         repo.publish_timestamp()
         assert repo.stage_update("Target 1") == 1
@@ -327,6 +328,17 @@ differential_ops = st.one_of(
 )
 
 
+def apply(repo: Repository, op: tuple) -> None:
+    if op[0] == "add":
+        repo.add_role(op[1], op[2], op[3])
+    elif op[0] == "remove":
+        repo.remove_role(op[1])
+    elif op[0] == "reserve":
+        repo.set_reserve(op[1], op[2])
+    else:
+        repo.stage_update(op[1])
+
+
 class TestPublishTimestamps:
     """publish_timestamps(n) against n calls of the reference publish_timestamp."""
 
@@ -350,14 +362,7 @@ class TestPublishTimestamps:
         for ops, count in steps:
             for repo in (jumped, reference):
                 for op in ops:
-                    if op[0] == "add":
-                        repo.add_role(op[1], op[2], op[3])
-                    elif op[0] == "remove":
-                        repo.remove_role(op[1])
-                    elif op[0] == "reserve":
-                        repo.set_reserve(op[1], op[2])
-                    else:
-                        repo.stage_update(op[1])
+                    apply(repo, op)
             jumped.publish_timestamps(count)
             for _ in range(count):
                 reference.publish_timestamp()
@@ -373,6 +378,87 @@ class TestPublishTimestamps:
         assert repo.root_publications == len(calls) == 1 + 9
         # every tick's Timestamp, one Target and Snapshot, one Root per root file
         assert repo.ledger_totals().signatures == 10_000 + 2 + 10
+
+
+def reference_tick(repo: Repository) -> None:
+    """One tick in four phases: the root file, the Targets, then the
+    Timestamps and Snapshots, then every collected signer signs."""
+    signers = []
+    if repo.rollover_check() > 0 or repo.update_root:
+        for role in repo.roles:
+            repo.accum_pk_size += role.algorithm.pk_size
+            if role.role_type is RoleType.ROOT:
+                signers.append(role)
+            role.rollover = False
+        repo.update_root = False
+        repo.root_publications += 1
+
+    updated = False
+    for role in repo.roles:
+        if role.role_type is RoleType.TARGET and role.pending and not role.reserve:
+            signers.append(role)
+            role.pending = False
+            updated = True
+
+    for role in repo.roles:
+        if not role.reserve and (
+            role.role_type is RoleType.TIMESTAMP
+            or (updated and role.role_type is RoleType.SNAPSHOT)
+        ):
+            signers.append(role)
+
+    for role in signers:
+        role.num_sigs += 1
+        role.lifetime_sigs += 1
+
+
+# shared across types, so duplicates and cross-type name clashes occur
+TICK_NAMES = ["Root 1", "Timestamp 1", "Snapshot 1", "Target 1", "Target 2", "Shared"]
+tick_algs = st.builds(
+    make_alg,
+    sig_size=st.integers(0, 999),
+    pk_size=st.integers(0, 999),
+    max_sigs=st.integers(1, 5),
+)
+tick_role_sets = st.tuples(
+    *(
+        st.lists(
+            st.tuples(st.sampled_from(TICK_NAMES), st.just(role_type), tick_algs, st.booleans()),
+            min_size=1,
+            max_size=3,
+        )
+        for role_type in RoleType
+    )
+).flatmap(lambda groups: st.permutations([spec for group in groups for spec in group]))
+op_names = st.sampled_from(TICK_NAMES + ["Nobody"])
+tick_ops = st.one_of(
+    st.just(("tick",)),
+    st.tuples(st.just("stage"), op_names),
+    st.tuples(st.just("add"), op_names, st.sampled_from(list(RoleType)), tick_algs),
+    st.tuples(st.just("remove"), op_names),
+    st.tuples(st.just("reserve"), op_names, st.booleans()),
+)
+
+
+class TestPublishTimestampOracle:
+    """publish_timestamp against the four-phase reference_tick, one tick at
+    a time from the same state."""
+
+    @given(role_set=tick_role_sets, ops=st.lists(tick_ops, max_size=40))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference_tick(self, role_set, ops):
+        repo = Repository("Device_A")
+        for name, role_type, algorithm, reserve in role_set:
+            repo.add_role(name, role_type, algorithm)
+            repo.roles[-1].reserve = reserve
+        for op in [("tick",), *ops, ("tick",)]:
+            if op[0] != "tick":
+                apply(repo, op)
+                continue
+            expected = copy.deepcopy(repo)
+            reference_tick(expected)
+            repo.publish_timestamp()
+            assert snapshot(repo) == snapshot(expected)
 
 
 class RepositoryMachine(RuleBasedStateMachine):
@@ -416,6 +502,13 @@ class RepositoryMachine(RuleBasedStateMachine):
     @rule()
     def tick(self):
         self.repo.publish_timestamp()
+
+    @invariant()
+    def only_targets_leave_pending(self):
+        # rollover_check arms the key rollover of the other roles through
+        # it, and staging marks Targets only, so nothing may clear them
+        for role in self.repo.roles:
+            assert role.pending is True or role.role_type is RoleType.TARGET
 
     @invariant()
     def check(self):
