@@ -11,7 +11,6 @@ can be compared against conventional ones over identical update schedules.
 from .algorithms import (
     SignatureAlgorithm,
     find_algorithm,
-    format_algorithm_catalog,
     parse_algorithm_catalog,
 )
 from .errors import (
@@ -42,7 +41,6 @@ from .schedule import (
     Cadence,
     EventCalendar,
     RoleAction,
-    Tick,
     Timeline,
     generate_poisson_events,
     generate_ticks,
@@ -72,7 +70,6 @@ __all__ = [
     "RoleType",
     "RunResult",
     "SignatureAlgorithm",
-    "Tick",
     "Timeline",
     "TufSimError",
     "Uniform",
@@ -80,7 +77,6 @@ __all__ = [
     "default_architecture",
     "emit_report_csv",
     "find_algorithm",
-    "format_algorithm_catalog",
     "generate_poisson_events",
     "generate_ticks",
     "load_event_dates",

@@ -7,8 +7,6 @@ Catalogs are immutable after parsing and safe to share between threads.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -23,9 +21,9 @@ _REQUIRED_COLUMNS = (
     "Computational Cost",
 )
 
-# Signature budgets are kept as exact integers; anything past this would
-# overflow a signed 64-bit counter.
-_MAX_SIGS_LIMIT = 2**63 - 1
+# Signature budgets are kept as exact integers; a budget from this bound up
+# would overflow a signed 64-bit counter.
+_MAX_SIGS_BOUND = Decimal(2**63)
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,6 @@ class SignatureAlgorithm:
             raise ValidationError(f"{self.name}: max_sigs must be >= 1")
         if not self.cost >= 0.0:
             raise ValidationError(f"{self.name}: cost must be >= 0")
-
-    def __str__(self) -> str:
-        return self.name
 
 
 def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
@@ -96,18 +91,6 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
     return catalog
 
 
-def format_algorithm_catalog(catalog: list[SignatureAlgorithm]) -> str:
-    """Render a catalog back to CSV text; inverse of parse_algorithm_catalog."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_REQUIRED_COLUMNS)
-    for alg in catalog:
-        writer.writerow(
-            [alg.name, alg.sig_size, alg.pk_size, alg.max_sigs, repr(alg.cost)]
-        )
-    return out.getvalue()
-
-
 def find_algorithm(
     name: str, catalog: list[SignatureAlgorithm]
 ) -> SignatureAlgorithm:
@@ -138,13 +121,19 @@ def _parse_float(text: str, column: str, lineno: int) -> float:
 
 def _parse_max_sigs(text: str, lineno: int) -> int:
     try:
-        value = int(Decimal(text))
-    except (InvalidOperation, ValueError):
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
         raise CatalogError(
             f"row {lineno}: 'Max Signatures' value {text!r} is not numeric"
-        ) from None
-    if value > _MAX_SIGS_LIMIT:
+        )
+    # int() of a cell such as 1E1000000 or -1E1000000 takes seconds, so the
+    # bounds are checked on the Decimal.  int() truncates, so this check is
+    # int(value) > 2**63 - 1; a negative value becomes 0, which
+    # SignatureAlgorithm rejects with the same error whatever the cell.
+    if value >= _MAX_SIGS_BOUND:
         raise CatalogError(
             f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1"
         )
-    return value
+    return 0 if value.is_signed() else int(value)

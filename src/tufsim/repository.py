@@ -3,9 +3,10 @@
 A Repository holds an ordered list of role instances (Root, Timestamp,
 Snapshot, Target) and counts, tick by tick, what a worst-case client pays:
 one that downloads and verifies every signature the repository ever
-publishes.  `publish_timestamp` advances one tick and is the reference;
-`publish_timestamps(n)` advances n ticks to the same state, jumping over
-quiet stretches in closed form.
+publishes.  `publish_timestamp` advances one tick in a single signing
+pass; `publish_timestamps(n)` advances n ticks to the same state, jumping
+over quiet stretches in closed form.  Both are checked against the plain
+four-phase tick and tick-by-tick run in `tests/oracle.py`.
 
 The ledger is integers only: each role's lifetime signature count, the
 counts of removed roles per algorithm, and the public-key bytes of every
@@ -70,9 +71,6 @@ class RoleState:
     pending: bool = True
     rollover: bool = True
 
-    def __str__(self) -> str:
-        return f"{self.role_type.value} : {self.name} : sigs = {self.num_sigs}"
-
 
 @dataclass(frozen=True)
 class LedgerTotals:
@@ -104,9 +102,6 @@ class Repository:
         # lifetime_sigs carried by removed roles, per algorithm
         self.retired_counts: Counter[SignatureAlgorithm] = Counter()
         self.update_root = True  # a fresh repository needs a first root file
-
-    def __str__(self) -> str:
-        return self.name
 
     def add_role(
         self, name: str, role_type: RoleType, algorithm: SignatureAlgorithm

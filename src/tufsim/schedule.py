@@ -1,4 +1,4 @@
-"""Tick calendars, update-event lists, and scripted role changes.
+"""Timelines of ticks, update-event lists, and scripted role changes.
 
 All values here are immutable after construction.  A tick calendar is a
 lazy `Timeline`: it stores its date range and cadence, not its ticks.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -41,14 +40,6 @@ _SUB_TICKS = {
     Cadence.HOURLY: 24,
     Cadence.MINUTE: 1440,
 }
-
-
-@dataclass(frozen=True)
-class Tick:
-    """One timestamp-publication instant: a date plus a position within it."""
-
-    date: date
-    sub_index: int = 0
 
 
 class ActionKind(enum.Enum):
@@ -92,8 +83,7 @@ class Timeline:
 
     Daily has one tick per date, hourly 24, per-minute 1440; weekly has
     one tick on the start date and each 7th date after it.  Only the range
-    and cadence are stored: `len` and `position` are date arithmetic, and
-    iteration builds each `Tick` as it is reached.
+    and cadence are stored: `len` and `position` are date arithmetic.
     """
 
     start: date
@@ -111,12 +101,6 @@ class Timeline:
     def __len__(self) -> int:
         return ((self.end - self.start).days // self._step + 1) * self.cadence.sub_ticks
 
-    def __iter__(self) -> Iterator[Tick]:
-        for offset in range(0, (self.end - self.start).days + 1, self._step):
-            day = self.start + timedelta(days=offset)
-            for sub in range(self.cadence.sub_ticks):
-                yield Tick(day, sub)
-
     def position(self, day: date) -> int | None:
         """Index of the first tick on `day`; None when `day` is outside the
         range or off the weekly grid, so nothing on it can apply."""
@@ -127,7 +111,7 @@ class Timeline:
 
 
 def generate_ticks(start: date, end: date, cadence: Cadence) -> Timeline:
-    """The lazy, ascending ticks of an inclusive date range."""
+    """The ticks of an inclusive date range at `cadence`, as a `Timeline`."""
     return Timeline(start, end, cadence)
 
 
@@ -212,7 +196,7 @@ def generate_poisson_events(
     uniform variate from SplitMix64 keyed by (seed, day index), so equal
     inputs reproduce the same calendar on any platform.
     """
-    if rate_per_day < 0:
+    if not rate_per_day >= 0:
         raise CalendarError("event rate must be non-negative")
     if start > end:
         raise CalendarError(f"start date {start} is after end date {end}")

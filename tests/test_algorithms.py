@@ -8,7 +8,6 @@ from tufsim import (
     SignatureAlgorithm,
     ValidationError,
     find_algorithm,
-    format_algorithm_catalog,
     parse_algorithm_catalog,
 )
 from tests.conftest import make_alg
@@ -75,15 +74,21 @@ def test_non_numeric_field_reports_row_number():
 
 
 def test_non_numeric_max_signatures_reports_row_number():
-    text = HEADER + "\nAlgA,100,50,many,1.5\n"
-    with pytest.raises(CatalogError, match="row 2"):
-        parse_algorithm_catalog(text)
+    for cell in ("many", "Infinity", "-Infinity", "NaN"):
+        text = HEADER + f"\nAlgA,100,50,{cell},1.5\n"
+        with pytest.raises(CatalogError, match=r"^row 2: .* is not numeric$"):
+            parse_algorithm_catalog(text)
 
 
 def test_max_signatures_beyond_int64_rejected():
-    text = HEADER + "\nAlgA,100,50,1E30,1.5\n"
-    with pytest.raises(CatalogError, match="2\\*\\*63"):
-        parse_algorithm_catalog(text)
+    # 1E1000000 must be rejected without expanding it to a million digits
+    for cell in ("1E30", "1E1000000", "9223372036854775808"):
+        text = HEADER + f"\nAlgA,100,50,{cell},1.5\n"
+        with pytest.raises(CatalogError, match="^row 2: .*2\\*\\*63"):
+            parse_algorithm_catalog(text)
+    # the cell is truncated before the check, as it always was
+    text = HEADER + "\nAlgA,100,50,9223372036854775807.9,1.5\n"
+    assert parse_algorithm_catalog(text)[0].max_sigs == 2**63 - 1
 
 
 def test_zero_max_signatures_is_invalid():
@@ -92,7 +97,9 @@ def test_zero_max_signatures_is_invalid():
         parse_algorithm_catalog(text)
 
 
-@pytest.mark.parametrize("row", ["AlgB,100,50,0,1.5", "AlgB,-1,50,1E4,1.5"])
+@pytest.mark.parametrize(
+    "row", ["AlgB,100,50,0,1.5", "AlgB,-1,50,1E4,1.5", "AlgB,100,50,-1E1000000,1.5"]
+)
 def test_range_error_names_its_row(row):
     text = HEADER + "\nAlgA,100,50,1E4,1.5\n" + row + "\n"
     with pytest.raises(ValidationError, match=r"^row 3: AlgB: "):
@@ -120,8 +127,10 @@ def test_header_only_yields_empty_catalog():
 
 def test_round_trip():
     text = HEADER + "\nAlgA,100,50,1E4,1.5\nAlgB,2420,32,4096,0.75\n"
-    catalog = parse_algorithm_catalog(text)
-    assert parse_algorithm_catalog(format_algorithm_catalog(catalog)) == catalog
+    assert parse_algorithm_catalog(text) == [
+        SignatureAlgorithm("AlgA", 100, 50, 10_000, 1.5),
+        SignatureAlgorithm("AlgB", 2420, 32, 4096, 0.75),
+    ]
 
 
 def test_find_algorithm_returns_entry():

@@ -187,6 +187,15 @@ def test_poisson_mode_runs_and_is_deterministic(inputs):
     assert first == second
 
 
+def test_nan_poisson_rate_is_an_error(inputs):
+    args = base_args(inputs, "--poisson-rate", "nan")
+    del args[2:4]  # no --events
+    status, out, err = invoke(args)
+    assert status == 2
+    assert out == ""
+    assert err == "error: event rate must be non-negative\n"
+
+
 def test_without_events_only_timestamps_fire(inputs):
     args = [
         "--algorithms", str(inputs / "algorithms.csv"),
@@ -276,6 +285,19 @@ def test_empty_catalog_is_an_error(inputs, tmp_path):
     status, _, err = invoke(args)
     assert status != 0
     assert "no entries" in err
+
+
+@pytest.mark.parametrize("cell", ["Infinity", "-Infinity", "1E1000000"])
+def test_unrepresentable_max_signatures_is_an_error(inputs, tmp_path, cell):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(ALGORITHMS.splitlines()[0] + f"\nAlgA,100,50,{cell},1.0\n")
+    args = base_args(inputs)
+    args[1] = str(catalog)
+    status, out, err = invoke(args)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: row 2: 'Max Signatures' value ")
+    assert err.count("\n") == 1
 
 
 def test_console_entry_point(inputs):

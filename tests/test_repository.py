@@ -11,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from tufsim import Repository, RoleType
 from tests.conftest import make_alg
+from tests.oracle import reference_tick
 
 
 def build_repo(alg=None) -> Repository:
@@ -340,7 +341,7 @@ def apply(repo: Repository, op: tuple) -> None:
 
 
 class TestPublishTimestamps:
-    """publish_timestamps(n) against n calls of the reference publish_timestamp."""
+    """publish_timestamps(n) against n calls of the oracle's reference_tick."""
 
     @given(
         catalog=st.lists(differential_algs, min_size=4, max_size=4),
@@ -365,7 +366,7 @@ class TestPublishTimestamps:
                     apply(repo, op)
             jumped.publish_timestamps(count)
             for _ in range(count):
-                reference.publish_timestamp()
+                reference_tick(reference)
             assert snapshot(jumped) == snapshot(reference)
 
     def test_quiet_stretch_is_jumped(self, monkeypatch):
@@ -378,38 +379,6 @@ class TestPublishTimestamps:
         assert repo.root_publications == len(calls) == 1 + 9
         # every tick's Timestamp, one Target and Snapshot, one Root per root file
         assert repo.ledger_totals().signatures == 10_000 + 2 + 10
-
-
-def reference_tick(repo: Repository) -> None:
-    """One tick in four phases: the root file, the Targets, then the
-    Timestamps and Snapshots, then every collected signer signs."""
-    signers = []
-    if repo.rollover_check() > 0 or repo.update_root:
-        for role in repo.roles:
-            repo.accum_pk_size += role.algorithm.pk_size
-            if role.role_type is RoleType.ROOT:
-                signers.append(role)
-            role.rollover = False
-        repo.update_root = False
-        repo.root_publications += 1
-
-    updated = False
-    for role in repo.roles:
-        if role.role_type is RoleType.TARGET and role.pending and not role.reserve:
-            signers.append(role)
-            role.pending = False
-            updated = True
-
-    for role in repo.roles:
-        if not role.reserve and (
-            role.role_type is RoleType.TIMESTAMP
-            or (updated and role.role_type is RoleType.SNAPSHOT)
-        ):
-            signers.append(role)
-
-    for role in signers:
-        role.num_sigs += 1
-        role.lifetime_sigs += 1
 
 
 # shared across types, so duplicates and cross-type name clashes occur

@@ -16,11 +16,9 @@ from tufsim import (
     ConfigurationError,
     EventCalendar,
     PerRole,
-    Repository,
     RoleAction,
     RoleSpec,
     RoleType,
-    RunResult,
     Uniform,
     default_architecture,
     emit_report_csv,
@@ -33,6 +31,7 @@ from tufsim import (
     run_sweep,
 )
 from tests.conftest import make_alg
+from tests.oracle import materialized_ticks, reference_run
 
 START = date(2020, 1, 1)
 
@@ -221,71 +220,6 @@ class TestClosedFormOracle:
             assert result.root_publications == 1
 
 
-def tick_by_tick(arch, assignment, calendar, ticks, catalog) -> RunResult:
-    """Reference run: walk every tick, act on each date's first tick.
-
-    Takes a Uniform assignment; names resolve against the catalog directly.
-    A date that no tick carries gets its dropped-item warnings in date
-    order, found from the ticks themselves rather than `Timeline.position`.
-    """
-    algorithms = {alg.name: alg for alg in catalog}
-
-    def algorithm(pinned):
-        return algorithms[pinned or assignment.algorithm_name]
-
-    repo = Repository(arch.device_name)
-    for spec in arch.role_specs:
-        repo.add_role(spec.name, spec.role_type, algorithm(spec.algorithm_name))
-        repo.roles[-1].reserve = spec.reserve
-    warnings = []
-    item_dates = {day for day, _ in calendar.update_events} | {a.date for a in calendar.role_actions}
-    dropped = sorted(item_dates - {tick.date for tick in ticks})
-
-    def warn_dropped(before):
-        while dropped and (before is None or dropped[0] < before):
-            day = dropped.pop(0)
-            items = [f"{a.kind.value} action for '{a.name}'"
-                     for a in calendar.role_actions if a.date == day]
-            items += [f"update event for '{target}'"
-                      for event_day, target in sorted(calendar.update_events) if event_day == day]
-            warnings.extend(f"{day}: {item} falls on no tick and was not applied" for item in items)
-
-    for tick in ticks:
-        if tick.sub_index == 0:
-            day = tick.date
-            warn_dropped(day)
-            actions = [a for a in calendar.role_actions if a.date == day]
-            for action in actions:
-                if action.kind is ActionKind.ADD:
-                    repo.add_role(action.name, action.role_type, algorithm(action.algorithm_name))
-                    matched = 1
-                elif action.kind is ActionKind.REMOVE:
-                    matched = repo.remove_role(action.name)
-                else:
-                    matched = repo.set_reserve(action.name, action.flag)
-                if not matched:
-                    warnings.append(
-                        f"{day}: {action.kind.value} action for '{action.name}' matched no role"
-                    )
-            missing = [t.value for t in RoleType if t not in {r.role_type for r in repo.roles}]
-            if actions and missing:
-                warnings.append(
-                    f"{day.isoformat()}: no {', '.join(missing)} role remains after scripted actions"
-                )
-            for event_day, target in sorted(calendar.update_events):
-                if event_day == day and repo.stage_update(target) == 0:
-                    warnings.append(
-                        f"{day.isoformat()}: update event for '{target}' matched no Target role"
-                    )
-        repo.publish_timestamp()
-    warn_dropped(None)
-    t = repo.ledger_totals()
-    return RunResult(
-        arch.device_name, assignment.label, t.sig_bytes, t.pk_bytes, t.cost,
-        t.signatures, t.rollover_events, t.root_publications, tuple(warnings),
-    )
-
-
 DIFF_NAMES = ["Root 2", "Timestamp 1", "Timestamp 2", "Snapshot 1", "Target 1", "Target 2"]
 # Date ranges stay near 400 ticks so the reference run stays quick.
 MAX_DAYS = {Cadence.WEEKLY: 120, Cadence.DAILY: 60, Cadence.HOURLY: 12, Cadence.MINUTE: 2}
@@ -341,7 +275,7 @@ class TestEngineMatchesTickByTick:
     @given(run=differential_runs())
     @settings(deadline=None, max_examples=100)
     def test_same_result_and_report(self, run):
-        expected = tick_by_tick(*run)
+        expected = reference_run(*run)
         result = run_scenario(*run)
         assert result == expected
         assert emit_report_csv([result]) == emit_report_csv([expected])
@@ -385,16 +319,17 @@ class TestInputsThatCannotApplyWarn:
     @given(run=differential_runs())
     @settings(deadline=None, max_examples=100)
     def test_dropped_items_only_add_one_warning_each(self, run):
-        arch, assignment, calendar, ticks, catalog = run
-        tick_dates = {tick.date for tick in ticks}
+        arch, assignment, calendar, timeline, catalog = run
+        ticks = materialized_ticks(timeline.start, timeline.end, timeline.cadence)
+        tick_dates = {day for day, _ in ticks}
         kept = EventCalendar(
             update_events={e for e in calendar.update_events if e[0] in tick_dates},
             role_actions=tuple(a for a in calendar.role_actions if a.date in tick_dates),
         )
         dropped = len(calendar.update_events) + len(calendar.role_actions)
         dropped -= len(kept.update_events) + len(kept.role_actions)
-        full = run_scenario(arch, assignment, calendar, ticks, catalog)
-        on_ticks = run_scenario(arch, assignment, kept, ticks, catalog)
+        full = run_scenario(arch, assignment, calendar, timeline, catalog)
+        on_ticks = run_scenario(arch, assignment, kept, timeline, catalog)
         assert replace(full, warnings=()) == replace(on_ticks, warnings=())
         extra = Counter(full.warnings) - Counter(on_ticks.warnings)
         assert len(full.warnings) == len(on_ticks.warnings) + dropped
@@ -423,7 +358,7 @@ class TestLedgerIsOrderIndependent:
         shuffled = Architecture(
             arch.device_name, tuple(data.draw(st.permutations(arch.role_specs)))
         )
-        assert run_scenario(shuffled, *rest) == run_scenario(arch, *rest)
+        assert run_scenario(shuffled, *rest) == reference_run(arch, *rest)
 
 
 class TestRunSweep:

@@ -12,7 +12,6 @@ from tufsim import (
     CalendarError,
     EventCalendar,
     RoleType,
-    Tick,
     Timeline,
     generate_poisson_events,
     generate_ticks,
@@ -20,32 +19,40 @@ from tufsim import (
     load_role_actions,
     merge_calendars,
 )
+from tests.oracle import materialized_ticks
 
 START = date(2020, 1, 1)
 
 
 class TestGenerateTicks:
     def test_daily_inclusive_count(self):
-        ticks = list(generate_ticks(START, date(2020, 1, 10), Cadence.DAILY))
-        assert len(ticks) == 10
-        assert ticks[0].date == START and ticks[-1].date == date(2020, 1, 10)
+        end = date(2020, 1, 10)
+        timeline = generate_ticks(START, end, Cadence.DAILY)
+        ticks = list(materialized_ticks(START, end, Cadence.DAILY))
+        assert len(timeline) == len(ticks) == 10
+        assert ticks[0] == (START, 0) and ticks[-1] == (end, 0)
+        assert timeline.position(end) == 9
 
     def test_degenerate_range(self):
         assert len(generate_ticks(START, START, Cadence.DAILY)) == 1
 
     def test_hourly_sub_indices(self):
-        ticks = generate_ticks(START, START, Cadence.HOURLY)
-        assert len(ticks) == 24
-        assert [t.sub_index for t in ticks] == list(range(24))
+        assert len(generate_ticks(START, START, Cadence.HOURLY)) == 24
+        ticks = generate_ticks(START, START + timedelta(days=1), Cadence.HOURLY)
+        assert len(ticks) == 48
+        # the first date's ticks take positions 0-23, so the next one starts at 24
+        days = [START + timedelta(days=d) for d in range(3)]
+        assert [ticks.position(day) for day in days] == [0, 24, None]
 
     def test_minute_count(self):
         assert len(generate_ticks(START, START, Cadence.MINUTE)) == 1440
 
     def test_weekly_every_seventh_date(self):
         ticks = generate_ticks(START, date(2020, 1, 31), Cadence.WEEKLY)
-        assert [t.date for t in ticks] == [
-            START + timedelta(days=7 * i) for i in range(5)
-        ]
+        assert len(ticks) == 5
+        assert [ticks.position(START + timedelta(days=d)) for d in range(32)] == [
+            None if d % 7 else d // 7 for d in range(31)
+        ] + [None]
 
     def test_reversed_range_is_an_error(self):
         with pytest.raises(CalendarError):
@@ -68,29 +75,13 @@ class TestGenerateTicks:
         assert len(ticks) == expected
 
 
-def materialized_ticks(start, end, cadence):
-    """The tick list as generate_ticks used to build it, one Tick at a time."""
-    ticks = []
-    if cadence is Cadence.WEEKLY:
-        day = start
-        while day <= end:
-            ticks.append(Tick(day))
-            day += timedelta(days=7)
-        return ticks
-    for offset in range((end - start).days + 1):
-        day = start + timedelta(days=offset)
-        for sub in range(cadence.sub_ticks):
-            ticks.append(Tick(day, sub))
-    return ticks
-
-
 # Ranges stay under ~3000 ticks so the materialized oracle stays quick.
 ORACLE_DAYS = {Cadence.WEEKLY: 400, Cadence.DAILY: 400, Cadence.HOURLY: 60, Cadence.MINUTE: 2}
 
 
 def first_tick_index(ticks, day):
-    """Linear-scan oracle for `Timeline.position`."""
-    return next((i for i, tick in enumerate(ticks) if tick.date == day), None)
+    """Linear-scan oracle for `Timeline.position` over (date, sub) pairs."""
+    return next((i for i, (tick_day, _) in enumerate(ticks) if tick_day == day), None)
 
 
 class TestTimeline:
@@ -104,9 +95,8 @@ class TestTimeline:
         start = START + timedelta(days=offset)
         end = start + timedelta(days=data.draw(st.integers(0, ORACLE_DAYS[cadence] - 1)))
         timeline = generate_ticks(start, end, cadence)
-        expected = materialized_ticks(start, end, cadence)
+        expected = list(materialized_ticks(start, end, cadence))
         assert isinstance(timeline, Timeline)
-        assert list(timeline) == expected
         assert len(timeline) == len(expected)
         day = start + timedelta(days=data.draw(st.integers(-8, (end - start).days + 8)))
         assert timeline.position(day) == first_tick_index(expected, day)
@@ -114,32 +104,33 @@ class TestTimeline:
     def test_every_on_grid_tick_indexes_to_its_position(self):
         for cadence in Cadence:
             timeline = generate_ticks(START, date(2020, 1, 15), cadence)
-            for i, tick in enumerate(materialized_ticks(START, date(2020, 1, 15), cadence)):
-                if tick.sub_index == 0:
-                    assert timeline.position(tick.date) == i
+            for i, (day, sub) in enumerate(materialized_ticks(START, date(2020, 1, 15), cadence)):
+                if sub == 0:
+                    assert timeline.position(day) == i
 
     @pytest.mark.parametrize(
         "cadence, tick",
         [
-            (Cadence.WEEKLY, Tick(date(2020, 1, 3))),  # off the 7-day grid
-            (Cadence.WEEKLY, Tick(START, 1)),
-            (Cadence.DAILY, Tick(START, 1)),
-            (Cadence.HOURLY, Tick(START, 24)),
-            (Cadence.MINUTE, Tick(START, 1440)),
-            (Cadence.MINUTE, Tick(START, -1)),
-            (Cadence.DAILY, Tick(date(2019, 12, 31))),  # before start
-            (Cadence.DAILY, Tick(date(2020, 2, 1))),  # after end
-            (Cadence.WEEKLY, Tick(date(2020, 2, 5))),  # on the grid, after end
-            (Cadence.DAILY, Tick(date(2020, 1, 3), 1)),  # a date with one tick
+            (Cadence.WEEKLY, (date(2020, 1, 3), 0)),  # off the 7-day grid
+            (Cadence.WEEKLY, (START, 1)),
+            (Cadence.DAILY, (START, 1)),
+            (Cadence.HOURLY, (START, 24)),
+            (Cadence.MINUTE, (START, 1440)),
+            (Cadence.MINUTE, (START, -1)),
+            (Cadence.DAILY, (date(2019, 12, 31), 0)),  # before start
+            (Cadence.DAILY, (date(2020, 2, 1), 0)),  # after end
+            (Cadence.WEEKLY, (date(2020, 2, 5), 0)),  # on the grid, after end
+            (Cadence.DAILY, (date(2020, 1, 3), 1)),  # a date with one tick
         ],
     )
     def test_index_rejects_ticks_off_the_timeline(self, cadence, tick):
         timeline = generate_ticks(START, date(2020, 1, 31), cadence)
-        ticks = list(timeline)
+        ticks = list(materialized_ticks(START, date(2020, 1, 31), cadence))
         assert tick not in ticks
         # position agrees with the ticks: None exactly when no tick has the
         # date, else the index of the date's first tick
-        assert timeline.position(tick.date) == first_tick_index(ticks, tick.date)
+        day, _ = tick
+        assert timeline.position(day) == first_tick_index(ticks, day)
 
     def test_size_does_not_grow_with_the_range(self):
         timeline = generate_ticks(START, date(2119, 12, 31), Cadence.MINUTE)
@@ -200,6 +191,10 @@ class TestPoissonEvents:
     def test_negative_rate_rejected(self):
         with pytest.raises(CalendarError):
             generate_poisson_events(-0.1, START, START, 0, "Target 1")
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(CalendarError, match="non-negative"):
+            generate_poisson_events(float("nan"), START, START, 0, "Target 1")
 
     def test_reversed_range_rejected(self):
         with pytest.raises(CalendarError):
