@@ -7,6 +7,7 @@ Catalogs are immutable after parsing and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -32,7 +33,7 @@ class SignatureAlgorithm:
 
     sig_size and pk_size are byte counts, max_sigs is the number of
     signatures one key pair may produce before it must be replaced, and
-    cost is the effort to verify one signature in millions of cycles.
+    cost is the finite effort to verify one signature in millions of cycles.
     """
 
     name: str
@@ -50,8 +51,8 @@ class SignatureAlgorithm:
             raise ValidationError(f"{self.name}: pk_size must be >= 0")
         if self.max_sigs < 1:
             raise ValidationError(f"{self.name}: max_sigs must be >= 1")
-        if not self.cost >= 0.0:
-            raise ValidationError(f"{self.name}: cost must be >= 0")
+        if not 0.0 <= self.cost < math.inf:
+            raise ValidationError(f"{self.name}: cost must be finite and >= 0")
 
 
 def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:

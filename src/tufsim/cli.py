@@ -135,12 +135,6 @@ def _read(path: str) -> str:
         raise ConfigurationError(f"cannot read '{path}': {exc.strerror or exc}") from None
 
 
-def _every_event_names_a_target(events_text: str) -> bool:
-    # cells are read stripped, so "" can only be a missing Target cell
-    events = load_event_dates(events_text, "").update_events
-    return all(target for _, target in events)
-
-
 def _execute(args: argparse.Namespace, err: TextIO) -> str:
     catalog = parse_algorithm_catalog(_read(args.algorithms))
     if not catalog:
@@ -154,13 +148,14 @@ def _execute(args: argparse.Namespace, err: TextIO) -> str:
     target = DEFAULT_TARGET if args.target is None else args.target
     calendar = EventCalendar()
     if args.events is not None:
-        events_text = _read(args.events)
-        calendar = load_event_dates(events_text, target)
-        if args.target is not None and _every_event_names_a_target(events_text):
+        # cells are read stripped, so "" can only be a missing Target cell
+        events = load_event_dates(_read(args.events), "").update_events
+        if args.target is not None and all(name for _, name in events):
             print(
                 "warning: --target not used: every row of the event file names its Target",
                 file=err,
             )
+        calendar = EventCalendar({(day, name or target) for day, name in events})
     elif args.poisson_rate is not None:
         calendar = generate_poisson_events(
             args.poisson_rate,

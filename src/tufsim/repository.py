@@ -8,11 +8,10 @@ pass; `publish_timestamps(n)` advances n ticks to the same state, jumping
 over quiet stretches in closed form.  Both are checked against the plain
 four-phase tick and tick-by-tick run in `tests/oracle.py`.
 
-The ledger is integers only: each role's lifetime signature count, the
-counts of removed roles per algorithm, and the public-key bytes of every
-root file.  `ledger_totals` derives signature bytes and verification cost
-from the per-algorithm counts when read, cost by `math.fsum`, so totals do
-not depend on the order in which signatures were made.
+The ledger is integers only: each role, current or removed, counts its
+signatures and the root files that carried its key.  Only `ledger_totals`
+prices those counts, merged per algorithm and cost by `math.fsum`, so
+totals do not depend on the order in which signatures were made.
 
 Semantics worth knowing before reading the code:
 
@@ -57,16 +56,19 @@ class RoleType(enum.Enum):
 class RoleState:
     """One role instance bound to a signature algorithm.
 
-    num_sigs counts signatures made by the current key and resets on
-    rollover; lifetime_sigs never resets.  A reserve role keeps its key in
-    published root files but is excluded from routine signing.
+    lifetime_sigs counts every signature the role made; the current key,
+    issued at key_start, made lifetime_sigs - key_start of them.
+    key_publications counts the root files that carried the role's key.  A
+    reserve role keeps its key in published root files but is excluded
+    from routine signing.
     """
 
     name: str
     role_type: RoleType
     algorithm: SignatureAlgorithm
-    num_sigs: int = 0
     lifetime_sigs: int = 0
+    key_start: int = 0
+    key_publications: int = 0
     reserve: bool = False
     pending: bool = True
     rollover: bool = True
@@ -96,11 +98,9 @@ class Repository:
     def __init__(self, name: str):
         self.name = name
         self.roles: list[RoleState] = []
-        self.accum_pk_size = 0
+        self.retired: list[RoleState] = []  # removed roles, counts kept whole
         self.rollover_events = 0
         self.root_publications = 0
-        # lifetime_sigs carried by removed roles, per algorithm
-        self.retired_counts: Counter[SignatureAlgorithm] = Counter()
         self.update_root = True  # a fresh repository needs a first root file
 
     def add_role(
@@ -121,15 +121,13 @@ class Repository:
     def remove_role(self, name: str) -> int:
         """Remove every role whose name matches; returns the number removed.
 
-        Removed roles' lifetime signature counts move to the per-algorithm
-        retired tally, so the ledger totals do not change.
+        Removed roles move to `retired` with their counts, so the ledger
+        totals do not change.
         """
         kept = [role for role in self.roles if role.name != name]
         removed = len(self.roles) - len(kept)
         if removed:
-            for role in self.roles:
-                if role.name == name:
-                    self.retired_counts[role.algorithm] += role.lifetime_sigs
+            self.retired += [role for role in self.roles if role.name == name]
             self.roles[:] = kept
             self.update_root = True
         return removed
@@ -160,18 +158,17 @@ class Repository:
     def rollover_check(self) -> int:
         """Stage key replacements: any role already flagged for rollover, or
         whose current key is exhausted while a signature is required of it,
-        gets its counter reset and its rollover flag raised.
+        gets a new key (key_start = lifetime_sigs) and its rollover flag set.
 
         Returns the number of roles processed.  publish_timestamp calls this
         internally; it is public so the trigger condition is testable alone.
         """
         rolled = 0
         for role in self.roles:
-            if role.rollover or (
-                role.num_sigs == role.algorithm.max_sigs and role.pending
-            ):
+            used = role.lifetime_sigs - role.key_start
+            if role.rollover or (used == role.algorithm.max_sigs and role.pending):
                 role.rollover = True
-                role.num_sigs = 0
+                role.key_start = role.lifetime_sigs
                 rolled += 1
         self.rollover_events += rolled
         return rolled
@@ -192,9 +189,8 @@ class Repository:
         snapshot, target = RoleType.SNAPSHOT, RoleType.TARGET
         if self.rollover_check() > 0 or self.update_root:
             for role in self.roles:
-                self.accum_pk_size += role.algorithm.pk_size
+                role.key_publications += 1
                 if role.role_type is root:
-                    role.num_sigs += 1
                     role.lifetime_sigs += 1
                 role.rollover = False
             self.update_root = False
@@ -216,11 +212,9 @@ class Repository:
                 continue
             elif role_type is not timestamp:
                 continue
-            role.num_sigs += 1
             role.lifetime_sigs += 1
         if updated:
             for role in snapshots:
-                role.num_sigs += 1
                 role.lifetime_sigs += 1
 
     def publish_timestamps(self, count: int) -> None:
@@ -238,7 +232,6 @@ class Repository:
                 continue
             for role in self.roles:
                 if role.role_type is RoleType.TIMESTAMP and not role.reserve:
-                    role.num_sigs += stride
                     role.lifetime_sigs += stride
             count -= stride
         if count == 1:  # a single tick needs no quiet check
@@ -257,32 +250,36 @@ class Repository:
         for role in self.roles:
             if role.rollover:
                 return 0
+            used = role.lifetime_sigs - role.key_start
             if role.pending and (
-                role.num_sigs == role.algorithm.max_sigs
+                used == role.algorithm.max_sigs
                 or (role.role_type is RoleType.TARGET and not role.reserve)
             ):
                 return 0
             if role.role_type is RoleType.TIMESTAMP and not role.reserve:
-                stride = min(stride, role.algorithm.max_sigs - role.num_sigs)
+                stride = min(stride, role.algorithm.max_sigs - used)
         return stride
 
     def ledger_totals(self) -> LedgerTotals:
-        """Derive the totals from the signature counts; read-only.
+        """Price the counts of current and removed roles; read-only.
 
         Counts are merged per algorithm first, so the byte and cost sums
         have one term per algorithm, whatever the role order.
         """
-        counts = self.retired_counts.copy()
-        for role in self.roles:
-            counts[role.algorithm] += role.lifetime_sigs
-        sig_bytes = sum(n * algorithm.sig_size for algorithm, n in counts.items())
+        sigs: Counter[SignatureAlgorithm] = Counter()
+        keys: Counter[SignatureAlgorithm] = Counter()
+        for role in self.roles + self.retired:
+            sigs[role.algorithm] += role.lifetime_sigs
+            keys[role.algorithm] += role.key_publications
+        sig_bytes = sum(n * algorithm.sig_size for algorithm, n in sigs.items())
+        pk_bytes = sum(n * algorithm.pk_size for algorithm, n in keys.items())
         return LedgerTotals(
             name=self.name,
             sig_bytes=sig_bytes,
-            pk_bytes=self.accum_pk_size,
-            total_bytes=sig_bytes + self.accum_pk_size,
-            cost=math.fsum(n * algorithm.cost for algorithm, n in counts.items()),
-            signatures=sum(counts.values()),
+            pk_bytes=pk_bytes,
+            total_bytes=sig_bytes + pk_bytes,
+            cost=math.fsum(n * algorithm.cost for algorithm, n in sigs.items()),
+            signatures=sum(sigs.values()),
             rollover_events=self.rollover_events,
             root_publications=self.root_publications,
         )

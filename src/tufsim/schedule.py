@@ -48,6 +48,14 @@ class ActionKind(enum.Enum):
     RESERVE = "reserve"
 
 
+# action-file columns each kind does not read; a filled one is an error
+_UNREAD_COLUMNS = {
+    ActionKind.ADD: ("Flag",),
+    ActionKind.REMOVE: ("RoleType", "Algorithm", "Flag"),
+    ActionKind.RESERVE: ("RoleType", "Algorithm"),
+}
+
+
 @dataclass(frozen=True)
 class RoleAction:
     """A scripted mid-run role change, applied on the first tick of its date.
@@ -133,8 +141,9 @@ def load_role_actions(csv_text: str) -> EventCalendar:
     """Parse scripted role changes from CSV.
 
     Columns: `Date,Action,Name,RoleType,Algorithm,Flag` with Action one of
-    add/remove/reserve; fields irrelevant to an action stay empty.  An add
-    row may leave Algorithm empty to inherit the run's assignment.
+    add/remove/reserve.  A field the action does not read must be empty; a
+    filled one is an error.  An add row may leave Algorithm empty to
+    inherit the run's assignment.
     """
     actions: list[RoleAction] = []
     for lineno, (day_text, kind_text, name, type_text, algorithm, flag_text) in read_table(
@@ -153,6 +162,12 @@ def load_role_actions(csv_text: str) -> EventCalendar:
             ) from None
         if not name:
             raise CalendarError(f"row {lineno}: action is missing a role name")
+        cells = {"RoleType": type_text, "Algorithm": algorithm, "Flag": flag_text}
+        for column in _UNREAD_COLUMNS[kind]:
+            if cells[column]:
+                raise CalendarError(
+                    f"row {lineno}: {kind.value} action takes no {column}, got {cells[column]!r}"
+                )
 
         role_type = None
         algorithm_name = None

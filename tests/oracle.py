@@ -22,7 +22,7 @@ def reference_tick(repo: Repository) -> None:
     signers = []
     if repo.rollover_check() > 0 or repo.update_root:
         for role in repo.roles:
-            repo.accum_pk_size += role.algorithm.pk_size
+            role.key_publications += 1
             if role.role_type is RoleType.ROOT:
                 signers.append(role)
             role.rollover = False
@@ -44,7 +44,6 @@ def reference_tick(repo: Repository) -> None:
             signers.append(role)
 
     for role in signers:
-        role.num_sigs += 1
         role.lifetime_sigs += 1
 
 

@@ -131,7 +131,7 @@ def test_criterion_4_invariant_fuzz():
                 repo.publish_timestamp()
 
                 for role in repo.roles:
-                    assert 0 <= role.num_sigs <= role.algorithm.max_sigs
+                    assert 0 <= role.lifetime_sigs - role.key_start <= role.algorithm.max_sigs
                 totals = repo.ledger_totals()
                 # prev predates this step's op too: adding or removing a role
                 # leaves the ledger as it was, so only the tick moves it

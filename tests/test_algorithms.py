@@ -98,7 +98,16 @@ def test_zero_max_signatures_is_invalid():
 
 
 @pytest.mark.parametrize(
-    "row", ["AlgB,100,50,0,1.5", "AlgB,-1,50,1E4,1.5", "AlgB,100,50,-1E1000000,1.5"]
+    "row",
+    [
+        "AlgB,100,50,0,1.5",
+        "AlgB,-1,50,1E4,1.5",
+        "AlgB,100,50,-1E1000000,1.5",
+        "AlgB,100,50,1E4,inf",
+        "AlgB,100,50,1E4,1e400",
+        "AlgB,100,50,1E4,-inf",
+        "AlgB,100,50,1E4,nan",
+    ],
 )
 def test_range_error_names_its_row(row):
     text = HEADER + "\nAlgA,100,50,1E4,1.5\n" + row + "\n"

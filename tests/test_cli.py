@@ -264,6 +264,18 @@ def test_actions_file(inputs, tmp_path):
     assert out.splitlines()[1].split(",")[6] == "11"
 
 
+def test_action_cell_the_action_does_not_read_is_an_error(inputs, tmp_path):
+    actions = tmp_path / "actions.csv"
+    actions.write_text(
+        "Date,Action,Name,RoleType,Algorithm,Flag\n"
+        "2020-01-05,add,Target 2,Target,AlgB,true\n"
+    )
+    status, out, err = invoke(base_args(inputs, "--actions", str(actions)))
+    assert status == 2
+    assert out == ""
+    assert err == "error: row 2: add action takes no Flag, got 'true'\n"
+
+
 def test_assignment_file(inputs, tmp_path):
     assignment = tmp_path / "mixed.csv"
     assignment.write_text(
@@ -298,6 +310,18 @@ def test_unrepresentable_max_signatures_is_an_error(inputs, tmp_path, cell):
     assert out == ""
     assert err.startswith("error: row 2: 'Max Signatures' value ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cell", ["inf", "Infinity", "1e400", "-inf", "nan"])
+def test_non_finite_cost_is_an_error(inputs, tmp_path, cell):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(ALGORITHMS + f"AlgD,100,50,1E4,{cell}\n")
+    args = base_args(inputs)
+    args[1] = str(catalog)
+    status, out, err = invoke(args)
+    assert status == 2
+    assert out == ""
+    assert err == "error: row 5: AlgD: cost must be finite and >= 0\n"
 
 
 def test_console_entry_point(inputs):

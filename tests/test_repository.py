@@ -85,7 +85,8 @@ class TestRoleManagement:
         assert len(repo.roles) == 1
         assert repo.update_root is True
         role = repo.roles[0]
-        assert role.pending is True and role.rollover is True and role.num_sigs == 0
+        assert role.pending is True and role.rollover is True
+        assert role.lifetime_sigs - role.key_start == 0
 
     def test_add_second_instance_of_same_type(self):
         repo = build_repo()
@@ -127,9 +128,28 @@ class TestRoleManagement:
         for _ in range(3):
             repo.publish_timestamp()
         before = repo.ledger_totals()
+        timestamp = repo.roles[1]
         repo.remove_role("Timestamp 1")
-        assert repo.retired_counts == {alg: 3}
+        assert repo.retired == [timestamp] and timestamp not in repo.roles
+        assert (timestamp.algorithm, timestamp.lifetime_sigs) == (alg, 3)
         assert repo.ledger_totals() == before
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_removed_role_keeps_its_key_publications(self, k):
+        repo = build_repo()
+        repo.publish_timestamp()  # the first root file, before Target 2 exists
+        repo.add_role("Target 2", RoleType.TARGET, make_alg("AlgX", pk_size=7))
+        target = repo.roles[-1]
+        grown = []
+        for _ in range(k):
+            repo.update_root = True
+            grown.append(publish(repo).pk_bytes)
+        repo.remove_role("Target 2")
+        later = [publish(repo).pk_bytes for _ in range(2)]  # removal's root file, then none
+        assert target.key_publications == k
+        assert grown == [4 * 50 + 7] * k
+        assert later == [4 * 50, 0]
+        assert repo.ledger_totals().pk_bytes == (k + 2) * 4 * 50 + k * 7
 
 
 class TestReserve:
@@ -203,18 +223,18 @@ class TestRolloverCheck:
         for _ in range(3):
             repo.publish_timestamp()
         ts = next(r for r in repo.roles if r.role_type is RoleType.TIMESTAMP)
-        assert ts.num_sigs == 3
+        assert ts.lifetime_sigs - ts.key_start == 3
         rolled = repo.rollover_check()
         assert rolled >= 1
-        assert ts.rollover is True and ts.num_sigs == 0
+        assert ts.rollover is True and ts.lifetime_sigs - ts.key_start == 0
 
     def test_exhausted_idle_target_waits(self):
         repo = build_repo(make_alg(max_sigs=1))
         repo.publish_timestamp()  # target signs once, key now exhausted
         target = next(r for r in repo.roles if r.role_type is RoleType.TARGET)
-        assert target.num_sigs == 1 and target.pending is False
+        assert target.lifetime_sigs - target.key_start == 1 and target.pending is False
         repo.rollover_check()
-        assert target.rollover is False and target.num_sigs == 1
+        assert target.rollover is False and target.lifetime_sigs - target.key_start == 1
 
 
 class TestPublishTimestamp:
@@ -482,8 +502,8 @@ class RepositoryMachine(RuleBasedStateMachine):
     @invariant()
     def check(self):
         for role in self.repo.roles:
-            assert 0 <= role.num_sigs <= role.algorithm.max_sigs
-            assert role.lifetime_sigs >= role.num_sigs
+            assert 0 <= role.lifetime_sigs - role.key_start <= role.algorithm.max_sigs
+            assert role.key_start >= 0
         totals = self.repo.ledger_totals()
         # conservation: the signature total moves exactly with the current
         # roles' lifetime counts, so a removal leaves it where it was

@@ -297,3 +297,22 @@ class TestLoadRoleActions:
     def test_missing_column_rejected(self):
         with pytest.raises(CalendarError, match="Flag"):
             load_role_actions("Date,Action,Name,RoleType,Algorithm\n")
+
+    @pytest.mark.parametrize(
+        "row, column, cell",
+        [
+            ("add,Target 2,Target,AlgB,true", "Flag", "true"),
+            ("reserve,Target 2,Snapshot,,false", "RoleType", "Snapshot"),
+            ("reserve,Target 2,,AlgA,false", "Algorithm", "AlgA"),
+            ("remove,Target 2,Target,,", "RoleType", "Target"),
+            ("remove,Target 2,,AlgA,", "Algorithm", "AlgA"),
+            ("remove,Target 2,,,true", "Flag", "true"),
+        ],
+    )
+    def test_cell_the_action_does_not_read_is_rejected(self, row, column, cell):
+        kind = row.split(",")[0]
+        message = f"^row 3: {kind} action takes no {column}, got '{cell}'$"
+        with pytest.raises(CalendarError, match=message):
+            load_role_actions(
+                self.HEADER + "2020-01-02,remove,Target 1,,,\n" + "2020-01-03," + row + "\n"
+            )
