@@ -8,6 +8,7 @@ Catalogs are immutable after parsing and safe to share between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -93,13 +94,17 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
 
 
 def find_algorithm(
-    name: str, catalog: list[SignatureAlgorithm]
+    name: str, index: Mapping[str, SignatureAlgorithm]
 ) -> SignatureAlgorithm:
-    """Return the first catalog entry whose name equals `name` exactly."""
-    for alg in catalog:
-        if alg.name == name:
-            return alg
-    raise AlgorithmNotFoundError("Requested algorithm type not found.")
+    """Return the entry named exactly `name` from a `{name: algorithm}`
+    index of a catalog, such as `{alg.name: alg for alg in catalog}`.
+
+    Catalog names are unique, so the index loses no entry.
+    """
+    try:
+        return index[name]
+    except KeyError:
+        raise AlgorithmNotFoundError("Requested algorithm type not found.") from None
 
 
 def _parse_int(text: str, column: str, lineno: int) -> int:

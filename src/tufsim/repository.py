@@ -9,9 +9,10 @@ over quiet stretches in closed form.  Both are checked against the plain
 four-phase tick and tick-by-tick run in `tests/oracle.py`.
 
 The ledger is integers only: each role, current or removed, counts its
-signatures and the root files that carried its key.  Only `ledger_totals`
+signatures and the root files that carried its key.  Only `price_counts`
 prices those counts, merged per algorithm and cost by `math.fsum`, so
-totals do not depend on the order in which signatures were made.
+totals do not depend on the order in which signatures were made;
+`ledger_totals` and a sweep's per-assignment pricing both call it.
 
 Semantics worth knowing before reading the code:
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .algorithms import SignatureAlgorithm
@@ -261,25 +263,42 @@ class Repository:
         return stride
 
     def ledger_totals(self) -> LedgerTotals:
-        """Price the counts of current and removed roles; read-only.
-
-        Counts are merged per algorithm first, so the byte and cost sums
-        have one term per algorithm, whatever the role order.
-        """
-        sigs: Counter[SignatureAlgorithm] = Counter()
-        keys: Counter[SignatureAlgorithm] = Counter()
-        for role in self.roles + self.retired:
-            sigs[role.algorithm] += role.lifetime_sigs
-            keys[role.algorithm] += role.key_publications
-        sig_bytes = sum(n * algorithm.sig_size for algorithm, n in sigs.items())
-        pk_bytes = sum(n * algorithm.pk_size for algorithm, n in keys.items())
+        """Price the counts of current and removed roles with `price_counts`;
+        read-only."""
+        sig_bytes, pk_bytes, cost, signatures = price_counts(
+            (role.algorithm, role.lifetime_sigs, role.key_publications)
+            for role in self.roles + self.retired
+        )
         return LedgerTotals(
             name=self.name,
             sig_bytes=sig_bytes,
             pk_bytes=pk_bytes,
             total_bytes=sig_bytes + pk_bytes,
-            cost=math.fsum(n * algorithm.cost for algorithm, n in sigs.items()),
-            signatures=sum(sigs.values()),
+            cost=cost,
+            signatures=signatures,
             rollover_events=self.rollover_events,
             root_publications=self.root_publications,
         )
+
+
+def price_counts(
+    counts: Iterable[tuple[SignatureAlgorithm, int, int]],
+) -> tuple[int, int, float, int]:
+    """Price (algorithm, signatures, key publications) counts as signature
+    bytes, public-key bytes, verification cost and signatures.
+
+    Counts are merged per algorithm first, so each sum has one term per
+    algorithm, whatever the order of the counts, and the cost is one
+    `math.fsum`.  The only place where a count becomes bytes or cost.
+    """
+    sigs: Counter[SignatureAlgorithm] = Counter()
+    keys: Counter[SignatureAlgorithm] = Counter()
+    for algorithm, signatures, publications in counts:
+        sigs[algorithm] += signatures
+        keys[algorithm] += publications
+    return (
+        sum(n * algorithm.sig_size for algorithm, n in sigs.items()),
+        sum(n * algorithm.pk_size for algorithm, n in keys.items()),
+        math.fsum(n * algorithm.cost for algorithm, n in sigs.items()),
+        sum(sigs.values()),
+    )

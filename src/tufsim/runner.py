@@ -11,19 +11,30 @@ grows with the number of change points, not the number of ticks.  The
 result reads the repository's integer signature counts once, at the end:
 bytes are exact and the verification cost is one `math.fsum` over the
 algorithms, so no total depends on the order in which roles signed.
+
+A run's slots are the architecture's role specs, then the calendar's add
+actions, by position, so two identical add rows are two slots.  An
+algorithm changes the run only through its slot's key budget (`max_sigs`);
+sizes and cost merely price the counts.  So `run_sweep` simulates once per
+distinct vector of slot budgets and prices every assignment that shares
+it from that run's per-slot counts, with `repository.price_counts`, the
+one pricing function, which `Repository.ledger_totals` calls too.  A
+sweep's cost follows the number of distinct budget vectors, not the size
+of the catalog.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from datetime import date
 
 from ._table import read_table
 from .algorithms import SignatureAlgorithm, find_algorithm
 from .errors import AlgorithmNotFoundError, ConfigurationError
-from .repository import Repository, RoleType
+from .repository import Repository, RoleState, RoleType, price_counts
 from .schedule import ActionKind, EventCalendar, RoleAction, Timeline
 
 REPORT_COLUMNS = (
@@ -111,7 +122,12 @@ AlgorithmAssignment = Uniform | PerRole
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final ledger of one (architecture, assignment, scenario) run."""
+    """Final ledger of one (architecture, assignment, scenario) run.
+
+    slot_counts holds each slot's (lifetime signatures, key publications)
+    in slot order; an add action on a date without a tick counts (0, 0).
+    Equality leaves it out: it compares the priced ledger and warnings.
+    """
 
     device_name: str
     assignment: str
@@ -122,6 +138,7 @@ class RunResult:
     rollover_events: int
     root_publications: int
     warnings: tuple[str, ...] = ()
+    slot_counts: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     @property
     def total_bytes(self) -> int:
@@ -135,62 +152,58 @@ def run_scenario(
     ticks: Timeline,
     catalog: list[SignatureAlgorithm],
 ) -> RunResult:
-    """Execute one run and return its aggregated ledger.
+    """Execute one run and return its aggregated ledger and slot counts.
 
     A date's events and actions apply on its first tick.  All algorithm
     names — from role specs, the assignment, and scripted add actions —
     resolve against the catalog before the first tick, so a bad
     configuration never produces a partial ledger.  Inputs that cannot
-    take effect become warnings, not errors: an event or action on a date
-    without a tick, an update event, remove or reserve that matches no
-    role, and a per-role assignment row naming no role of the
-    architecture or of an add action.
+    take effect become warnings, not errors.  First come the warnings on
+    the assignment's own rows: a per-role row naming no role of the
+    architecture or of an add action, and a row whose every role pins its
+    algorithm.  Then those that depend only on names and dates: an event
+    or action on a date without a tick, and an update event, remove or
+    reserve that matches no role.
     """
-    role_algorithms = [
-        _resolve(spec.algorithm_name, spec.name, assignment, catalog)
-        for spec in arch.role_specs
-    ]
-    add_algorithms = {
-        action: _resolve(action.algorithm_name, action.name, assignment, catalog)
-        for action in calendar.role_actions
-        if action.kind is ActionKind.ADD
-    }
+    slots = _slots(arch, calendar)
+    algorithms = _resolve(slots, assignment, {alg.name: alg for alg in catalog})
 
     repo = Repository(arch.device_name)
-    for spec, algorithm in zip(arch.role_specs, role_algorithms):
+    for spec, algorithm in zip(arch.role_specs, algorithms):
         repo.add_role(spec.name, spec.role_type, algorithm)
         repo.roles[-1].reserve = spec.reserve
+    states: list[RoleState | None] = [*repo.roles]
 
     events_by_date: dict[date, list[str]] = {}
     for day, target in sorted(calendar.update_events):
         events_by_date.setdefault(day, []).append(target)
-    actions_by_date: dict[date, list[RoleAction]] = {}
+    actions_by_date: dict[date, list[tuple[int, RoleAction]]] = {}
     for action in calendar.role_actions:
-        actions_by_date.setdefault(action.date, []).append(action)
+        slot = -1
+        if action.kind is ActionKind.ADD:
+            slot = len(states)
+            states.append(None)
+        actions_by_date.setdefault(action.date, []).append((slot, action))
 
-    warnings: list[str] = []
-    if isinstance(assignment, PerRole):
-        named = {spec.name for spec in arch.role_specs} | {a.name for a in add_algorithms}
-        warnings += [
-            f"assignment row for '{name}' names no role of the architecture or an add action"
-            for name in assignment.algorithms
-            if name not in named
-        ]
+    warnings = _assignment_warnings(slots, assignment)
     published = 0
     for day in sorted(events_by_date.keys() | actions_by_date.keys()):
         actions = actions_by_date.get(day, ())
         targets = events_by_date.get(day, ())
         index = ticks.position(day)
         if index is None:
-            dropped = [f"{a.kind.value} action for '{a.name}'" for a in actions]
+            dropped = [f"{a.kind.value} action for '{a.name}'" for _, a in actions]
             dropped += [f"update event for '{target}'" for target in targets]
             warnings += [f"{day}: {item} falls on no tick and was not applied" for item in dropped]
             continue
         repo.publish_timestamps(index - published)
         published = index
         if actions:
-            for action in actions:
-                if not _apply_action(repo, action, add_algorithms):
+            for slot, action in actions:
+                if action.kind is ActionKind.ADD:
+                    repo.add_role(action.name, action.role_type, algorithms[slot])
+                    states[slot] = repo.roles[-1]
+                elif not _apply_action(repo, action):
                     warnings.append(
                         f"{day}: {action.kind.value} action for '{action.name}' matched no role"
                     )
@@ -211,6 +224,10 @@ def run_scenario(
         rollover_events=totals.rollover_events,
         root_publications=totals.root_publications,
         warnings=tuple(warnings),
+        slot_counts=tuple(
+            (state.lifetime_sigs, state.key_publications) if state else (0, 0)
+            for state in states
+        ),
     )
 
 
@@ -221,13 +238,49 @@ def run_sweep(
     ticks: Timeline,
     catalog: list[SignatureAlgorithm],
 ) -> list[RunResult]:
-    """Run each assignment against a fresh repository, preserving input order."""
+    """Run each assignment against a fresh repository, preserving input order.
+
+    Every assignment resolves first, one algorithm per slot, so a bad name
+    fails before anything runs.  Assignments whose slots have the same
+    budgets form a group, and each group makes one `run_scenario` call,
+    for its first member.  Every member is priced from that run's
+    `slot_counts` with its own algorithms, which gives exactly what a run
+    of its own would.  A member's warnings on its own assignment rows come
+    first; the rest depend only on names and dates and come from the
+    group's run.
+    """
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
-    return [
-        run_scenario(arch, assignment, calendar, ticks, catalog)
-        for assignment in assignments
-    ]
+    by_name = {alg.name: alg for alg in catalog}
+    slots = _slots(arch, calendar)
+    resolved = [_resolve(slots, assignment, by_name) for assignment in assignments]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for member, algorithms in enumerate(resolved):
+        groups.setdefault(tuple(alg.max_sigs for alg in algorithms), []).append(member)
+
+    fronts = [tuple(_assignment_warnings(slots, assignment)) for assignment in assignments]
+    results: dict[int, RunResult] = {}
+    for members in groups.values():
+        first = members[0]
+        # the run needs no catalog entry beyond the first member's own
+        run = run_scenario(
+            arch, assignments[first], calendar, ticks, list(dict.fromkeys(resolved[first]))
+        )
+        shared = run.warnings[len(fronts[first]):]
+        for member in members:
+            sig_bytes, pk_bytes, cost, signatures = price_counts(
+                (alg, sigs, keys) for alg, (sigs, keys) in zip(resolved[member], run.slot_counts)
+            )
+            results[member] = replace(
+                run,
+                assignment=assignments[member].label,
+                sig_bytes=sig_bytes,
+                pk_bytes=pk_bytes,
+                cost=cost,
+                total_signatures=signatures,
+                warnings=fronts[member] + shared,
+            )
+    return [results[member] for member in range(len(assignments))]
 
 
 def emit_report_csv(results: list[RunResult]) -> str:
@@ -313,40 +366,72 @@ def parse_assignment_csv(csv_text: str, label: str = "per-role") -> PerRole:
     return PerRole(algorithms=algorithms, label=label)
 
 
-def _resolve(
-    pinned: str | None,
-    role_name: str,
-    assignment: AlgorithmAssignment,
-    catalog: list[SignatureAlgorithm],
-) -> SignatureAlgorithm:
-    if pinned is not None:
-        name = pinned
-    elif isinstance(assignment, Uniform):
-        name = assignment.algorithm_name
-    else:
-        mapped = assignment.algorithms.get(role_name)
-        if mapped is None:
-            raise ConfigurationError(
-                f"assignment does not name an algorithm for role '{role_name}'"
+def _slots(arch: Architecture, calendar: EventCalendar) -> list[tuple[str, str | None]]:
+    """(name, pinned algorithm) of each slot: the role specs, then the add
+    actions, by position."""
+    return [(spec.name, spec.algorithm_name) for spec in arch.role_specs] + [
+        (action.name, action.algorithm_name)
+        for action in calendar.role_actions
+        if action.kind is ActionKind.ADD
+    ]
+
+
+def _assignment_warnings(
+    slots: list[tuple[str, str | None]], assignment: AlgorithmAssignment
+) -> list[str]:
+    """One warning per per-role row that cannot take effect: it names no
+    slot, or every slot it names pins its own algorithm."""
+    if not isinstance(assignment, PerRole):
+        return []
+    pins: dict[str, list[str | None]] = {}
+    for name, pinned in slots:
+        pins.setdefault(name, []).append(pinned)
+    warnings = []
+    for name in assignment.algorithms:
+        pinned = pins.get(name)
+        if pinned is None:
+            warnings.append(
+                f"assignment row for '{name}' names no role of the architecture or an add action"
             )
-        name = mapped
-    try:
-        return find_algorithm(name, catalog)
-    except AlgorithmNotFoundError:
-        raise ConfigurationError(
-            f"role '{role_name}': algorithm '{name}' is not in the catalog"
-        ) from None
+        elif None not in pinned:
+            algorithms = [f"'{algorithm}'" for algorithm in dict.fromkeys(pinned)]
+            warnings.append(
+                f"assignment row for '{name}' is overridden by its pinned "
+                f"algorithm{'s' if len(algorithms) > 1 else ''} {', '.join(algorithms)}"
+            )
+    return warnings
 
 
-def _apply_action(
-    repo: Repository,
-    action: RoleAction,
-    add_algorithms: dict[RoleAction, SignatureAlgorithm],
-) -> bool:
-    """Apply one scripted action; False when a remove or reserve matched no role."""
-    if action.kind is ActionKind.ADD:
-        repo.add_role(action.name, action.role_type, add_algorithms[action])
-        return True
+def _resolve(
+    slots: list[tuple[str, str | None]],
+    assignment: AlgorithmAssignment,
+    by_name: Mapping[str, SignatureAlgorithm],
+) -> list[SignatureAlgorithm]:
+    """Each slot's algorithm: its pin, else the assignment's choice."""
+    algorithms = []
+    for role_name, pinned in slots:
+        if pinned is not None:
+            name = pinned
+        elif isinstance(assignment, Uniform):
+            name = assignment.algorithm_name
+        else:
+            mapped = assignment.algorithms.get(role_name)
+            if mapped is None:
+                raise ConfigurationError(
+                    f"assignment does not name an algorithm for role '{role_name}'"
+                )
+            name = mapped
+        try:
+            algorithms.append(find_algorithm(name, by_name))
+        except AlgorithmNotFoundError:
+            raise ConfigurationError(
+                f"role '{role_name}': algorithm '{name}' is not in the catalog"
+            ) from None
+    return algorithms
+
+
+def _apply_action(repo: Repository, action: RoleAction) -> bool:
+    """Apply a remove or reserve action; False when it matched no role."""
     if action.kind is ActionKind.REMOVE:
         return repo.remove_role(action.name) > 0
     return repo.set_reserve(action.name, bool(action.flag)) > 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from datetime import date, timedelta
 
-from tufsim import ActionKind, Cadence, Repository, RoleType, RunResult
+from tufsim import ActionKind, Cadence, PerRole, Repository, RoleType, RunResult
 
 
 def reference_tick(repo: Repository) -> None:
@@ -66,20 +66,47 @@ def materialized_ticks(start: date, end: date, cadence: Cadence) -> Iterator[tup
 def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
     """Reference run: walk every tick, act on each date's first tick.
 
-    Takes a Uniform assignment; names resolve against the catalog directly.
-    A date that no tick carries gets its dropped-item warnings in date
-    order, found from the ticks themselves rather than `Timeline.position`.
+    Names resolve against the catalog directly: a pin first, then the
+    Uniform algorithm or the PerRole row of the role's name.  A PerRole
+    row that no role takes is warned about first.  A date that no tick
+    carries gets its dropped-item warnings in date order, found from the
+    ticks themselves rather than `Timeline.position`.  The result carries
+    each role spec's and each add action's final counts, (0, 0) for an
+    add that never ran.
     """
     algorithms = {alg.name: alg for alg in catalog}
 
-    def algorithm(pinned):
-        return algorithms[pinned or assignment.algorithm_name]
+    def algorithm(pinned, name):
+        if pinned:
+            return algorithms[pinned]
+        if isinstance(assignment, PerRole):
+            return algorithms[assignment.algorithms[name]]
+        return algorithms[assignment.algorithm_name]
 
     repo = Repository(arch.device_name)
     for spec in arch.role_specs:
-        repo.add_role(spec.name, spec.role_type, algorithm(spec.algorithm_name))
+        repo.add_role(spec.name, spec.role_type, algorithm(spec.algorithm_name, spec.name))
         repo.roles[-1].reserve = spec.reserve
+    spec_states = list(repo.roles)
+    adds = [i for i, a in enumerate(calendar.role_actions) if a.kind is ActionKind.ADD]
+    added = {}  # position in role_actions -> the RoleState that add created
     warnings = []
+    if isinstance(assignment, PerRole):
+        pins = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
+        pins += [(calendar.role_actions[i].name, calendar.role_actions[i].algorithm_name) for i in adds]
+        for row in assignment.algorithms:
+            pinned = [pin for name, pin in pins if name == row]
+            if not pinned:
+                warnings.append(
+                    f"assignment row for '{row}' names no role of the architecture or an add action"
+                )
+            elif all(pinned):
+                distinct = list(dict.fromkeys(pinned))
+                warnings.append(
+                    f"assignment row for '{row}' is overridden by its pinned algorithm"
+                    + ("s " if len(distinct) > 1 else " ")
+                    + ", ".join(f"'{pin}'" for pin in distinct)
+                )
     ticks = list(materialized_ticks(timeline.start, timeline.end, timeline.cadence))
     item_dates = {day for day, _ in calendar.update_events} | {a.date for a in calendar.role_actions}
     dropped = sorted(item_dates - {day for day, _ in ticks})
@@ -96,10 +123,13 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
     for day, sub in ticks:
         if sub == 0:
             warn_dropped(day)
-            actions = [a for a in calendar.role_actions if a.date == day]
-            for action in actions:
+            actions = [(i, a) for i, a in enumerate(calendar.role_actions) if a.date == day]
+            for position, action in actions:
                 if action.kind is ActionKind.ADD:
-                    repo.add_role(action.name, action.role_type, algorithm(action.algorithm_name))
+                    repo.add_role(
+                        action.name, action.role_type, algorithm(action.algorithm_name, action.name)
+                    )
+                    added[position] = repo.roles[-1]
                     matched = 1
                 elif action.kind is ActionKind.REMOVE:
                     matched = repo.remove_role(action.name)
@@ -122,7 +152,9 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
         reference_tick(repo)
     warn_dropped(None)
     t = repo.ledger_totals()
+    states = spec_states + [added.get(i) for i in adds]
     return RunResult(
         arch.device_name, assignment.label, t.sig_bytes, t.pk_bytes, t.cost,
         t.signatures, t.rollover_events, t.root_publications, tuple(warnings),
+        tuple((s.lifetime_sigs, s.key_publications) if s else (0, 0) for s in states),
     )

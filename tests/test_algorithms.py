@@ -144,15 +144,15 @@ def test_round_trip():
 
 def test_find_algorithm_returns_entry():
     catalog = [make_alg("AlgA"), make_alg("AlgB")]
-    assert find_algorithm("AlgA", catalog) is catalog[0]
+    assert find_algorithm("AlgA", {alg.name: alg for alg in catalog}) is catalog[0]
 
 
 def test_find_algorithm_missing_name():
     with pytest.raises(AlgorithmNotFoundError) as excinfo:
-        find_algorithm("Missing", [make_alg("AlgA")])
+        find_algorithm("Missing", {"AlgA": make_alg("AlgA")})
     assert str(excinfo.value) == "Requested algorithm type not found."
 
 
 def test_find_algorithm_empty_catalog():
     with pytest.raises(AlgorithmNotFoundError):
-        find_algorithm("AlgA", [])
+        find_algorithm("AlgA", {})

@@ -289,6 +289,32 @@ def test_assignment_file(inputs, tmp_path):
     assert lines[1].split(",")[1] == "mixed"
 
 
+def test_assignment_row_overridden_by_a_pin_warns(inputs, tmp_path):
+    arch = tmp_path / "arch.csv"
+    arch.write_text(
+        "Role Name,Role Type,Algorithm,Reserve\n"
+        "Root 1,Root,,\nTimestamp 1,Timestamp,,\nSnapshot 1,Snapshot,,\nTarget 1,Target,AlgA,\n"
+    )
+    rows = "Role Name,Algorithm\nRoot 1,AlgA\nTimestamp 1,AlgA\nSnapshot 1,AlgA\n"
+    reports = []
+    for name, extra in (("plain", ""), ("pinned-b", "Target 1,AlgB\n"), ("pinned-a", "Target 1,AlgA\n")):
+        assignment = tmp_path / f"{name}.csv"
+        assignment.write_text(rows + extra)
+        status, out, err = invoke(
+            base_args(inputs, "--arch", str(arch), "--assignment", str(assignment))
+        )
+        assert status == 0
+        reports.append(out.splitlines()[1].split(",")[2:])
+        if extra:
+            assert err == (
+                "warning: assignment row for 'Target 1' is overridden by its pinned "
+                "algorithm 'AlgA'\n"
+            )
+        else:
+            assert err == ""
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_empty_catalog_is_an_error(inputs, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("Name,Signature Size,Public Key Size,Max Signatures,Computational Cost\n")

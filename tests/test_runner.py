@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tufsim.runner
 from tufsim import (
     ActionKind,
     Architecture,
@@ -226,7 +227,7 @@ MAX_DAYS = {Cadence.WEEKLY: 120, Cadence.DAILY: 60, Cadence.HOURLY: 12, Cadence.
 
 
 @st.composite
-def differential_runs(draw):
+def differential_runs(draw, algorithms=3, budgets=(1, 2, 3, 4, 5, 10**18)):
     cadence = draw(st.sampled_from(list(Cadence)))
     days = draw(st.integers(1, MAX_DAYS[cadence]))
     catalog = [
@@ -234,10 +235,10 @@ def differential_runs(draw):
             f"Alg{i}",
             sig_size=draw(st.integers(1, 3000)),
             pk_size=draw(st.integers(1, 500)),
-            max_sigs=draw(st.sampled_from([1, 2, 3, 4, 5, 10**18])),
+            max_sigs=draw(st.sampled_from(budgets)),
             cost=draw(st.sampled_from([0.1, 0.5, 2.9, 4.3, 1 / 3])),
         )
-        for i in range(draw(st.integers(1, 3)))
+        for i in range(draw(st.integers(1, algorithms)))
     ]
     names = [alg.name for alg in catalog]
     pinned = st.none() | st.sampled_from(names)
@@ -278,6 +279,7 @@ class TestEngineMatchesTickByTick:
         expected = reference_run(*run)
         result = run_scenario(*run)
         assert result == expected
+        assert result.slot_counts == expected.slot_counts
         assert emit_report_csv([result]) == emit_report_csv([expected])
 
 
@@ -315,6 +317,54 @@ class TestInputsThatCannotApplyWarn:
             f"assignment row for '{name}' names no role of the architecture or an add action"
             for name in ("Target 7", "Ghost")
         )
+
+    def test_assignment_row_overridden_by_a_pin_warns(self):
+        arch = Architecture(
+            "Device_A",
+            (
+                RoleSpec("Root 1", RoleType.ROOT),
+                RoleSpec("Timestamp 1", RoleType.TIMESTAMP),
+                RoleSpec("Snapshot 1", RoleType.SNAPSHOT),
+                RoleSpec("Target 1", RoleType.TARGET, algorithm_name="AlgA"),
+            ),
+        )
+        pinned_add = RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 2", RoleType.TARGET, "AlgA")
+        calendar = EventCalendar(role_actions=(pinned_add,))
+        rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA"}
+        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=7)]
+        result = run_scenario(
+            arch, PerRole({**rows, "Target 1": "AlgB", "Target 2": "AlgB"}), calendar,
+            ten_day_ticks(), catalog,
+        )
+        plain = run_scenario(arch, PerRole(rows), calendar, ten_day_ticks(), catalog)
+        assert replace(result, warnings=()) == plain
+        assert plain.warnings == ()
+        assert result.warnings == (
+            "assignment row for 'Target 1' is overridden by its pinned algorithm 'AlgA'",
+            "assignment row for 'Target 2' is overridden by its pinned algorithm 'AlgA'",
+        )
+
+    def test_assignment_row_taken_by_one_unpinned_role_does_not_warn(self):
+        unpinned = RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 1", RoleType.TARGET)
+        pinned = RoleAction(date(2020, 1, 6), ActionKind.ADD, "Target 1", RoleType.TARGET, "AlgB")
+        rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA"}
+        catalog = [make_alg("AlgA"), make_alg("AlgB")]
+        taken = run_scenario(
+            default_architecture(), PerRole(rows), EventCalendar(role_actions=(pinned, unpinned)),
+            ten_day_ticks(), catalog,
+        )
+        assert taken.warnings == ()
+        arch = Architecture(
+            "Device_A",
+            tuple(replace(spec, algorithm_name="AlgA") for spec in default_architecture().role_specs),
+        )
+        overridden = run_scenario(
+            arch, PerRole(rows), EventCalendar(role_actions=(pinned,)), ten_day_ticks(), catalog
+        )
+        assert overridden.warnings == tuple(
+            f"assignment row for '{name}' is overridden by its pinned algorithm 'AlgA'"
+            for name in ("Root 1", "Timestamp 1", "Snapshot 1")
+        ) + ("assignment row for 'Target 1' is overridden by its pinned algorithms 'AlgA', 'AlgB'",)
 
     @given(run=differential_runs())
     @settings(deadline=None, max_examples=100)
@@ -447,6 +497,144 @@ class TestRunSweep:
             )
             assert small.total_signatures == big.total_signatures
             assert small.rollover_events == big.rollover_events
+
+
+@st.composite
+def sweep_runs(draw):
+    """A differential run whose catalog has budgets that often collide."""
+    arch, _, calendar, timeline, catalog = draw(
+        differential_runs(algorithms=5, budgets=(1, 3, 10**18))
+    )
+    if draw(st.booleans()):
+        # every spec pins and an unpinned add joins, so only an add slot
+        # tells the runs apart
+        pin = st.sampled_from([alg.name for alg in catalog])
+        arch = Architecture(
+            arch.device_name,
+            tuple(replace(spec, algorithm_name=draw(pin)) for spec in arch.role_specs),
+        )
+        offset = draw(st.integers(0, (timeline.end - timeline.start).days))
+        add = RoleAction(timeline.start + timedelta(days=offset), ActionKind.ADD,
+                         draw(st.sampled_from(DIFF_NAMES)), draw(st.sampled_from(list(RoleType))))
+        calendar = replace(calendar, role_actions=calendar.role_actions + (add,))
+    return arch, calendar, timeline, catalog
+
+
+def counted_runs(monkeypatch):
+    """Record the assignment of each call the sweep makes of the
+    module-global `run_scenario`."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return run_scenario(*args)
+
+    monkeypatch.setattr(tufsim.runner, "run_scenario", counting)
+    return calls
+
+
+class TestSweepSimulatesOncePerBudgetVector:
+    @given(run=sweep_runs())
+    @settings(deadline=None, max_examples=100)
+    def test_sweep_equals_one_reference_run_per_assignment(self, run):
+        arch, calendar, timeline, catalog = run
+        assignments = [Uniform(alg.name) for alg in catalog]
+        swept = run_sweep(arch, assignments, calendar, timeline, catalog)
+        expected = [reference_run(arch, a, calendar, timeline, catalog) for a in assignments]
+        assert swept == expected
+        assert [r.slot_counts for r in swept] == [r.slot_counts for r in expected]
+        assert emit_report_csv(swept) == emit_report_csv(expected)
+
+    def test_per_role_sweep_groups_by_every_slot_s_budget(self, monkeypatch):
+        arch = Architecture(
+            "Device_A",
+            (
+                RoleSpec("Root 1", RoleType.ROOT),
+                RoleSpec("Timestamp 1", RoleType.TIMESTAMP, algorithm_name="AlgA"),
+                RoleSpec("Snapshot 1", RoleType.SNAPSHOT),
+                RoleSpec("Target 1", RoleType.TARGET),
+            ),
+        )
+        calendar = EventCalendar(
+            update_events={(date(2020, 1, d), "Target 2") for d in (6, 7, 8, 9)},
+            role_actions=(RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 2", RoleType.TARGET),),
+        )
+        catalog = [
+            make_alg("AlgA"),
+            make_alg("AlgB", sig_size=2420, pk_size=1312, cost=0.25),
+            make_alg("AlgSmall", sig_size=1456, pk_size=60, max_sigs=2, cost=0.5),
+        ]
+        rows = {"Root 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA", "Target 2": "AlgA"}
+        assignments = [
+            PerRole(rows, label="base"),
+            PerRole({**rows, "Target 2": "AlgSmall"}, label="small-add"),
+            PerRole({**rows, "Root 1": "AlgB", "Target 1": "AlgB"}, label="same-budgets"),
+            PerRole({**rows, "Timestamp 1": "AlgSmall"}, label="pinned-row"),
+        ]
+        calls = counted_runs(monkeypatch)
+        swept = run_sweep(arch, assignments, calendar, ten_day_ticks(), catalog)
+        expected = [reference_run(arch, a, calendar, ten_day_ticks(), catalog) for a in assignments]
+        assert swept == expected
+        assert [r.slot_counts for r in swept] == [r.slot_counts for r in expected]
+        # base, same-budgets and pinned-row share one budget vector
+        assert [a.label for a in calls] == ["base", "small-add"]
+        assert swept[3].warnings == (
+            "assignment row for 'Timestamp 1' is overridden by its pinned algorithm 'AlgA'",
+        )
+        assert swept[0].total_signatures != swept[1].total_signatures
+        assert swept[0].sig_bytes != swept[2].sig_bytes
+
+    def test_identical_add_rows_are_two_slots(self, monkeypatch):
+        add = RoleAction(date(2020, 1, 4), ActionKind.ADD, "Target 2", RoleType.TARGET)
+        calendar = EventCalendar(
+            update_events={(date(2020, 1, 6), "Target 2")}, role_actions=(add, add)
+        )
+        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=9, pk_size=3, max_sigs=1)]
+        rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA"}
+        assignments = [PerRole({**rows, "Target 2": name}, label=name) for name in ("AlgA", "AlgB")]
+        calls = counted_runs(monkeypatch)
+        swept = run_sweep(default_architecture(), assignments, calendar, ten_day_ticks(), catalog)
+        expected = [
+            reference_run(default_architecture(), a, calendar, ten_day_ticks(), catalog)
+            for a in assignments
+        ]
+        assert swept == expected
+        assert [r.slot_counts for r in swept] == [r.slot_counts for r in expected]
+        assert len(calls) == 2
+        assert len(swept[0].slot_counts) == 6
+        assert swept[0].slot_counts[4] == swept[0].slot_counts[5] != (0, 0)
+
+    def test_add_on_a_date_without_a_tick_counts_zero(self):
+        add = RoleAction(date(2020, 1, 3), ActionKind.ADD, "Target 2", RoleType.TARGET)
+        result = run_scenario(
+            default_architecture(), Uniform("AlgA"), EventCalendar(role_actions=(add,)),
+            generate_ticks(START, date(2020, 1, 31), Cadence.WEEKLY), [make_alg()],
+        )
+        assert result.slot_counts[4] == (0, 0)
+        assert sum(sigs for sigs, _ in result.slot_counts) == result.total_signatures
+
+    def test_catalog_of_one_budget_simulates_once(self, monkeypatch):
+        catalog = [make_alg(f"Alg{i}", sig_size=10 + i, cost=i / 7) for i in range(20)]
+        calls = counted_runs(monkeypatch)
+        swept = run_sweep(
+            default_architecture(), [Uniform(a.name) for a in catalog], ten_day_events(),
+            ten_day_ticks(), catalog,
+        )
+        assert [a.label for a in calls] == ["Alg0"]
+        assert swept == [
+            run_scenario(default_architecture(), Uniform(a.name), ten_day_events(),
+                         ten_day_ticks(), catalog)
+            for a in catalog
+        ]
+
+    def test_bad_name_fails_before_any_run(self, monkeypatch):
+        calls = counted_runs(monkeypatch)
+        with pytest.raises(ConfigurationError, match="role 'Root 1': algorithm 'AlgZ'"):
+            run_sweep(
+                default_architecture(), [Uniform("AlgA"), Uniform("AlgZ")], EventCalendar(),
+                ten_day_ticks(), [make_alg()],
+            )
+        assert calls == []
 
 
 class TestEmitReportCsv:
