@@ -33,7 +33,6 @@ from .runner import (
     emit_report_csv,
     parse_architecture_csv,
     parse_assignment_csv,
-    run_scenario,
     run_sweep,
 )
 from .schedule import (
@@ -85,6 +84,5 @@ __all__ = [
     "parse_algorithm_catalog",
     "parse_architecture_csv",
     "parse_assignment_csv",
-    "run_scenario",
     "run_sweep",
 ]

@@ -31,6 +31,7 @@ from .schedule import (
     load_event_dates,
     load_role_actions,
     merge_calendars,
+    parse_iso_date,
 )
 
 DEFAULT_DEVICE = "Device_A"
@@ -112,7 +113,7 @@ def main() -> None:
 
 def _parse_date(text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return parse_iso_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid date {text!r}; expected YYYY-MM-DD")
 

@@ -1,34 +1,30 @@
 """Assemble and execute simulation runs, and render the comparison report.
 
-A run pairs a role architecture with an algorithm assignment and replays a
-tick calendar against a fresh repository.  Scripted role actions apply
-first on a date, then that date's update events, then the timestamp — a
-fixed order so identical inputs always produce identical ledgers.  The
-run visits only the dates that carry events or actions, asks the
-`Timeline` which tick each lands on, and advances the
-repository between them with `Repository.publish_timestamps`, so its cost
-grows with the number of change points, not the number of ticks.  The
-result reads the repository's integer signature counts once, at the end:
-bytes are exact and the verification cost is one `math.fsum` over the
-algorithms, so no total depends on the order in which roles signed.
-
 A run's slots are the architecture's role specs, then the calendar's add
 actions, by position, so two identical add rows are two slots.  An
-algorithm changes the run only through its slot's key budget (`max_sigs`);
-sizes and cost merely price the counts.  So `run_sweep` simulates once per
-distinct vector of slot budgets and prices every assignment that shares
-it from that run's per-slot counts, with `repository.price_counts`, the
-one pricing function, which `Repository.ledger_totals` calls too.  A
-sweep's cost follows the number of distinct budget vectors, not the size
-of the catalog.
+algorithm changes a run only through its slot's key budget (`max_sigs`);
+sizes and cost merely price the counts.  So `run_sweep`, the one path
+from an assignment to a report row, resolves each assignment to one
+algorithm per slot, calls `run_scenario` once per distinct vector of slot
+budgets, and prices the assignment from that run's per-slot counts with
+`repository.price_counts`, the one pricing function: bytes are exact and
+the cost is one `math.fsum`, so no total depends on the order of signing.
+
+`run_scenario` only counts.  It replays the calendar against a fresh
+repository: scripted role actions first on a date, then that date's
+update events, then the timestamp.  It visits only the dates that carry
+events or actions, asks the `Timeline` which tick each lands on, and
+advances the repository between them with
+`Repository.publish_timestamps`, so its cost grows with the number of
+change points, not the number of ticks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from datetime import date
 
 from ._table import read_table
@@ -122,7 +118,7 @@ AlgorithmAssignment = Uniform | PerRole
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final ledger of one (architecture, assignment, scenario) run.
+    """Priced ledger of one (architecture, assignment, scenario) run.
 
     slot_counts holds each slot's (lifetime signatures, key publications)
     in slot order; an add action on a date without a tick counts (0, 0).
@@ -145,29 +141,34 @@ class RunResult:
         return self.sig_bytes + self.pk_bytes
 
 
+@dataclass(frozen=True)
+class Simulation:
+    """What one engine run counts, before any pricing.
+
+    slot_counts is as in `RunResult`; warnings are only those that depend
+    on names and dates.
+    """
+
+    slot_counts: tuple[tuple[int, int], ...]
+    total_signatures: int
+    rollover_events: int
+    root_publications: int
+    warnings: tuple[str, ...]
+
+
 def run_scenario(
     arch: Architecture,
-    assignment: AlgorithmAssignment,
     calendar: EventCalendar,
     ticks: Timeline,
-    catalog: list[SignatureAlgorithm],
-) -> RunResult:
-    """Execute one run and return its aggregated ledger and slot counts.
+    algorithms: Sequence[SignatureAlgorithm],
+) -> Simulation:
+    """Replay the calendar with one resolved algorithm per slot and count.
 
-    A date's events and actions apply on its first tick.  All algorithm
-    names — from role specs, the assignment, and scripted add actions —
-    resolve against the catalog before the first tick, so a bad
-    configuration never produces a partial ledger.  Inputs that cannot
-    take effect become warnings, not errors.  First come the warnings on
-    the assignment's own rows: a per-role row naming no role of the
-    architecture or of an add action, and a row whose every role pins its
-    algorithm.  Then those that depend only on names and dates: an event
-    or action on a date without a tick, and an update event, remove or
-    reserve that matches no role.
+    A date's events and actions apply on its first tick.  Inputs that
+    cannot take effect become warnings, not errors: an event or action on
+    a date without a tick, and an update event, remove or reserve that
+    matches no role.
     """
-    slots = _slots(arch, calendar)
-    algorithms = _resolve(slots, assignment, {alg.name: alg for alg in catalog})
-
     repo = Repository(arch.device_name)
     for spec, algorithm in zip(arch.role_specs, algorithms):
         repo.add_role(spec.name, spec.role_type, algorithm)
@@ -185,7 +186,7 @@ def run_scenario(
             states.append(None)
         actions_by_date.setdefault(action.date, []).append((slot, action))
 
-    warnings = _assignment_warnings(slots, assignment)
+    warnings: list[str] = []
     published = 0
     for day in sorted(events_by_date.keys() | actions_by_date.keys()):
         actions = actions_by_date.get(day, ())
@@ -213,21 +214,15 @@ def run_scenario(
                 warnings.append(f"{day}: update event for '{target}' matched no Target role")
     repo.publish_timestamps(len(ticks) - published)
 
-    totals = repo.ledger_totals()
-    return RunResult(
-        device_name=totals.name,
-        assignment=assignment.label,
-        sig_bytes=totals.sig_bytes,
-        pk_bytes=totals.pk_bytes,
-        cost=totals.cost,
-        total_signatures=totals.signatures,
-        rollover_events=totals.rollover_events,
-        root_publications=totals.root_publications,
+    slot_counts = tuple(
+        (state.lifetime_sigs, state.key_publications) if state else (0, 0) for state in states
+    )
+    return Simulation(
+        slot_counts=slot_counts,
+        total_signatures=sum(sigs for sigs, _ in slot_counts),
+        rollover_events=repo.rollover_events,
+        root_publications=repo.root_publications,
         warnings=tuple(warnings),
-        slot_counts=tuple(
-            (state.lifetime_sigs, state.key_publications) if state else (0, 0)
-            for state in states
-        ),
     )
 
 
@@ -238,49 +233,49 @@ def run_sweep(
     ticks: Timeline,
     catalog: list[SignatureAlgorithm],
 ) -> list[RunResult]:
-    """Run each assignment against a fresh repository, preserving input order.
+    """Run each assignment and return its priced result, in input order.
 
-    Every assignment resolves first, one algorithm per slot, so a bad name
-    fails before anything runs.  Assignments whose slots have the same
-    budgets form a group, and each group makes one `run_scenario` call,
-    for its first member.  Every member is priced from that run's
+    All algorithm names — from role specs, the assignments, and scripted
+    add actions — resolve against the catalog first, one algorithm per
+    slot, so a bad name fails before anything runs.  Then `run_scenario`
+    runs once per distinct vector of slot budgets, the first time an
+    assignment has it, and each assignment is priced from that run's
     `slot_counts` with its own algorithms, which gives exactly what a run
-    of its own would.  A member's warnings on its own assignment rows come
-    first; the rest depend only on names and dates and come from the
-    group's run.
+    of its own would.  An assignment's warnings are those on its own rows
+    first — a per-role row naming no role of the architecture or of an
+    add action, and a row whose every role pins its algorithm — then the
+    run's.
     """
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
     by_name = {alg.name: alg for alg in catalog}
     slots = _slots(arch, calendar)
     resolved = [_resolve(slots, assignment, by_name) for assignment in assignments]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for member, algorithms in enumerate(resolved):
-        groups.setdefault(tuple(alg.max_sigs for alg in algorithms), []).append(member)
-
-    fronts = [tuple(_assignment_warnings(slots, assignment)) for assignment in assignments]
-    results: dict[int, RunResult] = {}
-    for members in groups.values():
-        first = members[0]
-        # the run needs no catalog entry beyond the first member's own
-        run = run_scenario(
-            arch, assignments[first], calendar, ticks, list(dict.fromkeys(resolved[first]))
+    runs: dict[tuple[int, ...], Simulation] = {}
+    results = []
+    for assignment, algorithms in zip(assignments, resolved):
+        budgets = tuple(alg.max_sigs for alg in algorithms)
+        run = runs.get(budgets)
+        if run is None:
+            run = runs[budgets] = run_scenario(arch, calendar, ticks, algorithms)
+        sig_bytes, pk_bytes, cost, signatures = price_counts(
+            (alg, sigs, keys) for alg, (sigs, keys) in zip(algorithms, run.slot_counts)
         )
-        shared = run.warnings[len(fronts[first]):]
-        for member in members:
-            sig_bytes, pk_bytes, cost, signatures = price_counts(
-                (alg, sigs, keys) for alg, (sigs, keys) in zip(resolved[member], run.slot_counts)
-            )
-            results[member] = replace(
-                run,
-                assignment=assignments[member].label,
+        results.append(
+            RunResult(
+                device_name=arch.device_name,
+                assignment=assignment.label,
                 sig_bytes=sig_bytes,
                 pk_bytes=pk_bytes,
                 cost=cost,
                 total_signatures=signatures,
-                warnings=fronts[member] + shared,
+                rollover_events=run.rollover_events,
+                root_publications=run.root_publications,
+                warnings=tuple(_assignment_warnings(slots, assignment)) + run.warnings,
+                slot_counts=run.slot_counts,
             )
-    return [results[member] for member in range(len(assignments))]
+        )
+    return results
 
 
 def emit_report_csv(results: list[RunResult]) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -217,8 +218,8 @@ def generate_poisson_events(
         raise CalendarError(f"start date {start} is after end date {end}")
     events: set[tuple[date, str]] = set()
     for offset in range((end - start).days + 1):
-        u = _uniform01(seed, offset)
-        if _poisson_draw(u, rate_per_day) >= 1:
+        # a draw is >= 1 exactly when u is past the mass at 0, exp(-rate)
+        if _uniform01(seed, offset) >= math.exp(-rate_per_day):
             events.add((start + timedelta(days=offset), target))
     return EventCalendar(update_events=frozenset(events))
 
@@ -232,9 +233,20 @@ def merge_calendars(a: EventCalendar, b: EventCalendar) -> EventCalendar:
     )
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_iso_date(text: str) -> date:
+    """A strict YYYY-MM-DD date; ValueError for any other form, whatever
+    else `date.fromisoformat` accepts on this Python version."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _parse_date(text: str, lineno: int) -> date:
     try:
-        return date.fromisoformat(text)
+        return parse_iso_date(text)
     except ValueError:
         raise CalendarError(f"row {lineno}: invalid date {text!r}") from None
 
@@ -260,17 +272,3 @@ def _uniform01(seed: int, index: int) -> float:
     word = _splitmix64((_splitmix64(seed & _MASK64) + index) & _MASK64)
     return (word >> 11) * 2.0**-53
 
-
-def _poisson_draw(u: float, rate: float) -> int:
-    """Inverse-transform Poisson sample: smallest k with CDF(k) > u."""
-    term = math.exp(-rate)
-    cumulative = term
-    k = 0
-    while u >= cumulative:
-        k += 1
-        term *= rate / k
-        advanced = cumulative + term
-        if advanced == cumulative:  # tail mass below float resolution
-            break
-        cumulative = advanced
-    return k

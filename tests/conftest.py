@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from tufsim import EventCalendar, SignatureAlgorithm
+from tufsim import EventCalendar, RunResult, SignatureAlgorithm, run_sweep
 
 
 def make_alg(
@@ -15,6 +15,12 @@ def make_alg(
     cost: float = 1.0,
 ) -> SignatureAlgorithm:
     return SignatureAlgorithm(name, sig_size, pk_size, max_sigs, cost)
+
+
+def run_one(arch, assignment, calendar, ticks, catalog) -> RunResult:
+    """The result of a sweep of one assignment, the one way to run it."""
+    [result] = run_sweep(arch, [assignment], calendar, ticks, catalog)
+    return result
 
 
 @pytest.fixture

@@ -28,11 +28,10 @@ from tufsim import (
     generate_poisson_events,
     generate_ticks,
     parse_algorithm_catalog,
-    run_scenario,
     run_sweep,
 )
 from tufsim.cli import run_cli
-from tests.conftest import make_alg
+from tests.conftest import make_alg, run_one
 
 START = date(2020, 1, 1)
 
@@ -58,7 +57,7 @@ def ten_day_setup(max_sigs: int):
 def test_criterion_1_golden_trace_a():
     with criterion(1, "golden trace A (no-rollover ten-day run)"):
         calendar, ticks, catalog = ten_day_setup(10**6)
-        r = run_scenario(default_architecture(), Uniform("AlgA"), calendar, ticks, catalog)
+        r = run_one(default_architecture(), Uniform("AlgA"), calendar, ticks, catalog)
         assert r.total_signatures == 17
         assert r.sig_bytes == 1700
         assert r.pk_bytes == 200
@@ -70,7 +69,7 @@ def test_criterion_1_golden_trace_a():
 def test_criterion_2_golden_trace_b():
     with criterion(2, "golden trace B (four-signature keys force rollover)"):
         calendar, ticks, catalog = ten_day_setup(4)
-        r = run_scenario(default_architecture(), Uniform("AlgA"), calendar, ticks, catalog)
+        r = run_one(default_architecture(), Uniform("AlgA"), calendar, ticks, catalog)
         assert r.total_signatures == 19
         assert r.sig_bytes == 1900
         assert r.pk_bytes == 600
@@ -90,7 +89,7 @@ def test_criterion_3_closed_form_oracle():
             event_days = rng.sample(days, rng.randint(0, min(D, 25)))
             calendar = EventCalendar(update_events={(d, "Target 1") for d in event_days})
             ticks = generate_ticks(START, days[-1], Cadence.DAILY)
-            r = run_scenario(default_architecture(), Uniform("AlgA"), calendar, ticks, catalog)
+            r = run_one(default_architecture(), Uniform("AlgA"), calendar, ticks, catalog)
             E = len(event_days)
             e1 = int(START in event_days)
             assert r.total_signatures == D + 3 + 2 * (E - e1)
@@ -167,7 +166,7 @@ def test_criterion_5_byte_linearity():
             ticks = generate_ticks(START, days[-1], Cadence.DAILY)
             max_sigs = rng.choice([2, 5, 1000])
             sig, pk = rng.randint(1, 500), rng.randint(1, 200)
-            base = run_scenario(
+            base = run_one(
                 default_architecture(),
                 Uniform("Alg"),
                 calendar,
@@ -175,7 +174,7 @@ def test_criterion_5_byte_linearity():
                 [make_alg("Alg", sig_size=sig, pk_size=pk, max_sigs=max_sigs)],
             )
             for k in (2, 10):
-                scaled = run_scenario(
+                scaled = run_one(
                     default_architecture(),
                     Uniform("Alg"),
                     calendar,
@@ -209,7 +208,7 @@ def test_criterion_7_throughput():
         year = generate_ticks(START, date(2020, 12, 31), Cadence.DAILY)
 
         started = time.perf_counter()
-        run_scenario(arch, Uniform("AlgA"), EventCalendar(), year, catalog)
+        run_one(arch, Uniform("AlgA"), EventCalendar(), year, catalog)
         one_year = time.perf_counter() - started
         assert one_year < 0.1, f"one-year daily run took {one_year:.3f}s"
 
@@ -222,7 +221,7 @@ def test_criterion_7_throughput():
         decade = generate_ticks(START, date(2029, 12, 31), Cadence.HOURLY)
         assert len(decade) < 88_000
         started = time.perf_counter()
-        run_scenario(arch, Uniform("AlgA"), EventCalendar(), decade, catalog)
+        run_one(arch, Uniform("AlgA"), EventCalendar(), decade, catalog)
         hourly = time.perf_counter() - started
         assert hourly < 10.0, f"ten-year hourly run took {hourly:.3f}s"
 
@@ -232,7 +231,7 @@ def test_criterion_7_throughput():
         budgeted = [make_alg("AlgH10", max_sigs=1024)]
         started = time.perf_counter()
         minute_year = generate_ticks(START, end, Cadence.MINUTE)
-        run_scenario(arch, Uniform("AlgH10"), events, minute_year, budgeted)
+        run_one(arch, Uniform("AlgH10"), events, minute_year, budgeted)
         minute = time.perf_counter() - started
         assert minute < 1.0, f"one-year minute run took {minute:.3f}s"
 

@@ -161,6 +161,16 @@ def test_invalid_date_flag(inputs):
     assert status != 0
 
 
+@pytest.mark.parametrize("text", ["20200105", "2020-W02-1", "2020W021"])
+def test_start_must_be_yyyy_mm_dd(inputs, text):
+    args = base_args(inputs)
+    args[args.index("--start") + 1] = text
+    status, out, err = invoke(args)
+    assert status != 0
+    assert out == ""
+    assert f"invalid date '{text}'; expected YYYY-MM-DD" in err
+
+
 def test_missing_required_flag(inputs):
     status, _, err = invoke(["--start", "2020-01-01", "--end", "2020-01-02"])
     assert status != 0

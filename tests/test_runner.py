@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tufsim.runner
+from tufsim.runner import Simulation, run_scenario
 from tufsim import (
     ActionKind,
     Architecture,
@@ -23,15 +24,15 @@ from tufsim import (
     Uniform,
     default_architecture,
     emit_report_csv,
+    find_algorithm,
     generate_poisson_events,
     generate_ticks,
     load_role_actions,
     parse_architecture_csv,
     parse_assignment_csv,
-    run_scenario,
     run_sweep,
 )
-from tests.conftest import make_alg
+from tests.conftest import make_alg, run_one
 from tests.oracle import materialized_ticks, reference_run
 
 START = date(2020, 1, 1)
@@ -52,7 +53,7 @@ def ten_day_events():
 
 class TestRunScenario:
     def test_ten_day_trace(self):
-        result = run_scenario(
+        result = run_one(
             default_architecture(),
             Uniform("AlgA"),
             ten_day_events(),
@@ -68,8 +69,21 @@ class TestRunScenario:
         assert result.root_publications == 1
         assert result.warnings == ()
 
+    def test_run_scenario_only_counts_a_slot_vector(self):
+        simulation = run_scenario(
+            default_architecture(), ten_day_events(), ten_day_ticks(), [make_alg()] * 4
+        )
+        # lifetimes from the ten-day trace: root 1, timestamp 10, snapshot 3, target 3
+        assert simulation == Simulation(
+            slot_counts=((1, 1), (10, 1), (3, 1), (3, 1)),
+            total_signatures=17,
+            rollover_events=4,
+            root_publications=1,
+            warnings=(),
+        )
+
     def test_ten_day_trace_with_key_exhaustion(self):
-        result = run_scenario(
+        result = run_one(
             default_architecture(),
             Uniform("AlgA"),
             ten_day_events(),
@@ -84,7 +98,7 @@ class TestRunScenario:
         assert result.root_publications == 3
 
     def test_zero_ticks(self):
-        result = run_scenario(
+        result = run_one(
             default_architecture(), Uniform("AlgA"), EventCalendar(), [], [make_alg()]
         )
         assert result.total_signatures == 0
@@ -94,7 +108,7 @@ class TestRunScenario:
 
     def test_unknown_target_warns_and_continues(self):
         calendar = EventCalendar(update_events={(date(2020, 1, 3), "Target X")})
-        result = run_scenario(
+        result = run_one(
             default_architecture(), Uniform("AlgA"), calendar, ten_day_ticks(), [make_alg()]
         )
         assert len(result.warnings) == 1
@@ -104,7 +118,7 @@ class TestRunScenario:
 
     def test_unresolvable_algorithm_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="AlgZ"):
-            run_scenario(
+            run_one(
                 default_architecture(),
                 Uniform("AlgZ"),
                 EventCalendar(),
@@ -114,7 +128,7 @@ class TestRunScenario:
 
     def test_per_role_assignment_missing_name(self):
         with pytest.raises(ConfigurationError, match="Snapshot 1"):
-            run_scenario(
+            run_one(
                 default_architecture(),
                 PerRole({"Root 1": "AlgA", "Timestamp 1": "AlgA", "Target 1": "AlgA"}),
                 EventCalendar(),
@@ -133,7 +147,7 @@ class TestRunScenario:
             ),
         )
         catalog = [make_alg("AlgA"), make_alg("AlgBig", sig_size=1000)]
-        result = run_scenario(
+        result = run_one(
             arch, Uniform("AlgA"), EventCalendar(), ten_day_ticks(), catalog
         )
         # ten timestamp signatures at 1000 B, seven others at 100 B
@@ -150,7 +164,7 @@ class TestRunScenario:
                 RoleSpec("Target 1", RoleType.TARGET),
             ),
         )
-        result = run_scenario(
+        result = run_one(
             arch, Uniform("AlgA"), ten_day_events(), ten_day_ticks(), [make_alg()]
         )
         # same signature count as the plain trace, one extra key in the root file
@@ -166,7 +180,7 @@ class TestRunScenario:
             update_events={(date(2020, 1, 3), "Target 2")},
             role_actions=actions.role_actions,
         )
-        result = run_scenario(
+        result = run_one(
             default_architecture(), Uniform("AlgA"), calendar, ten_day_ticks(), [make_alg()]
         )
         # the staged update lands on the role added the same day
@@ -177,7 +191,7 @@ class TestRunScenario:
             "Date,Action,Name,RoleType,Algorithm,Flag\n"
             "2020-01-05,remove,Root 1,,,\n"
         )
-        result = run_scenario(
+        result = run_one(
             default_architecture(),
             Uniform("AlgA"),
             EventCalendar(role_actions=actions.role_actions),
@@ -211,7 +225,7 @@ class TestClosedFormOracle:
                 update_events={(d, "Target 1") for d in event_days}
             )
             ticks = generate_ticks(START, days[-1], Cadence.DAILY)
-            result = run_scenario(
+            result = run_one(
                 default_architecture(), Uniform("AlgA"), calendar, ticks, [make_alg()]
             )
             e1 = int(START in event_days)
@@ -277,7 +291,7 @@ class TestEngineMatchesTickByTick:
     @settings(deadline=None, max_examples=100)
     def test_same_result_and_report(self, run):
         expected = reference_run(*run)
-        result = run_scenario(*run)
+        result = run_one(*run)
         assert result == expected
         assert result.slot_counts == expected.slot_counts
         assert emit_report_csv([result]) == emit_report_csv([expected])
@@ -290,8 +304,8 @@ class TestInputsThatCannotApplyWarn:
             update_events={(date(2020, 1, 3), "Target 1")},
             role_actions=(RoleAction(date(2020, 1, 4), ActionKind.REMOVE, "Root 1"),),
         )
-        result = run_scenario(default_architecture(), Uniform("AlgA"), calendar, ticks, [make_alg()])
-        empty = run_scenario(
+        result = run_one(default_architecture(), Uniform("AlgA"), calendar, ticks, [make_alg()])
+        empty = run_one(
             default_architecture(), Uniform("AlgA"), EventCalendar(), ticks, [make_alg()]
         )
         assert replace(result, warnings=()) == empty
@@ -305,10 +319,10 @@ class TestInputsThatCannotApplyWarn:
         add = RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 2", RoleType.TARGET)
         calendar = EventCalendar(role_actions=(add,))
         extra = PerRole({**rows, "Target 7": "AlgA", "Target 2": "AlgA", "Ghost": "AlgZ"})
-        result = run_scenario(
+        result = run_one(
             default_architecture(), extra, calendar, ten_day_ticks(), [make_alg()]
         )
-        plain = run_scenario(
+        plain = run_one(
             default_architecture(), PerRole({**rows, "Target 2": "AlgA"}), calendar,
             ten_day_ticks(), [make_alg()],
         )
@@ -332,11 +346,11 @@ class TestInputsThatCannotApplyWarn:
         calendar = EventCalendar(role_actions=(pinned_add,))
         rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA"}
         catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=7)]
-        result = run_scenario(
+        result = run_one(
             arch, PerRole({**rows, "Target 1": "AlgB", "Target 2": "AlgB"}), calendar,
             ten_day_ticks(), catalog,
         )
-        plain = run_scenario(arch, PerRole(rows), calendar, ten_day_ticks(), catalog)
+        plain = run_one(arch, PerRole(rows), calendar, ten_day_ticks(), catalog)
         assert replace(result, warnings=()) == plain
         assert plain.warnings == ()
         assert result.warnings == (
@@ -349,7 +363,7 @@ class TestInputsThatCannotApplyWarn:
         pinned = RoleAction(date(2020, 1, 6), ActionKind.ADD, "Target 1", RoleType.TARGET, "AlgB")
         rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA"}
         catalog = [make_alg("AlgA"), make_alg("AlgB")]
-        taken = run_scenario(
+        taken = run_one(
             default_architecture(), PerRole(rows), EventCalendar(role_actions=(pinned, unpinned)),
             ten_day_ticks(), catalog,
         )
@@ -358,7 +372,7 @@ class TestInputsThatCannotApplyWarn:
             "Device_A",
             tuple(replace(spec, algorithm_name="AlgA") for spec in default_architecture().role_specs),
         )
-        overridden = run_scenario(
+        overridden = run_one(
             arch, PerRole(rows), EventCalendar(role_actions=(pinned,)), ten_day_ticks(), catalog
         )
         assert overridden.warnings == tuple(
@@ -378,8 +392,8 @@ class TestInputsThatCannotApplyWarn:
         )
         dropped = len(calendar.update_events) + len(calendar.role_actions)
         dropped -= len(kept.update_events) + len(kept.role_actions)
-        full = run_scenario(arch, assignment, calendar, timeline, catalog)
-        on_ticks = run_scenario(arch, assignment, kept, timeline, catalog)
+        full = run_one(arch, assignment, calendar, timeline, catalog)
+        on_ticks = run_one(arch, assignment, kept, timeline, catalog)
         assert replace(full, warnings=()) == replace(on_ticks, warnings=())
         extra = Counter(full.warnings) - Counter(on_ticks.warnings)
         assert len(full.warnings) == len(on_ticks.warnings) + dropped
@@ -390,7 +404,7 @@ class TestInputsThatCannotApplyWarn:
 class TestLedgerIsOrderIndependent:
     def test_hourly_decade_cost_is_exact(self):
         end = date(2029, 12, 31)
-        result = run_scenario(
+        result = run_one(
             default_architecture(),
             Uniform("AlgA"),
             generate_poisson_events(0.1, START, end, 0, "Target 1"),
@@ -408,7 +422,7 @@ class TestLedgerIsOrderIndependent:
         shuffled = Architecture(
             arch.device_name, tuple(data.draw(st.permutations(arch.role_specs)))
         )
-        assert run_scenario(shuffled, *rest) == reference_run(arch, *rest)
+        assert run_one(shuffled, *rest) == reference_run(arch, *rest)
 
 
 class TestRunSweep:
@@ -436,7 +450,7 @@ class TestRunSweep:
             default_architecture(), assignments, ten_day_events(), ten_day_ticks(), catalog
         )
         alone = [
-            run_scenario(
+            run_one(
                 default_architecture(), a, ten_day_events(), ten_day_ticks(), catalog
             )
             for a in assignments
@@ -481,14 +495,14 @@ class TestRunSweep:
             )
             ticks = generate_ticks(START, days[-1], Cadence.DAILY)
             max_sigs = rng.choice([2, 5, 10**6])
-            small = run_scenario(
+            small = run_one(
                 default_architecture(),
                 Uniform("Alg"),
                 calendar,
                 ticks,
                 [make_alg("Alg", sig_size=10, pk_size=5, max_sigs=max_sigs, cost=0.25)],
             )
-            big = run_scenario(
+            big = run_one(
                 default_architecture(),
                 Uniform("Alg"),
                 calendar,
@@ -521,13 +535,13 @@ def sweep_runs(draw):
 
 
 def counted_runs(monkeypatch):
-    """Record the assignment of each call the sweep makes of the
-    module-global `run_scenario`."""
+    """Record the per-slot algorithm names of each call the sweep makes of
+    the module-global `run_scenario`."""
     calls = []
 
-    def counting(*args):
-        calls.append(args[1])
-        return run_scenario(*args)
+    def counting(arch, calendar, ticks, algorithms):
+        calls.append(tuple(alg.name for alg in algorithms))
+        return run_scenario(arch, calendar, ticks, algorithms)
 
     monkeypatch.setattr(tufsim.runner, "run_scenario", counting)
     return calls
@@ -576,8 +590,9 @@ class TestSweepSimulatesOncePerBudgetVector:
         expected = [reference_run(arch, a, calendar, ten_day_ticks(), catalog) for a in assignments]
         assert swept == expected
         assert [r.slot_counts for r in swept] == [r.slot_counts for r in expected]
-        # base, same-budgets and pinned-row share one budget vector
-        assert [a.label for a in calls] == ["base", "small-add"]
+        # base, same-budgets and pinned-row share one budget vector; the
+        # run is made with the algorithms of the first, base
+        assert calls == [("AlgA",) * 5, ("AlgA",) * 4 + ("AlgSmall",)]
         assert swept[3].warnings == (
             "assignment row for 'Timestamp 1' is overridden by its pinned algorithm 'AlgA'",
         )
@@ -604,9 +619,26 @@ class TestSweepSimulatesOncePerBudgetVector:
         assert len(swept[0].slot_counts) == 6
         assert swept[0].slot_counts[4] == swept[0].slot_counts[5] != (0, 0)
 
+    def test_each_slot_resolves_once_per_assignment(self, monkeypatch):
+        names = []
+
+        def counting(name, index):
+            names.append(name)
+            return find_algorithm(name, index)
+
+        monkeypatch.setattr(tufsim.runner, "find_algorithm", counting)
+        add = RoleAction(date(2020, 1, 4), ActionKind.ADD, "Target 2", RoleType.TARGET)
+        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=7), make_alg("AlgC", max_sigs=3)]
+        run_sweep(
+            default_architecture(), [Uniform(a.name) for a in catalog],
+            EventCalendar(role_actions=(add,)), ten_day_ticks(), catalog,
+        )
+        # five slots: four role specs and one add
+        assert names == [name for name in ("AlgA", "AlgB", "AlgC") for _ in range(5)]
+
     def test_add_on_a_date_without_a_tick_counts_zero(self):
         add = RoleAction(date(2020, 1, 3), ActionKind.ADD, "Target 2", RoleType.TARGET)
-        result = run_scenario(
+        result = run_one(
             default_architecture(), Uniform("AlgA"), EventCalendar(role_actions=(add,)),
             generate_ticks(START, date(2020, 1, 31), Cadence.WEEKLY), [make_alg()],
         )
@@ -620,9 +652,9 @@ class TestSweepSimulatesOncePerBudgetVector:
             default_architecture(), [Uniform(a.name) for a in catalog], ten_day_events(),
             ten_day_ticks(), catalog,
         )
-        assert [a.label for a in calls] == ["Alg0"]
+        assert calls == [("Alg0",) * 4]
         assert swept == [
-            run_scenario(default_architecture(), Uniform(a.name), ten_day_events(),
+            run_one(default_architecture(), Uniform(a.name), ten_day_events(),
                          ten_day_ticks(), catalog)
             for a in catalog
         ]
@@ -639,7 +671,7 @@ class TestSweepSimulatesOncePerBudgetVector:
 
 class TestEmitReportCsv:
     def test_golden_row(self):
-        result = run_scenario(
+        result = run_one(
             default_architecture(), Uniform("AlgA"), ten_day_events(), ten_day_ticks(), [make_alg()]
         )
         text = emit_report_csv([result])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from datetime import date, timedelta
 
 import pytest
@@ -22,6 +23,9 @@ from tufsim import (
 from tests.oracle import materialized_ticks
 
 START = date(2020, 1, 1)
+# basic-format and week dates: `date.fromisoformat` takes them from Python
+# 3.11 on, but they are not YYYY-MM-DD
+NOT_YYYY_MM_DD = ["20200105", "2020-W02-1", "2020W021"]
 
 
 class TestGenerateTicks:
@@ -155,6 +159,11 @@ class TestLoadEventDates:
         with pytest.raises(CalendarError, match="row 2"):
             load_event_dates("Date\n2020-13-40\n", "Target 1")
 
+    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+    def test_date_must_be_yyyy_mm_dd(self, text):
+        with pytest.raises(CalendarError, match=f"row 2: invalid date '{text}'"):
+            load_event_dates(f"Date\n{text}\n", "Target 1")
+
     def test_missing_date_header(self):
         with pytest.raises(CalendarError, match="Date"):
             load_event_dates("When\n2020-01-03\n", "Target 1")
@@ -208,6 +217,14 @@ class TestPoissonEvents:
         end = date(2020, 6, 1)
         calendar = generate_poisson_events(0.5, START, end, 9, "Target 1")
         assert all(START <= day <= end for day, _ in calendar.update_events)
+
+    def test_calendar_digest_is_pinned(self):
+        calendar = generate_poisson_events(0.3, START, date(2020, 12, 31), 42, "Target 1")
+        text = "\n".join(day.isoformat() for day, _ in sorted(calendar.update_events))
+        assert len(calendar.update_events) == 97
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9c62dcf4ed5c695bdab111250bad0c28766f3d660738985d66ef8468945d6274"
+        )
 
 
 class TestMergeCalendars:
@@ -281,6 +298,11 @@ class TestLoadRoleActions:
     def test_action_case_is_insensitive(self):
         calendar = load_role_actions(self.HEADER + "2020-01-02,Remove,Target 2,,,\n")
         assert calendar.role_actions[0].kind is ActionKind.REMOVE
+
+    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+    def test_date_must_be_yyyy_mm_dd(self, text):
+        with pytest.raises(CalendarError, match=f"row 2: invalid date '{text}'"):
+            load_role_actions(self.HEADER + f"{text},remove,Target 2,,,\n")
 
     def test_unknown_action_rejected(self):
         with pytest.raises(CalendarError, match="row 2"):
