@@ -9,6 +9,7 @@ can be compared against conventional ones over identical update schedules.
 """
 
 from .algorithms import (
+    Catalog,
     SignatureAlgorithm,
     find_algorithm,
     parse_algorithm_catalog,
@@ -57,6 +58,7 @@ __all__ = [
     "Architecture",
     "Cadence",
     "CalendarError",
+    "Catalog",
     "CatalogError",
     "ConfigurationError",
     "EventCalendar",

@@ -36,9 +36,14 @@ def read_table(
             raise error(f"{what} is missing the '{column}' column")
     positions = [header.index(column) for column in required]
     positions += [header.index(c) if c in header else None for c in optional]
+    # a row this wide has every cell, unless an optional column is absent
+    width = float("inf") if None in positions else max(positions) + 1
     for lineno, row in enumerate(rows, start=2):
-        if not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
-        yield lineno, [
-            row[i].strip() if i is not None and i < len(row) else "" for i in positions
-        ]
+        if len(row) >= width:
+            yield lineno, [row[i].strip() for i in positions]
+        else:
+            yield lineno, [
+                row[i].strip() if i is not None and i < len(row) else "" for i in positions
+            ]

@@ -1,14 +1,22 @@
 """Signature-algorithm parameter catalogs.
 
-A catalog is a list of named parameter sets (signature size, public-key size,
-signature budget per key, per-verification cost) loaded from a CSV table.
+A catalog is a sequence of named parameter sets (signature size, public-key
+size, signature budget per key, per-verification cost) loaded from a CSV
+table.  Every row is checked when the table is parsed, but a row becomes a
+`SignatureAlgorithm` only when it is first read, since a sweep over a large
+catalog may use a handful of its rows.
+
 Catalogs are immutable after parsing and safe to share between threads.
+What a catalog fills in on first read never changes what a read returns:
+each built entry is stored with `dict.setdefault`, so threads that read a
+row for the first time at once all get the one object stored first, and
+the name list behind indexing comes out the same whichever thread makes it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -25,7 +33,10 @@ _REQUIRED_COLUMNS = (
 
 # Signature budgets are kept as exact integers; a budget from this bound up
 # would overflow a signed 64-bit counter.
-_MAX_SIGS_BOUND = Decimal(2**63)
+_MAX_SIGS_BOUND = 2**63
+
+# A row's checked fields: sig_size, pk_size, max_sigs, cost.
+_Fields = tuple[int, int, int, float]
 
 
 @dataclass(frozen=True)
@@ -46,17 +57,74 @@ class SignatureAlgorithm:
     def __post_init__(self) -> None:
         if not self.name.strip():
             raise ValidationError("algorithm name must be non-empty")
-        if self.sig_size < 0:
-            raise ValidationError(f"{self.name}: sig_size must be >= 0")
-        if self.pk_size < 0:
-            raise ValidationError(f"{self.name}: pk_size must be >= 0")
-        if self.max_sigs < 1:
-            raise ValidationError(f"{self.name}: max_sigs must be >= 1")
-        if not 0.0 <= self.cost < math.inf:
-            raise ValidationError(f"{self.name}: cost must be finite and >= 0")
+        problem = _range_problem(self.name, self.sig_size, self.pk_size, self.max_sigs, self.cost)
+        if problem is not None:
+            raise ValidationError(problem)
 
 
-def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
+class Catalog(Sequence[SignatureAlgorithm]):
+    """The entries of a catalog in file order, with a lookup by name.
+
+    Build one from `SignatureAlgorithm`s with `Catalog(algorithms)`; names
+    must be unique.  `parse_algorithm_catalog` builds one from checked rows,
+    each turned into a `SignatureAlgorithm` the first time it is read and
+    cached, so every read of a name gives the same object.  A catalog
+    equals another with the same entries in the same order, and a list of
+    them.
+    """
+
+    def __init__(self, algorithms: Iterable[SignatureAlgorithm] = ()) -> None:
+        self._fields: dict[str, _Fields] = {}
+        self._built: dict[str, SignatureAlgorithm] = {}
+        self._names: list[str] | None = None  # for indexing, made on first use
+        for algorithm in algorithms:
+            name = algorithm.name
+            if name in self._fields:
+                raise CatalogError(f"duplicate algorithm name '{name}'")
+            self._fields[name] = (
+                algorithm.sig_size, algorithm.pk_size, algorithm.max_sigs, algorithm.cost
+            )
+            self._built[name] = algorithm
+
+    @classmethod
+    def _of_rows(cls, fields: dict[str, _Fields]) -> Catalog:
+        catalog = cls()
+        catalog._fields = fields
+        return catalog
+
+    def get(self, name: str) -> SignatureAlgorithm | None:
+        """The entry named exactly `name`, or None."""
+        algorithm = self._built.get(name)
+        if algorithm is None:
+            fields = self._fields.get(name)
+            if fields is None:
+                return None
+            algorithm = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
+        return algorithm
+
+    def __len__(self) -> int:
+        return len(self._fields)
+
+    def __getitem__(self, index: int) -> SignatureAlgorithm:
+        if self._names is None:
+            self._names = list(self._fields)
+        return self.get(self._names[index])
+
+    def __iter__(self) -> Iterator[SignatureAlgorithm]:
+        return map(self.get, self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Catalog):
+            return list(self._fields.items()) == list(other._fields.items())
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Catalog({list(self)!r})"
+
+
+def parse_algorithm_catalog(csv_text: str) -> Catalog:
     """Parse an algorithm catalog from CSV text.
 
     The first row must name the five required columns (surrounding
@@ -65,46 +133,51 @@ def parse_algorithm_catalog(csv_text: str) -> list[SignatureAlgorithm]:
     decimal scientific notation such as ``1E4``, truncated to an integer.
     Blank rows are skipped.  A cell missing from a short row reads as
     empty and fails its field's check.  Empty and duplicate names are
-    rejected.  Every error names its row.
+    rejected.  Every row is checked here, and every error names its row.
     """
-    catalog: list[SignatureAlgorithm] = []
-    seen: set[str] = set()
+    rows: dict[str, _Fields] = {}
     for lineno, (name, sig_size, pk_size, max_sigs, cost) in read_table(
         csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS
     ):
         if not name:
             raise CatalogError(f"row {lineno}: algorithm name is empty")
-        if name in seen:
+        if name in rows:
             raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
-        seen.add(name)
-
-        try:
-            catalog.append(
-                SignatureAlgorithm(
-                    name=name,
-                    sig_size=_parse_int(sig_size, "Signature Size", lineno),
-                    pk_size=_parse_int(pk_size, "Public Key Size", lineno),
-                    max_sigs=_parse_max_sigs(max_sigs, lineno),
-                    cost=_parse_float(cost, "Computational Cost", lineno),
-                )
-            )
-        except ValidationError as exc:  # a range check in SignatureAlgorithm
-            raise ValidationError(f"row {lineno}: {exc}") from None
-    return catalog
+        fields = sigs, keys, budget, price = (
+            _parse_int(sig_size, "Signature Size", lineno),
+            _parse_int(pk_size, "Public Key Size", lineno),
+            _parse_max_sigs(max_sigs, lineno),
+            _parse_float(cost, "Computational Cost", lineno),
+        )
+        # _range_problem's checks, inline: a call per row would cost a
+        # tenth of the parse
+        if sigs < 0 or keys < 0 or budget < 1 or not 0.0 <= price < math.inf:
+            raise ValidationError(f"row {lineno}: {_range_problem(name, *fields)}")
+        rows[name] = fields
+    return Catalog._of_rows(rows)
 
 
-def find_algorithm(
-    name: str, index: Mapping[str, SignatureAlgorithm]
-) -> SignatureAlgorithm:
-    """Return the entry named exactly `name` from a `{name: algorithm}`
-    index of a catalog, such as `{alg.name: alg for alg in catalog}`.
+def find_algorithm(name: str, catalog: Catalog) -> SignatureAlgorithm:
+    """Return the catalog entry named exactly `name`."""
+    algorithm = catalog.get(name)
+    if algorithm is None:
+        raise AlgorithmNotFoundError("Requested algorithm type not found.")
+    return algorithm
 
-    Catalog names are unique, so the index loses no entry.
-    """
-    try:
-        return index[name]
-    except KeyError:
-        raise AlgorithmNotFoundError("Requested algorithm type not found.") from None
+
+def _range_problem(
+    name: str, sig_size: int, pk_size: int, max_sigs: int, cost: float
+) -> str | None:
+    """The message of the first range check the fields fail, or None."""
+    if sig_size < 0:
+        return f"{name}: sig_size must be >= 0"
+    if pk_size < 0:
+        return f"{name}: pk_size must be >= 0"
+    if max_sigs < 1:
+        return f"{name}: max_sigs must be >= 1"
+    if not 0.0 <= cost < math.inf:
+        return f"{name}: cost must be finite and >= 0"
+    return None
 
 
 def _parse_int(text: str, column: str, lineno: int) -> int:
@@ -126,6 +199,22 @@ def _parse_float(text: str, column: str, lineno: int) -> float:
 
 
 def _parse_max_sigs(text: str, lineno: int) -> int:
+    """`Max Signatures` through `int()` when the cell is an integer literal,
+    which gives what `_parse_max_sigs_decimal` gives, faster."""
+    # int() rejects a point or an exponent, and its ValueError costs more
+    # than the Decimal parse, so a cell such as 1.024E3 goes there directly
+    if "." in text or "E" in text or "e" in text:
+        return _parse_max_sigs_decimal(text, lineno)
+    try:
+        value = int(text)
+    except ValueError:  # not an integer literal, or past int()'s digit limit
+        return _parse_max_sigs_decimal(text, lineno)
+    if value >= _MAX_SIGS_BOUND:
+        raise _max_sigs_too_large(text, lineno)
+    return value if value > 0 else 0
+
+
+def _parse_max_sigs_decimal(text: str, lineno: int) -> int:
     try:
         value = Decimal(text)
     except InvalidOperation:
@@ -136,10 +225,12 @@ def _parse_max_sigs(text: str, lineno: int) -> int:
         )
     # int() of a cell such as 1E1000000 or -1E1000000 takes seconds, so the
     # bounds are checked on the Decimal.  int() truncates, so this check is
-    # int(value) > 2**63 - 1; a negative value becomes 0, which
-    # SignatureAlgorithm rejects with the same error whatever the cell.
+    # int(value) > 2**63 - 1; a negative value becomes 0, which the range
+    # check rejects with the same error whatever the cell.
     if value >= _MAX_SIGS_BOUND:
-        raise CatalogError(
-            f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1"
-        )
+        raise _max_sigs_too_large(text, lineno)
     return 0 if value.is_signed() else int(value)
+
+
+def _max_sigs_too_large(text: str, lineno: int) -> CatalogError:
+    return CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1")

@@ -101,6 +101,8 @@ class Repository:
         self.name = name
         self.roles: list[RoleState] = []
         self.retired: list[RoleState] = []  # removed roles, counts kept whole
+        # Target roles by name, so staging an update touches only its matches
+        self._targets: dict[str, list[RoleState]] = {}
         self.rollover_events = 0
         self.root_publications = 0
         self.update_root = True  # a fresh repository needs a first root file
@@ -113,7 +115,10 @@ class Repository:
 
         Duplicate names are permitted.
         """
-        self.roles.append(RoleState(name=name, role_type=role_type, algorithm=algorithm))
+        added = RoleState(name=name, role_type=role_type, algorithm=algorithm)
+        self.roles.append(added)
+        if role_type is RoleType.TARGET:
+            self._targets.setdefault(name, []).append(added)
         self.update_root = True
         for role in self.roles:
             if role.name == name and role.role_type == role_type:
@@ -131,6 +136,7 @@ class Repository:
         if removed:
             self.retired += [role for role in self.roles if role.name == name]
             self.roles[:] = kept
+            self._targets.pop(name, None)
             self.update_root = True
         return removed
 
@@ -150,12 +156,10 @@ class Repository:
         at the tick, from whether any Target signed.  Returns the number of
         matching Targets; no cost accrues here.
         """
-        matched = 0
-        for role in self.roles:
-            if role.name == target_name and role.role_type is RoleType.TARGET:
-                role.pending = True
-                matched += 1
-        return matched
+        targets = self._targets.get(target_name, ())
+        for role in targets:
+            role.pending = True
+        return len(targets)
 
     def rollover_check(self) -> int:
         """Stage key replacements: any role already flagged for rollover, or

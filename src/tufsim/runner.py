@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date
 
 from ._table import read_table
-from .algorithms import SignatureAlgorithm, find_algorithm
+from .algorithms import Catalog, SignatureAlgorithm, find_algorithm
 from .errors import AlgorithmNotFoundError, ConfigurationError
 from .repository import Repository, RoleState, RoleType, price_counts
 from .schedule import ActionKind, EventCalendar, RoleAction, Timeline
@@ -231,7 +231,7 @@ def run_sweep(
     assignments: list[AlgorithmAssignment],
     calendar: EventCalendar,
     ticks: Timeline,
-    catalog: list[SignatureAlgorithm],
+    catalog: Catalog,
 ) -> list[RunResult]:
     """Run each assignment and return its priced result, in input order.
 
@@ -248,9 +248,8 @@ def run_sweep(
     """
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
-    by_name = {alg.name: alg for alg in catalog}
     slots = _slots(arch, calendar)
-    resolved = [_resolve(slots, assignment, by_name) for assignment in assignments]
+    resolved = [_resolve(slots, assignment, catalog) for assignment in assignments]
     runs: dict[tuple[int, ...], Simulation] = {}
     results = []
     for assignment, algorithms in zip(assignments, resolved):
@@ -400,7 +399,7 @@ def _assignment_warnings(
 def _resolve(
     slots: list[tuple[str, str | None]],
     assignment: AlgorithmAssignment,
-    by_name: Mapping[str, SignatureAlgorithm],
+    catalog: Catalog,
 ) -> list[SignatureAlgorithm]:
     """Each slot's algorithm: its pin, else the assignment's choice."""
     algorithms = []
@@ -417,7 +416,7 @@ def _resolve(
                 )
             name = mapped
         try:
-            algorithms.append(find_algorithm(name, by_name))
+            algorithms.append(find_algorithm(name, catalog))
         except AlgorithmNotFoundError:
             raise ConfigurationError(
                 f"role '{role_name}': algorithm '{name}' is not in the catalog"

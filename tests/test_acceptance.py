@@ -18,6 +18,7 @@ import pytest
 
 from tufsim import (
     Cadence,
+    Catalog,
     EventCalendar,
     Repository,
     RoleType,
@@ -51,7 +52,7 @@ def ten_day_setup(max_sigs: int):
         update_events={(date(2020, 1, 3), "Target 1"), (date(2020, 1, 7), "Target 1")}
     )
     ticks = generate_ticks(START, date(2020, 1, 10), Cadence.DAILY)
-    return calendar, ticks, [make_alg(max_sigs=max_sigs)]
+    return calendar, ticks, Catalog([make_alg(max_sigs=max_sigs)])
 
 
 def test_criterion_1_golden_trace_a():
@@ -81,7 +82,7 @@ def test_criterion_2_golden_trace_b():
 def test_criterion_3_closed_form_oracle():
     with criterion(3, "closed-form oracle over 200 randomized no-rollover runs"):
         rng = random.Random(2024)
-        catalog = [make_alg()]
+        catalog = Catalog([make_alg()])
         started = time.perf_counter()
         for _ in range(200):
             D = rng.randint(1, 400)
@@ -171,7 +172,7 @@ def test_criterion_5_byte_linearity():
                 Uniform("Alg"),
                 calendar,
                 ticks,
-                [make_alg("Alg", sig_size=sig, pk_size=pk, max_sigs=max_sigs)],
+                Catalog([make_alg("Alg", sig_size=sig, pk_size=pk, max_sigs=max_sigs)]),
             )
             for k in (2, 10):
                 scaled = run_one(
@@ -179,7 +180,9 @@ def test_criterion_5_byte_linearity():
                     Uniform("Alg"),
                     calendar,
                     ticks,
-                    [make_alg("Alg", sig_size=k * sig, pk_size=k * pk, max_sigs=max_sigs)],
+                    Catalog(
+                        [make_alg("Alg", sig_size=k * sig, pk_size=k * pk, max_sigs=max_sigs)]
+                    ),
                 )
                 assert scaled.sig_bytes == k * base.sig_bytes
                 assert scaled.pk_bytes == k * base.pk_bytes
@@ -204,7 +207,7 @@ def test_criterion_6_poisson_determinism_and_calibration():
 def test_criterion_7_throughput():
     with criterion(7, "desk-scale throughput"):
         arch = default_architecture()
-        catalog = [make_alg()]
+        catalog = Catalog([make_alg()])
         year = generate_ticks(START, date(2020, 12, 31), Cadence.DAILY)
 
         started = time.perf_counter()
@@ -212,7 +215,7 @@ def test_criterion_7_throughput():
         one_year = time.perf_counter() - started
         assert one_year < 0.1, f"one-year daily run took {one_year:.3f}s"
 
-        wide = [make_alg(f"Alg{i}", sig_size=100 + i) for i in range(100)]
+        wide = Catalog([make_alg(f"Alg{i}", sig_size=100 + i) for i in range(100)])
         started = time.perf_counter()
         run_sweep(arch, [Uniform(a.name) for a in wide], EventCalendar(), year, wide)
         sweep = time.perf_counter() - started
@@ -228,7 +231,7 @@ def test_criterion_7_throughput():
         # quiet ticks are jumped over: run time follows change points, not ticks
         end = date(2020, 12, 31)
         events = generate_poisson_events(0.1, START, end, 0, "Target 1")
-        budgeted = [make_alg("AlgH10", max_sigs=1024)]
+        budgeted = Catalog([make_alg("AlgH10", max_sigs=1024)])
         started = time.perf_counter()
         minute_year = generate_ticks(START, end, Cadence.MINUTE)
         run_one(arch, Uniform("AlgH10"), events, minute_year, budgeted)

@@ -1,15 +1,24 @@
 from __future__ import annotations
 
-import pytest
+import io
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import tufsim.algorithms
+import tufsim.runner
 from tufsim import (
     AlgorithmNotFoundError,
+    Catalog,
     CatalogError,
     SignatureAlgorithm,
     ValidationError,
     find_algorithm,
     parse_algorithm_catalog,
 )
+from tufsim.algorithms import _parse_max_sigs, _parse_max_sigs_decimal
+from tufsim.cli import run_cli
 from tests.conftest import make_alg
 
 HEADER = "Name,Signature Size,Public Key Size,Max Signatures,Computational Cost"
@@ -143,16 +152,146 @@ def test_round_trip():
 
 
 def test_find_algorithm_returns_entry():
-    catalog = [make_alg("AlgA"), make_alg("AlgB")]
-    assert find_algorithm("AlgA", {alg.name: alg for alg in catalog}) is catalog[0]
+    catalog = Catalog([make_alg("AlgA"), make_alg("AlgB")])
+    assert find_algorithm("AlgA", catalog) is catalog[0]
 
 
 def test_find_algorithm_missing_name():
     with pytest.raises(AlgorithmNotFoundError) as excinfo:
-        find_algorithm("Missing", {"AlgA": make_alg("AlgA")})
+        find_algorithm("Missing", Catalog([make_alg("AlgA")]))
     assert str(excinfo.value) == "Requested algorithm type not found."
 
 
 def test_find_algorithm_empty_catalog():
     with pytest.raises(AlgorithmNotFoundError):
-        find_algorithm("AlgA", {})
+        find_algorithm("AlgA", Catalog())
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=22)
+MAX_SIGNATURES_CELLS = st.one_of(
+    DIGITS,
+    st.builds("{}{}".format, st.sampled_from("+-"), DIGITS),
+    st.text("0123456789_", min_size=1, max_size=12),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=6),
+    st.builds("{}.{}E{}".format, DIGITS, DIGITS, st.integers(-25, 25)),
+    st.sampled_from(["inf", "-Infinity", "NaN", "-nan", "sNaN", "1E1000000", "-0", "+0"]),
+    st.sampled_from([str(2**63 + d) for d in (-1, 0, 1)] + [str(-(2**63) - 1)]),
+    # Python 3.11+ int() refuses more than 4,300 digits
+    st.builds(
+        "{}{}".format, st.sampled_from(["", "-"]), st.integers(4_295, 4_310).map("9".__mul__)
+    ),
+    st.text(max_size=8),
+)
+
+
+def _outcome(parse, cell):
+    try:
+        return parse(cell, 2)
+    except CatalogError as exc:
+        return type(exc), str(exc)
+
+
+@given(cell=MAX_SIGNATURES_CELLS)
+def test_max_signatures_int_fast_path_agrees_with_decimal(cell):
+    assert _outcome(_parse_max_sigs, cell) == _outcome(_parse_max_sigs_decimal, cell)
+
+
+def _rows(count):
+    return [(f"Alg{i}", 10 + i, 5 + i % 7, 2**i % 1000 + 1, i / 8) for i in range(count)]
+
+
+def _catalog_text(rows):
+    return HEADER + "\n" + "".join(f"{n},{s},{p},{m},{c}\n" for n, s, p, m, c in rows)
+
+
+class TestCatalog:
+    def test_entries_equal_eagerly_built_algorithms_in_file_order(self):
+        rows = _rows(50)
+        catalog = parse_algorithm_catalog(_catalog_text(rows))
+        eager = [SignatureAlgorithm(name, *fields) for name, *fields in rows]
+        assert len(catalog) == 50
+        assert list(catalog) == eager
+        assert [catalog[i] for i in range(50)] == eager
+        assert catalog[-1] == eager[-1]
+        assert [catalog.get(name) for name, *_ in rows] == eager
+
+    def test_every_read_of_a_name_gives_the_same_object(self):
+        catalog = parse_algorithm_catalog(_catalog_text(_rows(3)))
+        first = catalog.get("Alg1")
+        assert catalog.get("Alg1") is first
+        assert catalog[1] is first
+        assert list(catalog)[1] is first
+        assert find_algorithm("Alg1", catalog) is first
+
+    def test_built_from_algorithms_returns_them(self):
+        algorithms = [make_alg("AlgA"), make_alg("AlgB", sig_size=7)]
+        catalog = Catalog(algorithms)
+        assert catalog.get("AlgB") is algorithms[1]
+        assert list(catalog) == algorithms
+        text = HEADER + "\nAlgA,100,50,1E6,1.0\nAlgB,7,50,1E6,1.0\n"
+        assert catalog == parse_algorithm_catalog(text)
+        assert catalog.get("Missing") is None
+
+    def test_built_from_algorithms_rejects_a_duplicate_name(self):
+        with pytest.raises(CatalogError, match="duplicate algorithm name 'AlgA'"):
+            Catalog([make_alg("AlgA"), make_alg("AlgA", sig_size=7)])
+
+    @pytest.mark.parametrize(
+        ("cell", "error", "message"),
+        [
+            ("Signature Size", CatalogError, "'Signature Size' value 'x' is not an integer"),
+            ("Max Signatures", ValidationError, "Alg4999: max_sigs must be >= 1"),
+            ("Computational Cost", ValidationError, "Alg4999: cost must be finite and >= 0"),
+        ],
+    )
+    def test_bad_last_row_fails_before_anything_runs(
+        self, tmp_path, monkeypatch, cell, error, message
+    ):
+        rows = _rows(5_000)
+        name, sig, pk, max_sigs, cost = rows[-1]
+        bad = {"Signature Size": "x", "Max Signatures": "0", "Computational Cost": "nan"}[cell]
+        rows[-1] = (
+            name,
+            bad if cell == "Signature Size" else sig,
+            pk,
+            bad if cell == "Max Signatures" else max_sigs,
+            bad if cell == "Computational Cost" else cost,
+        )
+        text = _catalog_text(rows)
+        with pytest.raises(error, match=f"^row 5001: {message}$"):
+            parse_algorithm_catalog(text)
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(tufsim.runner, "run_scenario", no_run)
+        (tmp_path / "algorithms.csv").write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["--algorithms", str(tmp_path / "algorithms.csv"),
+                "--start", "2020-01-01", "--end", "2020-01-10"]
+        assert run_cli(argv, stdout=out, stderr=err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: row 5001: {message}\n")
+
+    def test_a_sweep_builds_only_the_algorithms_it_uses(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(SignatureAlgorithm):
+            def __post_init__(self):
+                built.append(self.name)
+                super().__post_init__()
+
+        monkeypatch.setattr(tufsim.algorithms, "SignatureAlgorithm", Counted)
+        (tmp_path / "algorithms.csv").write_text(_catalog_text(_rows(1_000)))
+        used = {"Root 1": "Alg7", "Timestamp 1": "Alg300", "Snapshot 1": "Alg999",
+                "Target 1": "Alg7"}
+        (tmp_path / "assignment.csv").write_text(
+            "Role Name,Algorithm\n" + "".join(f"{r},{a}\n" for r, a in used.items())
+        )
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["--algorithms", str(tmp_path / "algorithms.csv"),
+                "--assignment", str(tmp_path / "assignment.csv"),
+                "--start", "2020-01-01", "--end", "2020-01-10"]
+        assert run_cli(argv, stdout=out, stderr=err) == 0
+        assert err.getvalue() == ""
+        assert out.getvalue().splitlines()[1].startswith("Device_A,assignment,")
+        assert sorted(built) == ["Alg300", "Alg7", "Alg999"]

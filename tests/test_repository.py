@@ -209,7 +209,36 @@ class TestStageUpdate:
     def test_stage_matches_every_duplicate(self):
         repo = build_repo()
         repo.add_role("Target 1", RoleType.TARGET, make_alg())
+        repo.add_role("Target 2", RoleType.TARGET, make_alg())
+        repo.publish_timestamp()
         assert repo.stage_update("Target 1") == 2
+        targets = [r for r in repo.roles if r.role_type is RoleType.TARGET]
+        assert [(r.name, r.pending) for r in targets] == [
+            ("Target 1", True), ("Target 1", True), ("Target 2", False)
+        ]
+
+    def test_stage_reaches_a_re_added_target_not_the_removed_one(self):
+        repo = build_repo()
+        repo.publish_timestamp()
+        removed = repo.roles[3]
+        assert repo.remove_role("Target 1") == 1
+        assert repo.stage_update("Target 1") == 0
+        repo.add_role("Target 1", RoleType.TARGET, make_alg())
+        added = repo.roles[-1]
+        repo.publish_timestamp()
+        assert repo.stage_update("Target 1") == 1
+        assert added.pending is True and removed.pending is False
+
+    def test_stage_skips_a_non_target_sharing_a_target_s_name(self):
+        repo = build_repo()
+        repo.add_role("Shared", RoleType.TIMESTAMP, make_alg())
+        assert repo.stage_update("Shared") == 0
+        repo.add_role("Shared", RoleType.TARGET, make_alg())
+        repo.publish_timestamp()
+        assert repo.stage_update("Shared") == 1
+        assert repo.roles[-1].pending is True
+        assert repo.remove_role("Shared") == 2
+        assert repo.stage_update("Shared") == 0
 
 
 class TestRolloverCheck:
@@ -486,7 +515,9 @@ class RepositoryMachine(RuleBasedStateMachine):
 
     @rule(name=names)
     def stage(self, name):
-        self.repo.stage_update(name)
+        targets = [r for r in self.repo.roles if r.name == name and r.role_type is RoleType.TARGET]
+        assert self.repo.stage_update(name) == len(targets)
+        assert all(role.pending for role in targets)
 
     @rule()
     def tick(self):

@@ -15,6 +15,7 @@ from tufsim import (
     ActionKind,
     Architecture,
     Cadence,
+    Catalog,
     ConfigurationError,
     EventCalendar,
     PerRole,
@@ -58,7 +59,7 @@ class TestRunScenario:
             Uniform("AlgA"),
             ten_day_events(),
             ten_day_ticks(),
-            [make_alg()],
+            Catalog([make_alg()]),
         )
         assert result.total_signatures == 17
         assert result.sig_bytes == 1700
@@ -88,7 +89,7 @@ class TestRunScenario:
             Uniform("AlgA"),
             ten_day_events(),
             ten_day_ticks(),
-            [make_alg(max_sigs=4)],
+            Catalog([make_alg(max_sigs=4)]),
         )
         assert result.total_signatures == 19
         assert result.sig_bytes == 1900
@@ -99,7 +100,7 @@ class TestRunScenario:
 
     def test_zero_ticks(self):
         result = run_one(
-            default_architecture(), Uniform("AlgA"), EventCalendar(), [], [make_alg()]
+            default_architecture(), Uniform("AlgA"), EventCalendar(), [], Catalog([make_alg()])
         )
         assert result.total_signatures == 0
         assert result.total_bytes == 0
@@ -109,7 +110,8 @@ class TestRunScenario:
     def test_unknown_target_warns_and_continues(self):
         calendar = EventCalendar(update_events={(date(2020, 1, 3), "Target X")})
         result = run_one(
-            default_architecture(), Uniform("AlgA"), calendar, ten_day_ticks(), [make_alg()]
+            default_architecture(), Uniform("AlgA"), calendar, ten_day_ticks(),
+            Catalog([make_alg()]),
         )
         assert len(result.warnings) == 1
         assert "Target X" in result.warnings[0]
@@ -123,7 +125,7 @@ class TestRunScenario:
                 Uniform("AlgZ"),
                 EventCalendar(),
                 ten_day_ticks(),
-                [make_alg()],
+                Catalog([make_alg()]),
             )
 
     def test_per_role_assignment_missing_name(self):
@@ -133,7 +135,7 @@ class TestRunScenario:
                 PerRole({"Root 1": "AlgA", "Timestamp 1": "AlgA", "Target 1": "AlgA"}),
                 EventCalendar(),
                 ten_day_ticks(),
-                [make_alg()],
+                Catalog([make_alg()]),
             )
 
     def test_pinned_algorithm_wins_over_assignment(self):
@@ -146,7 +148,7 @@ class TestRunScenario:
                 RoleSpec("Target 1", RoleType.TARGET),
             ),
         )
-        catalog = [make_alg("AlgA"), make_alg("AlgBig", sig_size=1000)]
+        catalog = Catalog([make_alg("AlgA"), make_alg("AlgBig", sig_size=1000)])
         result = run_one(
             arch, Uniform("AlgA"), EventCalendar(), ten_day_ticks(), catalog
         )
@@ -165,7 +167,7 @@ class TestRunScenario:
             ),
         )
         result = run_one(
-            arch, Uniform("AlgA"), ten_day_events(), ten_day_ticks(), [make_alg()]
+            arch, Uniform("AlgA"), ten_day_events(), ten_day_ticks(), Catalog([make_alg()])
         )
         # same signature count as the plain trace, one extra key in the root file
         assert result.total_signatures == 17
@@ -181,7 +183,8 @@ class TestRunScenario:
             role_actions=actions.role_actions,
         )
         result = run_one(
-            default_architecture(), Uniform("AlgA"), calendar, ten_day_ticks(), [make_alg()]
+            default_architecture(), Uniform("AlgA"), calendar, ten_day_ticks(),
+            Catalog([make_alg()]),
         )
         # the staged update lands on the role added the same day
         assert result.warnings == ()
@@ -196,7 +199,7 @@ class TestRunScenario:
             Uniform("AlgA"),
             EventCalendar(role_actions=actions.role_actions),
             ten_day_ticks(),
-            [make_alg()],
+            Catalog([make_alg()]),
         )
         assert any("Root" in w for w in result.warnings)
 
@@ -226,7 +229,7 @@ class TestClosedFormOracle:
             )
             ticks = generate_ticks(START, days[-1], Cadence.DAILY)
             result = run_one(
-                default_architecture(), Uniform("AlgA"), calendar, ticks, [make_alg()]
+                default_architecture(), Uniform("AlgA"), calendar, ticks, Catalog([make_alg()])
             )
             e1 = int(START in event_days)
             assert result.total_signatures == self.expected(D, len(event_days), e1)
@@ -244,7 +247,7 @@ MAX_DAYS = {Cadence.WEEKLY: 120, Cadence.DAILY: 60, Cadence.HOURLY: 12, Cadence.
 def differential_runs(draw, algorithms=3, budgets=(1, 2, 3, 4, 5, 10**18)):
     cadence = draw(st.sampled_from(list(Cadence)))
     days = draw(st.integers(1, MAX_DAYS[cadence]))
-    catalog = [
+    catalog = Catalog([
         make_alg(
             f"Alg{i}",
             sig_size=draw(st.integers(1, 3000)),
@@ -253,7 +256,7 @@ def differential_runs(draw, algorithms=3, budgets=(1, 2, 3, 4, 5, 10**18)):
             cost=draw(st.sampled_from([0.1, 0.5, 2.9, 4.3, 1 / 3])),
         )
         for i in range(draw(st.integers(1, algorithms)))
-    ]
+    ])
     names = [alg.name for alg in catalog]
     pinned = st.none() | st.sampled_from(names)
     specs = [RoleSpec(f"{t.value} 1", t, draw(pinned)) for t in RoleType]
@@ -304,9 +307,11 @@ class TestInputsThatCannotApplyWarn:
             update_events={(date(2020, 1, 3), "Target 1")},
             role_actions=(RoleAction(date(2020, 1, 4), ActionKind.REMOVE, "Root 1"),),
         )
-        result = run_one(default_architecture(), Uniform("AlgA"), calendar, ticks, [make_alg()])
+        result = run_one(
+            default_architecture(), Uniform("AlgA"), calendar, ticks, Catalog([make_alg()])
+        )
         empty = run_one(
-            default_architecture(), Uniform("AlgA"), EventCalendar(), ticks, [make_alg()]
+            default_architecture(), Uniform("AlgA"), EventCalendar(), ticks, Catalog([make_alg()])
         )
         assert replace(result, warnings=()) == empty
         assert result.warnings == (
@@ -320,11 +325,11 @@ class TestInputsThatCannotApplyWarn:
         calendar = EventCalendar(role_actions=(add,))
         extra = PerRole({**rows, "Target 7": "AlgA", "Target 2": "AlgA", "Ghost": "AlgZ"})
         result = run_one(
-            default_architecture(), extra, calendar, ten_day_ticks(), [make_alg()]
+            default_architecture(), extra, calendar, ten_day_ticks(), Catalog([make_alg()])
         )
         plain = run_one(
             default_architecture(), PerRole({**rows, "Target 2": "AlgA"}), calendar,
-            ten_day_ticks(), [make_alg()],
+            ten_day_ticks(), Catalog([make_alg()]),
         )
         assert replace(result, warnings=()) == plain
         assert result.warnings == tuple(
@@ -345,7 +350,7 @@ class TestInputsThatCannotApplyWarn:
         pinned_add = RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 2", RoleType.TARGET, "AlgA")
         calendar = EventCalendar(role_actions=(pinned_add,))
         rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA"}
-        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=7)]
+        catalog = Catalog([make_alg("AlgA"), make_alg("AlgB", sig_size=7)])
         result = run_one(
             arch, PerRole({**rows, "Target 1": "AlgB", "Target 2": "AlgB"}), calendar,
             ten_day_ticks(), catalog,
@@ -362,7 +367,7 @@ class TestInputsThatCannotApplyWarn:
         unpinned = RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 1", RoleType.TARGET)
         pinned = RoleAction(date(2020, 1, 6), ActionKind.ADD, "Target 1", RoleType.TARGET, "AlgB")
         rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA"}
-        catalog = [make_alg("AlgA"), make_alg("AlgB")]
+        catalog = Catalog([make_alg("AlgA"), make_alg("AlgB")])
         taken = run_one(
             default_architecture(), PerRole(rows), EventCalendar(role_actions=(pinned, unpinned)),
             ten_day_ticks(), catalog,
@@ -409,7 +414,7 @@ class TestLedgerIsOrderIndependent:
             Uniform("AlgA"),
             generate_poisson_events(0.1, START, end, 0, "Target 1"),
             generate_ticks(START, end, Cadence.HOURLY),
-            [make_alg(cost=0.1)],
+            Catalog([make_alg(cost=0.1)]),
         )
         assert result.total_signatures == 88_325
         # 88,325 one-tick adds of 0.1 would drift to 8832.500000014446
@@ -427,11 +432,11 @@ class TestLedgerIsOrderIndependent:
 
 class TestRunSweep:
     def test_uniform_sweep_rows(self):
-        catalog = [
+        catalog = Catalog([
             make_alg("AlgA", sig_size=100, pk_size=50),
             make_alg("AlgB", sig_size=200, pk_size=10),
             make_alg("AlgC", sig_size=4000, pk_size=60),
-        ]
+        ])
         results = run_sweep(
             default_architecture(),
             [Uniform(a.name) for a in catalog],
@@ -444,7 +449,7 @@ class TestRunSweep:
         assert [r.sig_bytes for r in results] == [1700, 3400, 68000]
 
     def test_sweep_equals_individual_runs(self):
-        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=300)]
+        catalog = Catalog([make_alg("AlgA"), make_alg("AlgB", sig_size=300)])
         assignments = [Uniform("AlgA"), Uniform("AlgB")]
         swept = run_sweep(
             default_architecture(), assignments, ten_day_events(), ten_day_ticks(), catalog
@@ -458,12 +463,12 @@ class TestRunSweep:
         assert swept == alone
 
     def test_per_role_bytes_are_per_role_lifetimes_times_sizes(self):
-        catalog = [
+        catalog = Catalog([
             make_alg("AlgRoot", sig_size=1000),
             make_alg("AlgTs", sig_size=1),
             make_alg("AlgSnap", sig_size=10),
             make_alg("AlgTgt", sig_size=100),
-        ]
+        ])
         assignment = PerRole(
             {
                 "Root 1": "AlgRoot",
@@ -481,7 +486,7 @@ class TestRunSweep:
 
     def test_empty_assignments_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sweep(default_architecture(), [], EventCalendar(), [], [make_alg()])
+            run_sweep(default_architecture(), [], EventCalendar(), [], Catalog([make_alg()]))
 
     def test_signature_count_ignores_sizes(self):
         rng = random.Random(99)
@@ -500,14 +505,16 @@ class TestRunSweep:
                 Uniform("Alg"),
                 calendar,
                 ticks,
-                [make_alg("Alg", sig_size=10, pk_size=5, max_sigs=max_sigs, cost=0.25)],
+                Catalog([make_alg("Alg", sig_size=10, pk_size=5, max_sigs=max_sigs, cost=0.25)]),
             )
             big = run_one(
                 default_architecture(),
                 Uniform("Alg"),
                 calendar,
                 ticks,
-                [make_alg("Alg", sig_size=9999, pk_size=888, max_sigs=max_sigs, cost=7.5)],
+                Catalog(
+                    [make_alg("Alg", sig_size=9999, pk_size=888, max_sigs=max_sigs, cost=7.5)]
+                ),
             )
             assert small.total_signatures == big.total_signatures
             assert small.rollover_events == big.rollover_events
@@ -573,11 +580,11 @@ class TestSweepSimulatesOncePerBudgetVector:
             update_events={(date(2020, 1, d), "Target 2") for d in (6, 7, 8, 9)},
             role_actions=(RoleAction(date(2020, 1, 5), ActionKind.ADD, "Target 2", RoleType.TARGET),),
         )
-        catalog = [
+        catalog = Catalog([
             make_alg("AlgA"),
             make_alg("AlgB", sig_size=2420, pk_size=1312, cost=0.25),
             make_alg("AlgSmall", sig_size=1456, pk_size=60, max_sigs=2, cost=0.5),
-        ]
+        ])
         rows = {"Root 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA", "Target 2": "AlgA"}
         assignments = [
             PerRole(rows, label="base"),
@@ -604,7 +611,7 @@ class TestSweepSimulatesOncePerBudgetVector:
         calendar = EventCalendar(
             update_events={(date(2020, 1, 6), "Target 2")}, role_actions=(add, add)
         )
-        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=9, pk_size=3, max_sigs=1)]
+        catalog = Catalog([make_alg("AlgA"), make_alg("AlgB", sig_size=9, pk_size=3, max_sigs=1)])
         rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgA", "Target 1": "AlgA"}
         assignments = [PerRole({**rows, "Target 2": name}, label=name) for name in ("AlgA", "AlgB")]
         calls = counted_runs(monkeypatch)
@@ -628,7 +635,9 @@ class TestSweepSimulatesOncePerBudgetVector:
 
         monkeypatch.setattr(tufsim.runner, "find_algorithm", counting)
         add = RoleAction(date(2020, 1, 4), ActionKind.ADD, "Target 2", RoleType.TARGET)
-        catalog = [make_alg("AlgA"), make_alg("AlgB", sig_size=7), make_alg("AlgC", max_sigs=3)]
+        catalog = Catalog(
+            [make_alg("AlgA"), make_alg("AlgB", sig_size=7), make_alg("AlgC", max_sigs=3)]
+        )
         run_sweep(
             default_architecture(), [Uniform(a.name) for a in catalog],
             EventCalendar(role_actions=(add,)), ten_day_ticks(), catalog,
@@ -640,13 +649,13 @@ class TestSweepSimulatesOncePerBudgetVector:
         add = RoleAction(date(2020, 1, 3), ActionKind.ADD, "Target 2", RoleType.TARGET)
         result = run_one(
             default_architecture(), Uniform("AlgA"), EventCalendar(role_actions=(add,)),
-            generate_ticks(START, date(2020, 1, 31), Cadence.WEEKLY), [make_alg()],
+            generate_ticks(START, date(2020, 1, 31), Cadence.WEEKLY), Catalog([make_alg()]),
         )
         assert result.slot_counts[4] == (0, 0)
         assert sum(sigs for sigs, _ in result.slot_counts) == result.total_signatures
 
     def test_catalog_of_one_budget_simulates_once(self, monkeypatch):
-        catalog = [make_alg(f"Alg{i}", sig_size=10 + i, cost=i / 7) for i in range(20)]
+        catalog = Catalog([make_alg(f"Alg{i}", sig_size=10 + i, cost=i / 7) for i in range(20)])
         calls = counted_runs(monkeypatch)
         swept = run_sweep(
             default_architecture(), [Uniform(a.name) for a in catalog], ten_day_events(),
@@ -664,7 +673,7 @@ class TestSweepSimulatesOncePerBudgetVector:
         with pytest.raises(ConfigurationError, match="role 'Root 1': algorithm 'AlgZ'"):
             run_sweep(
                 default_architecture(), [Uniform("AlgA"), Uniform("AlgZ")], EventCalendar(),
-                ten_day_ticks(), [make_alg()],
+                ten_day_ticks(), Catalog([make_alg()]),
             )
         assert calls == []
 
@@ -672,7 +681,8 @@ class TestSweepSimulatesOncePerBudgetVector:
 class TestEmitReportCsv:
     def test_golden_row(self):
         result = run_one(
-            default_architecture(), Uniform("AlgA"), ten_day_events(), ten_day_ticks(), [make_alg()]
+            default_architecture(), Uniform("AlgA"), ten_day_events(), ten_day_ticks(),
+            Catalog([make_alg()]),
         )
         text = emit_report_csv([result])
         lines = text.splitlines()
@@ -697,7 +707,7 @@ class TestEmitReportCsv:
             [Uniform("AlgA"), Uniform("AlgB")],
             ten_day_events(),
             ten_day_ticks(),
-            [make_alg("AlgA"), make_alg("AlgB", sig_size=77, cost=0.125)],
+            Catalog([make_alg("AlgA"), make_alg("AlgB", sig_size=77, cost=0.125)]),
         )
         rows = list(csv.reader(io.StringIO(emit_report_csv(results))))
         for row, result in zip(rows[1:], results):
