@@ -21,10 +21,12 @@ def read_table(
     The first row is the header; its cells are matched after stripping
     surrounding whitespace, and column order is free.  Each `required`
     column must be present, or `error` names it; an absent `optional`
-    column reads as empty.  Cells come back stripped, in the order of
-    `required` then `optional`, with a cell missing from a short row read
-    as "".  Rows whose cells are all blank are skipped.  Row numbers count
-    CSV records from 1, the header included.
+    column reads as empty.  A header that names a `required` or `optional`
+    column twice is an error too; other columns, repeated or not, are
+    ignored.  Cells come back stripped, in the order of `required` then
+    `optional`, with a cell missing from a short row read as "".  Rows
+    whose cells are all blank are skipped.  Row numbers count CSV records
+    from 1, the header included.
     """
     rows = csv.reader(io.StringIO(text))
     header = next(rows, None)
@@ -34,6 +36,9 @@ def read_table(
     for column in required:
         if column not in header:
             raise error(f"{what} is missing the '{column}' column")
+    for column in (*required, *optional):
+        if header.count(column) > 1:
+            raise error(f"{what} names the '{column}' column twice")
     positions = [header.index(column) for column in required]
     positions += [header.index(c) if c in header else None for c in optional]
     # a row this wide has every cell, unless an optional column is absent

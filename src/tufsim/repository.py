@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -291,18 +290,22 @@ def price_counts(
     """Price (algorithm, signatures, key publications) counts as signature
     bytes, public-key bytes, verification cost and signatures.
 
-    Counts are merged per algorithm first, so each sum has one term per
-    algorithm, whatever the order of the counts, and the cost is one
-    `math.fsum`.  The only place where a count becomes bytes or cost.
+    Counts are merged per algorithm first, into one [signatures, key
+    publications] entry each, so each sum has one term per algorithm,
+    whatever the order of the counts, and the cost is one `math.fsum`.
+    The only place where a count becomes bytes or cost.
     """
-    sigs: Counter[SignatureAlgorithm] = Counter()
-    keys: Counter[SignatureAlgorithm] = Counter()
+    merged: dict[SignatureAlgorithm, list[int]] = {}
     for algorithm, signatures, publications in counts:
-        sigs[algorithm] += signatures
-        keys[algorithm] += publications
+        entry = merged.get(algorithm)
+        if entry is None:
+            merged[algorithm] = [signatures, publications]
+        else:
+            entry[0] += signatures
+            entry[1] += publications
     return (
-        sum(n * algorithm.sig_size for algorithm, n in sigs.items()),
-        sum(n * algorithm.pk_size for algorithm, n in keys.items()),
-        math.fsum(n * algorithm.cost for algorithm, n in sigs.items()),
-        sum(sigs.values()),
+        sum(sigs * algorithm.sig_size for algorithm, (sigs, _) in merged.items()),
+        sum(keys * algorithm.pk_size for algorithm, (_, keys) in merged.items()),
+        math.fsum(sigs * algorithm.cost for algorithm, (sigs, _) in merged.items()),
+        sum(sigs for sigs, _ in merged.values()),
     )

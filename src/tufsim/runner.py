@@ -2,21 +2,22 @@
 
 A run's slots are the architecture's role specs, then the calendar's add
 actions, by position, so two identical add rows are two slots.  An
-algorithm changes a run only through its slot's key budget (`max_sigs`);
-sizes and cost merely price the counts.  So `run_sweep`, the one path
-from an assignment to a report row, resolves each assignment to one
-algorithm per slot, calls `run_scenario` once per distinct vector of slot
-budgets, and prices the assignment from that run's per-slot counts with
+algorithm changes a run only through its slot's key budget (`max_sigs`),
+and only up to `len(ticks)`: a role signs at most once per tick, so a
+larger budget never runs out.  So `run_sweep`, the one path from an
+assignment to a report row, compiles its inputs once into a `Script`,
+resolves each assignment to one algorithm per slot, calls `run_scenario`
+once per distinct vector of effective budgets `min(max_sigs, len(ticks))`,
+and prices each assignment from that run's per-slot counts with
 `repository.price_counts`, the one pricing function: bytes are exact and
 the cost is one `math.fsum`, so no total depends on the order of signing.
 
-`run_scenario` only counts.  It replays the calendar against a fresh
-repository: scripted role actions first on a date, then that date's
-update events, then the timestamp.  It visits only the dates that carry
-events or actions, asks the `Timeline` which tick each lands on, and
-advances the repository between them with
-`Repository.publish_timestamps`, so its cost grows with the number of
-change points, not the number of ticks.
+`run_scenario(script, algorithms)` only counts.  It replays the script's
+change points against a fresh repository and advances it between them
+with `Repository.publish_timestamps`, so its cost grows with the number
+of change points, not the number of ticks.  Each replay still makes the
+warnings that depend on which roles exist, and `Simulation` keeps its
+totals: the benchmark's tracer reads both from every `run_scenario` result.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date
+from typing import NamedTuple
 
 from ._table import read_table
 from .algorithms import Catalog, SignatureAlgorithm, find_algorithm
@@ -34,15 +36,8 @@ from .repository import Repository, RoleState, RoleType, price_counts
 from .schedule import ActionKind, EventCalendar, RoleAction, Timeline
 
 REPORT_COLUMNS = (
-    "Device",
-    "Assignment",
-    "Signature Bytes",
-    "Public Key Bytes",
-    "Total Bytes",
-    "Verification Cost",
-    "Total Signatures",
-    "Rollover Events",
-    "Root Publications",
+    "Device", "Assignment", "Signature Bytes", "Public Key Bytes", "Total Bytes",
+    "Verification Cost", "Total Signatures", "Rollover Events", "Root Publications",
 )
 
 
@@ -83,15 +78,10 @@ class Architecture:
 
 def default_architecture(device_name: str = "Device_A") -> Architecture:
     """One instance of each role, algorithms left to the assignment."""
-    return Architecture(
-        device_name=device_name,
-        role_specs=(
-            RoleSpec("Root 1", RoleType.ROOT),
-            RoleSpec("Timestamp 1", RoleType.TIMESTAMP),
-            RoleSpec("Snapshot 1", RoleType.SNAPSHOT),
-            RoleSpec("Target 1", RoleType.TARGET),
-        ),
-    )
+    return Architecture(device_name, (
+        RoleSpec("Root 1", RoleType.ROOT), RoleSpec("Timestamp 1", RoleType.TIMESTAMP),
+        RoleSpec("Snapshot 1", RoleType.SNAPSHOT), RoleSpec("Target 1", RoleType.TARGET),
+    ))
 
 
 @dataclass(frozen=True)
@@ -141,8 +131,7 @@ class RunResult:
         return self.sig_bytes + self.pk_bytes
 
 
-@dataclass(frozen=True)
-class Simulation:
+class Simulation(NamedTuple):
     """What one engine run counts, before any pricing.
 
     slot_counts is as in `RunResult`; warnings are only those that depend
@@ -156,63 +145,93 @@ class Simulation:
     warnings: tuple[str, ...]
 
 
-def run_scenario(
-    arch: Architecture,
-    calendar: EventCalendar,
-    ticks: Timeline,
-    algorithms: Sequence[SignatureAlgorithm],
-) -> Simulation:
-    """Replay the calendar with one resolved algorithm per slot and count.
+class ChangePoint(NamedTuple):
+    """One calendar date of a `Script`: its first tick, its actions, each
+    with its slot (-1 unless it adds a role), and its update events' Target
+    names.  On a date without a tick (tick None) nothing applies, and
+    `dropped` holds one warning per action and event."""
+
+    day: date
+    tick: int | None
+    actions: tuple[tuple[int, RoleAction], ...]
+    targets: tuple[str, ...]
+    dropped: tuple[str, ...] = ()
+
+
+class Script(NamedTuple):
+    """What every run of a sweep replays: the initial roles, each slot's
+    (name, pinned algorithm), the tick count and the change points in date
+    order."""
+
+    device_name: str
+    role_specs: tuple[RoleSpec, ...]
+    slots: tuple[tuple[str, str | None], ...]
+    ticks: int
+    points: tuple[ChangePoint, ...]
+
+
+def compile_script(arch: Architecture, calendar: EventCalendar, ticks: Timeline) -> Script:
+    """Compile a run's inputs once; `Timeline.position` places each date."""
+    slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
+    actions: dict[date, list[tuple[int, RoleAction]]] = {}
+    for action in calendar.role_actions:
+        slot = -1
+        if action.kind is ActionKind.ADD:
+            slot = len(slots)
+            slots.append((action.name, action.algorithm_name))
+        actions.setdefault(action.date, []).append((slot, action))
+    targets: dict[date, list[str]] = {}
+    for day, target in sorted(calendar.update_events):
+        targets.setdefault(day, []).append(target)
+    points = []  # popping frees each date's list once its tuple exists
+    for day in sorted(actions.keys() | targets.keys()):
+        point = ChangePoint(day, ticks.position(day), tuple(actions.pop(day, ())),
+                            tuple(targets.pop(day, ())))
+        if point.tick is None:
+            items = [f"{a.kind.value} action for '{a.name}'" for _, a in point.actions]
+            items += [f"update event for '{target}'" for target in point.targets]
+            point = point._replace(dropped=tuple(
+                f"{day}: {item} falls on no tick and was not applied" for item in items))
+        points.append(point)
+    return Script(arch.device_name, arch.role_specs, tuple(slots), len(ticks), tuple(points))
+
+
+def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Simulation:
+    """Replay the script with one resolved algorithm per slot and count.
 
     A date's events and actions apply on its first tick.  Inputs that
     cannot take effect become warnings, not errors: an event or action on
     a date without a tick, and an update event, remove or reserve that
     matches no role.
     """
-    repo = Repository(arch.device_name)
-    for spec, algorithm in zip(arch.role_specs, algorithms):
+    repo = Repository(script.device_name)
+    for spec, algorithm in zip(script.role_specs, algorithms):
         repo.add_role(spec.name, spec.role_type, algorithm)
         repo.roles[-1].reserve = spec.reserve
     states: list[RoleState | None] = [*repo.roles]
-
-    events_by_date: dict[date, list[str]] = {}
-    for day, target in sorted(calendar.update_events):
-        events_by_date.setdefault(day, []).append(target)
-    actions_by_date: dict[date, list[tuple[int, RoleAction]]] = {}
-    for action in calendar.role_actions:
-        slot = -1
-        if action.kind is ActionKind.ADD:
-            slot = len(states)
-            states.append(None)
-        actions_by_date.setdefault(action.date, []).append((slot, action))
+    states += [None] * (len(script.slots) - len(states))
 
     warnings: list[str] = []
     published = 0
-    for day in sorted(events_by_date.keys() | actions_by_date.keys()):
-        actions = actions_by_date.get(day, ())
-        targets = events_by_date.get(day, ())
-        index = ticks.position(day)
-        if index is None:
-            dropped = [f"{a.kind.value} action for '{a.name}'" for _, a in actions]
-            dropped += [f"update event for '{target}'" for target in targets]
-            warnings += [f"{day}: {item} falls on no tick and was not applied" for item in dropped]
+    for point in script.points:
+        if point.tick is None:
+            warnings += point.dropped
             continue
-        repo.publish_timestamps(index - published)
-        published = index
-        if actions:
-            for slot, action in actions:
+        repo.publish_timestamps(point.tick - published)
+        published = point.tick
+        if point.actions:
+            for slot, action in point.actions:
                 if action.kind is ActionKind.ADD:
                     repo.add_role(action.name, action.role_type, algorithms[slot])
                     states[slot] = repo.roles[-1]
                 elif not _apply_action(repo, action):
-                    warnings.append(
-                        f"{day}: {action.kind.value} action for '{action.name}' matched no role"
-                    )
-            _check_role_coverage(repo, day, warnings)
-        for target in targets:
+                    warnings.append(f"{point.day}: {action.kind.value} action for "
+                                    f"'{action.name}' matched no role")
+            _check_role_coverage(repo, point.day, warnings)
+        for target in point.targets:
             if repo.stage_update(target) == 0:
-                warnings.append(f"{day}: update event for '{target}' matched no Target role")
-    repo.publish_timestamps(len(ticks) - published)
+                warnings.append(f"{point.day}: update event for '{target}' matched no Target role")
+    repo.publish_timestamps(script.ticks - published)
 
     slot_counts = tuple(
         (state.lifetime_sigs, state.key_publications) if state else (0, 0) for state in states
@@ -235,28 +254,30 @@ def run_sweep(
 ) -> list[RunResult]:
     """Run each assignment and return its priced result, in input order.
 
-    All algorithm names — from role specs, the assignments, and scripted
-    add actions — resolve against the catalog first, one algorithm per
-    slot, so a bad name fails before anything runs.  Then `run_scenario`
-    runs once per distinct vector of slot budgets, the first time an
-    assignment has it, and each assignment is priced from that run's
-    `slot_counts` with its own algorithms, which gives exactly what a run
-    of its own would.  An assignment's warnings are those on its own rows
-    first — a per-role row naming no role of the architecture or of an
-    add action, and a row whose every role pins its algorithm — then the
-    run's.
+    The inputs compile once into a `Script`.  All algorithm names — from
+    role specs, the assignments, and scripted add actions — resolve
+    against the catalog first, one algorithm per slot, so a bad name fails
+    before anything runs.  Then `run_scenario` runs once per distinct
+    vector of effective slot budgets, the first time an assignment has it,
+    and each assignment is priced from that run's `slot_counts` with its
+    own algorithms, which gives exactly what a run of its own would.  An
+    assignment's warnings are those on its own rows first — a per-role row
+    naming no role of the architecture or of an add action, and a row
+    whose every role pins its algorithm — then the run's.
     """
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
-    slots = _slots(arch, calendar)
-    resolved = [_resolve(slots, assignment, catalog) for assignment in assignments]
+    script = compile_script(arch, calendar, ticks)
+    resolved = [_resolve(script.slots, assignment, catalog) for assignment in assignments]
     runs: dict[tuple[int, ...], Simulation] = {}
     results = []
     for assignment, algorithms in zip(assignments, resolved):
-        budgets = tuple(alg.max_sigs for alg in algorithms)
+        # a role signs at most once per tick, so a budget of len(ticks) or
+        # more never runs out: it behaves as any other such budget
+        budgets = tuple(min(alg.max_sigs, script.ticks) for alg in algorithms)
         run = runs.get(budgets)
         if run is None:
-            run = runs[budgets] = run_scenario(arch, calendar, ticks, algorithms)
+            run = runs[budgets] = run_scenario(script, algorithms)
         sig_bytes, pk_bytes, cost, signatures = price_counts(
             (alg, sigs, keys) for alg, (sigs, keys) in zip(algorithms, run.slot_counts)
         )
@@ -270,7 +291,7 @@ def run_sweep(
                 total_signatures=signatures,
                 rollover_events=run.rollover_events,
                 root_publications=run.root_publications,
-                warnings=tuple(_assignment_warnings(slots, assignment)) + run.warnings,
+                warnings=tuple(_assignment_warnings(script.slots, assignment)) + run.warnings,
                 slot_counts=run.slot_counts,
             )
         )
@@ -287,19 +308,11 @@ def emit_report_csv(results: list[RunResult]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for result in results:
-        writer.writerow(
-            [
-                result.device_name,
-                result.assignment,
-                result.sig_bytes,
-                result.pk_bytes,
-                result.total_bytes,
-                f"{result.cost:.6f}",
-                result.total_signatures,
-                result.rollover_events,
-                result.root_publications,
-            ]
-        )
+        writer.writerow([
+            result.device_name, result.assignment, result.sig_bytes, result.pk_bytes,
+            result.total_bytes, f"{result.cost:.6f}", result.total_signatures,
+            result.rollover_events, result.root_publications,
+        ])
     return out.getvalue()
 
 
@@ -333,14 +346,7 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
             raise ConfigurationError(
                 f"row {lineno}: Reserve must be true or false, got {reserve_text!r}"
             )
-        specs.append(
-            RoleSpec(
-                name=name,
-                role_type=role_type,
-                algorithm_name=algorithm or None,
-                reserve=reserve,
-            )
-        )
+        specs.append(RoleSpec(name, role_type, algorithm or None, reserve))
     return Architecture(device_name=device_name, role_specs=tuple(specs))
 
 
@@ -360,18 +366,8 @@ def parse_assignment_csv(csv_text: str, label: str = "per-role") -> PerRole:
     return PerRole(algorithms=algorithms, label=label)
 
 
-def _slots(arch: Architecture, calendar: EventCalendar) -> list[tuple[str, str | None]]:
-    """(name, pinned algorithm) of each slot: the role specs, then the add
-    actions, by position."""
-    return [(spec.name, spec.algorithm_name) for spec in arch.role_specs] + [
-        (action.name, action.algorithm_name)
-        for action in calendar.role_actions
-        if action.kind is ActionKind.ADD
-    ]
-
-
 def _assignment_warnings(
-    slots: list[tuple[str, str | None]], assignment: AlgorithmAssignment
+    slots: Sequence[tuple[str, str | None]], assignment: AlgorithmAssignment
 ) -> list[str]:
     """One warning per per-role row that cannot take effect: it names no
     slot, or every slot it names pins its own algorithm."""
@@ -397,7 +393,7 @@ def _assignment_warnings(
 
 
 def _resolve(
-    slots: list[tuple[str, str | None]],
+    slots: Sequence[tuple[str, str | None]],
     assignment: AlgorithmAssignment,
     catalog: Catalog,
 ) -> list[SignatureAlgorithm]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tufsim.runner
-from tufsim.runner import Simulation, run_scenario
+from tufsim.runner import Simulation, compile_script, run_scenario
 from tufsim import (
     ActionKind,
     Architecture,
@@ -71,9 +71,8 @@ class TestRunScenario:
         assert result.warnings == ()
 
     def test_run_scenario_only_counts_a_slot_vector(self):
-        simulation = run_scenario(
-            default_architecture(), ten_day_events(), ten_day_ticks(), [make_alg()] * 4
-        )
+        script = compile_script(default_architecture(), ten_day_events(), ten_day_ticks())
+        simulation = run_scenario(script, [make_alg()] * 4)
         # lifetimes from the ten-day trace: root 1, timestamp 10, snapshot 3, target 3
         assert simulation == Simulation(
             slot_counts=((1, 1), (10, 1), (3, 1), (3, 1)),
@@ -541,14 +540,27 @@ def sweep_runs(draw):
     return arch, calendar, timeline, catalog
 
 
+@st.composite
+def saturating_runs(draw):
+    """A sweep whose budgets sit around the tick count n: a role signs at
+    most once per tick, so n - 1 can run out on the last tick and n or more
+    never can."""
+    arch, calendar, timeline, catalog = draw(
+        sweep_runs().filter(lambda run: run[2].cadence is not Cadence.MINUTE)
+    )
+    n = len(timeline)
+    budgets = st.sampled_from([b for b in (n - 1, n, n + 1, 10**18) if b >= 1])
+    return arch, calendar, timeline, Catalog([replace(a, max_sigs=draw(budgets)) for a in catalog])
+
+
 def counted_runs(monkeypatch):
     """Record the per-slot algorithm names of each call the sweep makes of
     the module-global `run_scenario`."""
     calls = []
 
-    def counting(arch, calendar, ticks, algorithms):
+    def counting(script, algorithms):
         calls.append(tuple(alg.name for alg in algorithms))
-        return run_scenario(arch, calendar, ticks, algorithms)
+        return run_scenario(script, algorithms)
 
     monkeypatch.setattr(tufsim.runner, "run_scenario", counting)
     return calls
@@ -565,6 +577,37 @@ class TestSweepSimulatesOncePerBudgetVector:
         assert swept == expected
         assert [r.slot_counts for r in swept] == [r.slot_counts for r in expected]
         assert emit_report_csv(swept) == emit_report_csv(expected)
+
+    @given(run=saturating_runs())
+    @settings(deadline=None, max_examples=100)
+    def test_budgets_that_cannot_run_out_share_a_run(self, run):
+        arch, calendar, timeline, catalog = run
+        assignments = [Uniform(alg.name) for alg in catalog]
+        swept = run_sweep(arch, assignments, calendar, timeline, catalog)
+        expected = [reference_run(arch, a, calendar, timeline, catalog) for a in assignments]
+        assert swept == expected
+        assert [r.slot_counts for r in swept] == [r.slot_counts for r in expected]
+
+    def test_budgets_of_the_tick_count_or_more_simulate_once(self, monkeypatch):
+        catalog = Catalog([
+            make_alg("Alg10", max_sigs=10, sig_size=7),
+            make_alg("Alg11", max_sigs=11, sig_size=70),
+            make_alg("AlgHuge", max_sigs=10**18, sig_size=700),
+            make_alg("Alg9", max_sigs=9),
+        ])
+        assignments = [Uniform(alg.name) for alg in catalog]
+        calls = counted_runs(monkeypatch)
+        swept = run_sweep(
+            default_architecture(), assignments, ten_day_events(), ten_day_ticks(), catalog
+        )
+        assert len(ten_day_ticks()) == 10
+        assert calls == [("Alg10",) * 4, ("Alg9",) * 4]
+        assert swept == [
+            reference_run(default_architecture(), a, ten_day_events(), ten_day_ticks(), catalog)
+            for a in assignments
+        ]
+        # the ninth Timestamp signature exhausts Alg9's key before the last tick
+        assert swept[3].rollover_events == swept[0].rollover_events + 1
 
     def test_per_role_sweep_groups_by_every_slot_s_budget(self, monkeypatch):
         arch = Architecture(

@@ -7,6 +7,7 @@ with an empty cell is its own field check.
 
 from __future__ import annotations
 
+import io
 from datetime import date
 
 import pytest
@@ -22,6 +23,7 @@ from tufsim import (
     parse_architecture_csv,
     parse_assignment_csv,
 )
+from tufsim.cli import run_cli
 
 # reader, its error class, the header, some valid rows, its required columns
 READERS = {
@@ -87,6 +89,32 @@ def test_blank_rows_are_skipped(reader):
     width = header.count(",")
     padded = [header, "", rows[0], " " + ", " * width, *rows[1:], ""]
     assert parse("\n".join(padded) + "\n") == parse("\n".join([header, *rows]) + "\n")
+
+
+@reader_names
+def test_a_column_named_twice_is_an_error_naming_it(reader):
+    parse, error, header, rows, _ = READERS[reader]
+    for column in header.split(","):
+        with pytest.raises(error, match=f"names the '{column}' column twice$"):
+            parse("\n".join([f"{header},{column}", *(row + "," for row in rows)]) + "\n")
+
+
+@reader_names
+def test_a_repeated_column_no_reader_uses_is_ignored(reader):
+    parse, _, header, rows, _ = READERS[reader]
+    noted = [f"{header},Note,Note", *(row + ",x,y" for row in rows)]
+    assert parse("\n".join(noted) + "\n") == parse("\n".join([header, *rows]) + "\n")
+
+
+def test_a_catalog_column_named_twice_fails_the_run(tmp_path):
+    header, rows = READERS["catalog"][2:4]
+    catalog = tmp_path / "algorithms.csv"
+    catalog.write_text(f"{header},Signature Size\n" + "".join(row + ",999\n" for row in rows))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--algorithms", str(catalog), "--start", "2020-01-01", "--end", "2020-01-10"]
+    assert run_cli(argv, stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: catalog names the 'Signature Size' column twice\n"
 
 
 def test_short_event_row_binds_the_default_target():
