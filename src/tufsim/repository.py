@@ -3,10 +3,18 @@
 A Repository holds an ordered list of role instances (Root, Timestamp,
 Snapshot, Target) and counts, tick by tick, what a worst-case client pays:
 one that downloads and verifies every signature the repository ever
-publishes.  `publish_timestamp` advances one tick in a single signing
-pass; `publish_timestamps(n)` advances n ticks to the same state, jumping
-over quiet stretches in closed form.  Both are checked against the plain
-four-phase tick and tick-by-tick run in `tests/oracle.py`.
+publishes.  `publish_timestamp` advances one tick; `publish_timestamps(n)`
+advances n ticks to the same state, jumping over quiet stretches in closed
+form.  Both are checked against the plain four-phase tick and tick-by-tick
+run in `tests/oracle.py`, which scan every role.
+
+A tick visits only the roles that can act: the Root, Timestamp and
+Snapshot roles, which are few, and the pending Targets, kept once each on
+a due list by `stage_update` and `add_role`.  Their rollover check, the
+signing and the quiet-stretch test never touch an idle Target, so a fleet
+of thousands of Target bins costs per tick what its updated bins do.  Only
+a root file, published when a key rolls over or a role is added or
+removed, visits every role.
 
 The ledger is integers only: each role, current or removed, counts its
 signatures and the root files that carried its key.  Only `price_counts`
@@ -61,7 +69,9 @@ class RoleState:
     issued at key_start, made lifetime_sigs - key_start of them.
     key_publications counts the root files that carried the role's key.  A
     reserve role keeps its key in published root files but is excluded
-    from routine signing.
+    from routine signing; the flag is read when the role is used, so it
+    may be written directly.  pending is kept with the repository's due
+    list: set it through `Repository.stage_update`.
     """
 
     name: str
@@ -102,6 +112,10 @@ class Repository:
         self.retired: list[RoleState] = []  # removed roles, counts kept whole
         # Target roles by name, so staging an update touches only its matches
         self._targets: dict[str, list[RoleState]] = {}
+        # what a busy tick visits: the current Root, Timestamp and Snapshot
+        # roles, which are always pending, and each pending Target once
+        self._others: list[RoleState] = []
+        self._due: list[RoleState] = []
         self.rollover_events = 0
         self.root_publications = 0
         self.update_root = True  # a fresh repository needs a first root file
@@ -116,13 +130,21 @@ class Repository:
         """
         added = RoleState(name=name, role_type=role_type, algorithm=algorithm)
         self.roles.append(added)
-        if role_type is RoleType.TARGET:
-            self._targets.setdefault(name, []).append(added)
         self.update_root = True
-        for role in self.roles:
-            if role.name == name and role.role_type == role_type:
+        if role_type is RoleType.TARGET:
+            siblings = self._targets.setdefault(name, [])
+            for role in siblings:
                 role.rollover = True
-                role.pending = True
+                if not role.pending:
+                    role.pending = True
+                    self._due.append(role)
+            siblings.append(added)
+            self._due.append(added)
+        else:
+            for role in self._others:  # always pending: only re-key them
+                if role.name == name and role.role_type is role_type:
+                    role.rollover = True
+            self._others.append(added)
 
     def remove_role(self, name: str) -> int:
         """Remove every role whose name matches; returns the number removed.
@@ -136,17 +158,25 @@ class Repository:
             self.retired += [role for role in self.roles if role.name == name]
             self.roles[:] = kept
             self._targets.pop(name, None)
+            self._others = [role for role in self._others if role.name != name]
+            self._due = [role for role in self._due if role.name != name]
             self.update_root = True
         return removed
 
     def set_reserve(self, name: str, flag: bool) -> int:
         """Assign the reserve flag on every matching role; returns match count."""
-        matched = 0
-        for role in self.roles:
-            if role.name == name:
-                role.reserve = flag
-                matched += 1
-        return matched
+        matched = [role for role in self._others if role.name == name]
+        matched += self._targets.get(name, ())
+        for role in matched:
+            role.reserve = flag
+        return len(matched)
+
+    def missing_role_types(self) -> list[RoleType]:
+        """The role types of which no current role remains, in enum order."""
+        present = {role.role_type for role in self._others}
+        if self._targets:
+            present.add(RoleType.TARGET)
+        return [role_type for role_type in RoleType if role_type not in present]
 
     def stage_update(self, target_name: str) -> int:
         """Require a signature of every Target named `target_name`.
@@ -157,7 +187,9 @@ class Repository:
         """
         targets = self._targets.get(target_name, ())
         for role in targets:
-            role.pending = True
+            if not role.pending:
+                role.pending = True
+                self._due.append(role)
         return len(targets)
 
     def rollover_check(self) -> int:
@@ -167,14 +199,17 @@ class Repository:
 
         Returns the number of roles processed.  publish_timestamp calls this
         internally; it is public so the trigger condition is testable alone.
+        Only the Root, Timestamp and Snapshot roles and the pending Targets
+        are visited: a Target is flagged for rollover only while pending.
         """
         rolled = 0
-        for role in self.roles:
-            used = role.lifetime_sigs - role.key_start
-            if role.rollover or (used == role.algorithm.max_sigs and role.pending):
-                role.rollover = True
-                role.key_start = role.lifetime_sigs
-                rolled += 1
+        for roles in (self._others, self._due):
+            for role in roles:
+                used = role.lifetime_sigs - role.key_start
+                if role.rollover or (used == role.algorithm.max_sigs and role.pending):
+                    role.rollover = True
+                    role.key_start = role.lifetime_sigs
+                    rolled += 1
         self.rollover_events += rolled
         return rolled
 
@@ -183,15 +218,13 @@ class Repository:
 
         After `rollover_check`, if any role rolled over or a root update is
         flagged, a root file is published: every role's public key is
-        downloaded and every Root instance signs.  Then one pass over the
-        roles: each non-reserve Timestamp signs, each pending non-reserve
-        Target signs and is cleared, and the non-reserve Snapshots are
-        collected; they sign after the pass if any Target signed.
+        downloaded and every Root instance signs.  Then each pending
+        non-reserve Target signs and is cleared, each non-reserve Timestamp
+        signs, and the non-reserve Snapshots sign if any Target did.
         """
         # read an enum member once per tick, not once per role: the class
         # attribute lookup costs about ten times a local read
-        root, timestamp = RoleType.ROOT, RoleType.TIMESTAMP
-        snapshot, target = RoleType.SNAPSHOT, RoleType.TARGET
+        root, timestamp, snapshot = RoleType.ROOT, RoleType.TIMESTAMP, RoleType.SNAPSHOT
         if self.rollover_check() > 0 or self.update_root:
             for role in self.roles:
                 role.key_publications += 1
@@ -201,25 +234,22 @@ class Repository:
             self.update_root = False
             self.root_publications += 1
 
-        snapshots: list[RoleState] = []
         updated = False
-        for role in self.roles:
+        if self._due:
+            reserved = []  # pending but not signing: they stay due
+            for role in self._due:
+                if role.reserve:
+                    reserved.append(role)
+                else:
+                    role.pending = False
+                    role.lifetime_sigs += 1
+                    updated = True
+            self._due = reserved
+        for role in self._others:
             if role.reserve:
                 continue
             role_type = role.role_type
-            if role_type is target:
-                if not role.pending:
-                    continue
-                role.pending = False
-                updated = True
-            elif role_type is snapshot:
-                snapshots.append(role)
-                continue
-            elif role_type is not timestamp:
-                continue
-            role.lifetime_sigs += 1
-        if updated:
-            for role in snapshots:
+            if role_type is timestamp or (updated and role_type is snapshot):
                 role.lifetime_sigs += 1
 
     def publish_timestamps(self, count: int) -> None:
@@ -235,7 +265,7 @@ class Repository:
                 self.publish_timestamp()
                 count -= 1
                 continue
-            for role in self.roles:
+            for role in self._others:
                 if role.role_type is RoleType.TIMESTAMP and not role.reserve:
                     role.lifetime_sigs += stride
             count -= stride
@@ -247,19 +277,19 @@ class Repository:
         next tick is not.
 
         The run ends when a non-reserve Timestamp's key is exhausted: the
-        tick after that rolls the key over.
+        tick after that rolls the key over.  A Target can end it only while
+        pending, so only the due Targets are visited.
         """
         if self.update_root:
             return 0
-        stride = limit
-        for role in self.roles:
-            if role.rollover:
-                return 0
+        for role in self._due:  # pending, so a non-reserve one signs next tick
             used = role.lifetime_sigs - role.key_start
-            if role.pending and (
-                used == role.algorithm.max_sigs
-                or (role.role_type is RoleType.TARGET and not role.reserve)
-            ):
+            if not role.reserve or role.rollover or used == role.algorithm.max_sigs:
+                return 0
+        stride = limit
+        for role in self._others:
+            used = role.lifetime_sigs - role.key_start
+            if role.rollover or used == role.algorithm.max_sigs:
                 return 0
             if role.role_type is RoleType.TIMESTAMP and not role.reserve:
                 stride = min(stride, role.algorithm.max_sigs - used)

@@ -428,9 +428,8 @@ def _apply_action(repo: Repository, action: RoleAction) -> bool:
 
 
 def _check_role_coverage(repo: Repository, day: date, warnings: list[str]) -> None:
-    present = {role.role_type for role in repo.roles}
-    missing = [t.value for t in RoleType if t not in present]
+    missing = repo.missing_role_types()
     if missing:
         warnings.append(
-            f"{day}: no {', '.join(missing)} role remains after scripted actions"
+            f"{day}: no {', '.join(t.value for t in missing)} role remains after scripted actions"
         )

@@ -3,9 +3,10 @@
 `reference_tick` advances a repository one tick in four plain phases,
 `materialized_ticks` enumerates a calendar's ticks one by one, and
 `reference_run` walks every tick of a run through those two.  None of them
-calls the engine's one-pass tick, its quiet-stretch jumps or
-`Timeline.position`, so a fault in any of them shows up as a difference
-instead of being shared by both sides.
+calls the engine's tick, its rollover check, its quiet-stretch jumps or
+`Timeline.position`, and each tick scans every role rather than the
+engine's lists of the roles that can act, so a fault in any of them shows
+up as a difference instead of being shared by both sides.
 """
 
 from __future__ import annotations
@@ -17,10 +18,19 @@ from tufsim import ActionKind, Cadence, PerRole, Repository, RoleType, RunResult
 
 
 def reference_tick(repo: Repository) -> None:
-    """One tick in four phases: the root file, the Targets, then the
-    Timestamps and Snapshots, then every collected signer signs."""
+    """One tick in four phases: the rollover check and root file over every
+    role, the Targets, then the Timestamps and Snapshots, then every
+    collected signer signs."""
+    rolled = 0
+    for role in repo.roles:
+        used = role.lifetime_sigs - role.key_start
+        if role.rollover or (used == role.algorithm.max_sigs and role.pending):
+            role.rollover = True
+            role.key_start = role.lifetime_sigs
+            rolled += 1
+    repo.rollover_events += rolled
     signers = []
-    if repo.rollover_check() > 0 or repo.update_root:
+    if rolled or repo.update_root:
         for role in repo.roles:
             role.key_publications += 1
             if role.role_type is RoleType.ROOT:

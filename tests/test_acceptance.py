@@ -17,10 +17,12 @@ from datetime import date, timedelta
 import pytest
 
 from tufsim import (
+    Architecture,
     Cadence,
     Catalog,
     EventCalendar,
     Repository,
+    RoleSpec,
     RoleType,
     SignatureAlgorithm,
     Uniform,
@@ -237,6 +239,36 @@ def test_criterion_7_throughput():
         run_one(arch, Uniform("AlgH10"), events, minute_year, budgeted)
         minute = time.perf_counter() - started
         assert minute < 1.0, f"one-year minute run took {minute:.3f}s"
+
+
+def test_criterion_7_hashed_bin_throughput():
+    with criterion(7, "a busy tick costs the roles that act, not the fleet"):
+        # PEP 458's layout: Root, Timestamp, Snapshot and `targets`, which
+        # delegates to hashed bins; 2,000 bin updates over an hourly year
+        bins = [RoleSpec(f"bin-{i:03x}", RoleType.TARGET) for i in range(4096)]
+        arch = Architecture("PyPI", (
+            RoleSpec("root", RoleType.ROOT), RoleSpec("timestamp", RoleType.TIMESTAMP),
+            RoleSpec("snapshot", RoleType.SNAPSHOT), RoleSpec("targets", RoleType.TARGET),
+            *bins,
+        ))
+        rng = random.Random(458)
+        events = {
+            (START + timedelta(days=rng.randrange(366)), rng.choice(bins).name)
+            for _ in range(2000)
+        }
+        hourly = generate_ticks(START, date(2020, 12, 31), Cadence.HOURLY)
+        catalog = Catalog([make_alg("Ed25519", 64, 32, 10**18, 0.5),
+                           make_alg("LMS-SHA256-H10", 1456, 60, 1024, 2.9)])
+        started = time.perf_counter()
+        results = run_sweep(arch, [Uniform(alg.name) for alg in catalog],
+                            EventCalendar(update_events=events), hourly, catalog)
+        sweep = time.perf_counter() - started
+        # one root file; the first tick signs every Target, later ticks only
+        # the updated bins, and the Snapshot signs on each tick a bin did
+        later = {(day, name) for day, name in events if day != START}
+        busy_ticks = 1 + len({day for day, _ in later})
+        assert results[0].total_signatures == 1 + len(hourly) + 4097 + len(later) + busy_ticks
+        assert sweep < 1.0, f"4,096-bin hourly sweep took {sweep:.3f}s"
 
 
 def test_criterion_8_csv_contracts(tmp_path):

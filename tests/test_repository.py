@@ -352,10 +352,34 @@ class TestLedgerTotals:
 
 
 def snapshot(repo: Repository) -> dict:
-    """Every ledger field and every RoleState field."""
-    state = {key: value for key, value in vars(repo).items() if key != "roles"}
+    """Every public ledger field, `retired` and every RoleState field, by
+    value.  The private lists are checked by `assert_indexed` on the engine
+    side instead: the reference tick clears `pending` itself, so a
+    reference repository keeps stale entries on its due list."""
+    state = {
+        key: value for key, value in vars(repo).items()
+        if key != "roles" and not key.startswith("_")
+    }
     state["roles"] = [dataclasses.asdict(role) for role in repo.roles]
     return state
+
+
+def assert_indexed(repo: Repository) -> None:
+    """The private lists hold their invariant: the Target index groups the
+    current Targets by name, the non-Target list is the current Root,
+    Timestamp and Snapshot roles in order, and the due list holds every
+    pending Target exactly once and nothing else."""
+    targets: dict[str, list[int]] = {}
+    for role in repo.roles:
+        if role.role_type is RoleType.TARGET:
+            targets.setdefault(role.name, []).append(id(role))
+    assert {name: list(map(id, roles)) for name, roles in repo._targets.items()} == targets
+    assert list(map(id, repo._others)) == [
+        id(role) for role in repo.roles if role.role_type is not RoleType.TARGET
+    ]
+    assert sorted(map(id, repo._due)) == sorted(
+        id(role) for role in repo.roles if role.role_type is RoleType.TARGET and role.pending
+    )
 
 
 ROLE_NAMES = ["Root 1", "Timestamp 1", "Timestamp 2", "Snapshot 1", "Target 1", "Target 2"]
@@ -417,6 +441,7 @@ class TestPublishTimestamps:
             for _ in range(count):
                 reference_tick(reference)
             assert snapshot(jumped) == snapshot(reference)
+            assert_indexed(jumped)
 
     def test_quiet_stretch_is_jumped(self, monkeypatch):
         repo = build_repo(make_alg(max_sigs=1024, cost=0.1))
@@ -477,6 +502,7 @@ class TestPublishTimestampOracle:
             reference_tick(expected)
             repo.publish_timestamp()
             assert snapshot(repo) == snapshot(expected)
+            assert_indexed(repo)
 
 
 class RepositoryMachine(RuleBasedStateMachine):
@@ -529,6 +555,10 @@ class RepositoryMachine(RuleBasedStateMachine):
         # it, and staging marks Targets only, so nothing may clear them
         for role in self.repo.roles:
             assert role.pending is True or role.role_type is RoleType.TARGET
+
+    @invariant()
+    def lists_match_the_roles(self):
+        assert_indexed(self.repo)
 
     @invariant()
     def check(self):

@@ -288,6 +288,51 @@ def differential_runs(draw, algorithms=3, budgets=(1, 2, 3, 4, 5, 10**18)):
     )
 
 
+@st.composite
+def fleet_runs(draw):
+    """A differential run over a few hundred Target bins, fewer names than
+    bins so names repeat, with reserve toggles and bins removed and then
+    re-added.  The bulk comes from a `random.Random` of a drawn seed, so
+    a failing fleet shrinks by its seed, not call by call."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cadence = draw(st.sampled_from([Cadence.WEEKLY, Cadence.DAILY, Cadence.HOURLY]))
+    days = draw(st.integers(1, {Cadence.WEEKLY: 120, Cadence.DAILY: 40, Cadence.HOURLY: 3}[cadence]))
+    catalog = Catalog([
+        make_alg(f"Alg{i}", sig_size=rng.randrange(1, 3000), pk_size=rng.randrange(1, 500),
+                 max_sigs=draw(st.sampled_from([1, 2, 3, 5, 10**18])), cost=rng.choice([0.1, 1 / 3]))
+        for i in range(draw(st.integers(1, 3)))
+    ])
+    pins = [None, None, None] + [alg.name for alg in catalog]
+    names = draw(st.integers(100, 400))
+    bins = [f"bin-{rng.randrange(names)}" for _ in range(draw(st.integers(200, 400)))]
+    specs = [RoleSpec(f"{t.value} {i}", t, rng.choice(pins), rng.random() < 0.2)
+             for t in (RoleType.ROOT, RoleType.TIMESTAMP, RoleType.SNAPSHOT) for i in (1, 2)]
+    specs += [RoleSpec(name, RoleType.TARGET, rng.choice(pins), rng.random() < 0.1) for name in bins]
+
+    def day():
+        return START + timedelta(days=rng.randrange(days))
+
+    events = {(day(), rng.choice(bins + ["bin-none"])) for _ in range(rng.randrange(400))}
+    actions = []
+    for _ in range(rng.randrange(40)):
+        name, kind = rng.choice(bins), rng.randrange(3)
+        if kind == 0:
+            actions.append(RoleAction(day(), ActionKind.RESERVE, name, flag=rng.random() < 0.5))
+        elif kind == 1:  # a sibling joins, which re-flags the bins of its name
+            actions.append(RoleAction(day(), ActionKind.ADD, name, RoleType.TARGET, rng.choice(pins)))
+        else:
+            removed, added = sorted((day(), day()))
+            actions.append(RoleAction(removed, ActionKind.REMOVE, name))
+            actions.append(RoleAction(added, ActionKind.ADD, name, RoleType.TARGET, rng.choice(pins)))
+    return (
+        Architecture("Device_A", tuple(specs)),
+        Uniform(catalog[0].name),
+        EventCalendar(update_events=events, role_actions=tuple(actions)),
+        generate_ticks(START, START + timedelta(days=days - 1), cadence),
+        catalog,
+    )
+
+
 class TestEngineMatchesTickByTick:
     @given(run=differential_runs())
     @settings(deadline=None, max_examples=100)
@@ -297,6 +342,14 @@ class TestEngineMatchesTickByTick:
         assert result == expected
         assert result.slot_counts == expected.slot_counts
         assert emit_report_csv([result]) == emit_report_csv([expected])
+
+    @given(run=fleet_runs())
+    @settings(deadline=None, max_examples=100)
+    def test_same_result_over_a_fleet_of_bins(self, run):
+        expected = reference_run(*run)
+        result = run_one(*run)
+        assert result == expected
+        assert result.slot_counts == expected.slot_counts
 
 
 class TestInputsThatCannotApplyWarn:
