@@ -4,7 +4,9 @@ A catalog is a sequence of named parameter sets (signature size, public-key
 size, signature budget per key, per-verification cost) loaded from a CSV
 table.  Every row is checked when the table is parsed, but a row becomes a
 `SignatureAlgorithm` only when it is first read, since a sweep over a large
-catalog may use a handful of its rows.
+catalog may use a handful of its rows.  A row is converted in one step
+straight from its CSV record; only a record that step cannot accept whole
+goes through the per-row checks.
 
 Catalogs are immutable after parsing and safe to share between threads.
 What a catalog fills in on first read never changes what a read returns:
@@ -20,7 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
-from ._table import read_table
+from ._table import Table
 from .errors import AlgorithmNotFoundError, CatalogError, ValidationError
 
 _REQUIRED_COLUMNS = (
@@ -34,6 +36,7 @@ _REQUIRED_COLUMNS = (
 # Signature budgets are kept as exact integers; a budget from this bound up
 # would overflow a signed 64-bit counter.
 _MAX_SIGS_BOUND = 2**63
+_ONE, _DECIMAL_BOUND = Decimal(1), Decimal(_MAX_SIGS_BOUND)
 
 # A row's checked fields: sig_size, pk_size, max_sigs, cost.
 _Fields = tuple[int, int, int, float]
@@ -105,9 +108,11 @@ class Catalog(Sequence[SignatureAlgorithm]):
     def __len__(self) -> int:
         return len(self._fields)
 
-    def __getitem__(self, index: int) -> SignatureAlgorithm:
+    def __getitem__(self, index: int | slice) -> SignatureAlgorithm | list[SignatureAlgorithm]:
         if self._names is None:
             self._names = list(self._fields)
+        if isinstance(index, slice):
+            return [self.get(name) for name in self._names[index]]
         return self.get(self._names[index])
 
     def __iter__(self) -> Iterator[SignatureAlgorithm]:
@@ -134,27 +139,63 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     Blank rows are skipped.  A cell missing from a short row reads as
     empty and fails its field's check.  Empty and duplicate names are
     rejected.  Every row is checked here, and every error names its row.
+
+    Each record is converted straight from its cells.  Only a record that
+    is short or blank, has a cell that does not convert, fails a range
+    check, or has an empty or repeated name takes the per-row path: it
+    skips a blank row, raises the row's error, or accepts a budget only
+    `Decimal` reads, such as one past `int()`'s digit limit.
     """
+    table = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS)
+    n, s, p, m, c = table.positions
     rows: dict[str, _Fields] = {}
-    for lineno, (name, sig_size, pk_size, max_sigs, cost) in read_table(
-        csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS
-    ):
-        if not name:
-            raise CatalogError(f"row {lineno}: algorithm name is empty")
-        if name in rows:
-            raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
-        fields = sigs, keys, budget, price = (
-            _parse_int(sig_size, "Signature Size", lineno),
-            _parse_int(pk_size, "Public Key Size", lineno),
-            _parse_max_sigs(max_sigs, lineno),
-            _parse_float(cost, "Computational Cost", lineno),
-        )
-        # _range_problem's checks, inline: a call per row would cost a
-        # tenth of the parse
-        if sigs < 0 or keys < 0 or budget < 1 or not 0.0 <= price < math.inf:
-            raise ValidationError(f"row {lineno}: {_range_problem(name, *fields)}")
-        rows[name] = fields
+    blank = 0
+    for row in table.records:
+        # int(), float() and Decimal() skip the whitespace strip() would.  A
+        # decimal budget is bounded before int(), which takes seconds on 1E1000000
+        try:
+            name, budget = row[n].strip(), row[m]
+            if "." in budget or "E" in budget or "e" in budget:
+                budget = Decimal(budget)
+                budget = int(budget) if _ONE <= budget < _DECIMAL_BOUND else 0
+            else:
+                budget = int(budget)
+            sigs, keys, price = int(row[s]), int(row[p]), float(row[c])
+        except (IndexError, ValueError, ArithmeticError):
+            name = ""
+        if (
+            name and name not in rows and sigs >= 0 and keys >= 0
+            and 0 < budget < _MAX_SIGS_BOUND and 0.0 <= price < math.inf
+        ):
+            rows[name] = sigs, keys, budget, price
+            continue
+        cells = table.cells(row)
+        if cells is None:
+            blank += 1
+        else:  # every earlier record was taken or blank, so this is its number
+            rows[cells[0]] = _check_row(len(rows) + blank + 2, rows, *cells)
     return Catalog._of_rows(rows)
+
+
+def _check_row(
+    lineno: int, rows: dict[str, _Fields], name: str, sig_size: str, pk_size: str,
+    max_sigs: str, cost: str,
+) -> _Fields:
+    """One row's fields, checked one by one; raises the first failure."""
+    if not name:
+        raise CatalogError(f"row {lineno}: algorithm name is empty")
+    if name in rows:
+        raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
+    fields = (
+        _parse_int(sig_size, "Signature Size", lineno),
+        _parse_int(pk_size, "Public Key Size", lineno),
+        _parse_max_sigs(max_sigs, lineno),
+        _parse_float(cost, "Computational Cost", lineno),
+    )
+    problem = _range_problem(name, *fields)
+    if problem is not None:
+        raise ValidationError(f"row {lineno}: {problem}")
+    return fields
 
 
 def find_algorithm(name: str, catalog: Catalog) -> SignatureAlgorithm:

@@ -256,8 +256,8 @@ def run_sweep(
 
     The inputs compile once into a `Script`.  All algorithm names — from
     role specs, the assignments, and scripted add actions — resolve
-    against the catalog first, one algorithm per slot, so a bad name fails
-    before anything runs.  Then `run_scenario` runs once per distinct
+    against the catalog first, one algorithm per slot and one lookup per
+    distinct name, so a bad name fails before anything runs.  Then `run_scenario` runs once per distinct
     vector of effective slot budgets, the first time an assignment has it,
     and each assignment is priced from that run's `slot_counts` with its
     own algorithms, which gives exactly what a run of its own would.  An
@@ -268,7 +268,8 @@ def run_sweep(
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
     script = compile_script(arch, calendar, ticks)
-    resolved = [_resolve(script.slots, assignment, catalog) for assignment in assignments]
+    found: dict[str, SignatureAlgorithm] = {}
+    resolved = [_resolve(script.slots, assignment, catalog, found) for assignment in assignments]
     runs: dict[tuple[int, ...], Simulation] = {}
     results = []
     for assignment, algorithms in zip(assignments, resolved):
@@ -396,8 +397,10 @@ def _resolve(
     slots: Sequence[tuple[str, str | None]],
     assignment: AlgorithmAssignment,
     catalog: Catalog,
+    found: dict[str, SignatureAlgorithm],
 ) -> list[SignatureAlgorithm]:
-    """Each slot's algorithm: its pin, else the assignment's choice."""
+    """Each slot's algorithm: its pin, else the assignment's choice.  Each
+    name is looked up in the catalog once and kept in `found`."""
     algorithms = []
     for role_name, pinned in slots:
         if pinned is not None:
@@ -411,12 +414,15 @@ def _resolve(
                     f"assignment does not name an algorithm for role '{role_name}'"
                 )
             name = mapped
-        try:
-            algorithms.append(find_algorithm(name, catalog))
-        except AlgorithmNotFoundError:
-            raise ConfigurationError(
-                f"role '{role_name}': algorithm '{name}' is not in the catalog"
-            ) from None
+        algorithm = found.get(name)
+        if algorithm is None:
+            try:
+                algorithm = found[name] = find_algorithm(name, catalog)
+            except AlgorithmNotFoundError:
+                raise ConfigurationError(
+                    f"role '{role_name}': algorithm '{name}' is not in the catalog"
+                ) from None
+        algorithms.append(algorithm)
     return algorithms
 
 

@@ -7,14 +7,36 @@ calls the engine's tick, its rollover check, its quiet-stretch jumps or
 `Timeline.position`, and each tick scans every role rather than the
 engine's lists of the roles that can act, so a fault in any of them shows
 up as a difference instead of being shared by both sides.
+
+`reference_catalog` parses a catalog row by row: header, stripped cells,
+then each field's own check, calling none of `tufsim._table` or the
+catalog parser's helpers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from collections.abc import Iterator
 from datetime import date, timedelta
+from decimal import Decimal, InvalidOperation
 
-from tufsim import ActionKind, Cadence, PerRole, Repository, RoleType, RunResult
+from tufsim import (
+    ActionKind,
+    Cadence,
+    Catalog,
+    CatalogError,
+    PerRole,
+    Repository,
+    RoleType,
+    RunResult,
+    SignatureAlgorithm,
+    ValidationError,
+)
+
+CATALOG_COLUMNS = ("Name", "Signature Size", "Public Key Size", "Max Signatures",
+                   "Computational Cost")
 
 
 def reference_tick(repo: Repository) -> None:
@@ -168,3 +190,68 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
         t.signatures, t.rollover_events, t.root_publications, tuple(warnings),
         tuple((s.lifetime_sigs, s.key_publications) if s else (0, 0) for s in states),
     )
+
+
+def reference_catalog(text: str) -> Catalog:
+    """A catalog parsed one stripped row at a time, each field by its own
+    check, raising the first failure's error."""
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, None)
+    if header is None:
+        raise CatalogError("catalog is empty; expected a header row")
+    header = [cell.strip() for cell in header]
+    for column in CATALOG_COLUMNS:
+        if column not in header:
+            raise CatalogError(f"catalog is missing the '{column}' column")
+    for column in CATALOG_COLUMNS:
+        if header.count(column) > 1:
+            raise CatalogError(f"catalog names the '{column}' column twice")
+    positions = [header.index(column) for column in CATALOG_COLUMNS]
+    entries: dict[str, SignatureAlgorithm] = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not "".join(row).strip():
+            continue
+        name, sig_size, pk_size, max_sigs, cost = (
+            row[i].strip() if i < len(row) else "" for i in positions
+        )
+        if not name:
+            raise CatalogError(f"row {lineno}: algorithm name is empty")
+        if name in entries:
+            raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
+        fields = (
+            _reference_number(int, sig_size, "Signature Size", "an integer", lineno),
+            _reference_number(int, pk_size, "Public Key Size", "an integer", lineno),
+            _reference_budget(max_sigs, lineno),
+            _reference_number(float, cost, "Computational Cost", "a number", lineno),
+        )
+        checks = (
+            (fields[0] >= 0, "sig_size must be >= 0"),
+            (fields[1] >= 0, "pk_size must be >= 0"),
+            (fields[2] >= 1, "max_sigs must be >= 1"),
+            (0.0 <= fields[3] < math.inf, "cost must be finite and >= 0"),
+        )
+        for ok, problem in checks:
+            if not ok:
+                raise ValidationError(f"row {lineno}: {name}: {problem}")
+        entries[name] = SignatureAlgorithm(name, *fields)
+    return Catalog(entries.values())
+
+
+def _reference_number(kind, text, column, expected, lineno):
+    try:
+        return kind(text)
+    except ValueError:
+        raise CatalogError(f"row {lineno}: '{column}' value {text!r} is not {expected}") from None
+
+
+def _reference_budget(text: str, lineno: int) -> int:
+    """`Max Signatures` as a `Decimal`, truncated, checked against 2**63."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
+        raise CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} is not numeric")
+    if value >= 2**63:
+        raise CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1")
+    return 0 if value.is_signed() else int(value)

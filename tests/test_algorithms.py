@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tufsim.algorithms
@@ -20,6 +21,7 @@ from tufsim import (
 from tufsim.algorithms import _parse_max_sigs, _parse_max_sigs_decimal
 from tufsim.cli import run_cli
 from tests.conftest import make_alg
+from tests.oracle import reference_catalog
 
 HEADER = "Name,Signature Size,Public Key Size,Max Signatures,Computational Cost"
 
@@ -295,3 +297,101 @@ class TestCatalog:
         assert err.getvalue() == ""
         assert out.getvalue().splitlines()[1].startswith("Device_A,assignment,")
         assert sorted(built) == ["Alg300", "Alg7", "Alg999"]
+
+
+# characters str.strip(), int(), float() and Decimal() all take as whitespace
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u202f\u3000"
+PADDING = st.text(WHITESPACE, max_size=2)
+LONG_DIGITS = st.integers(4_299, 4_302).map("9".__mul__)  # int() refuses past 4,300
+# (usual cells, odd cells) for each column the catalog reads
+CELLS = {
+    "Name": (
+        st.one_of(st.sampled_from(["AlgA", "AlgB", "Alg,C", '"q"']), st.text("ab", min_size=1)),
+        st.sampled_from(["", "a b", ",", "\u200b", "a\u200b"]),  # not whitespace
+    ),
+    "Signature Size": (
+        st.integers(0, 10**6).map(str),
+        st.one_of(
+            st.sampled_from(["-1", "1_000", "+12", "-0", "1__0", "_1", "1.0", "1E3", "\u0663"]),
+            LONG_DIGITS,
+        ),
+    ),
+    "Max Signatures": (
+        st.one_of(
+            st.integers(1, 2**20).map(str),
+            st.builds("{}.{}E{}".format, st.integers(1, 9), DIGITS, st.integers(0, 12)),
+        ),
+        st.one_of(
+            st.builds("{}.{}E{}".format, DIGITS, DIGITS, st.integers(-4, 25)),
+            st.sampled_from([
+                "0", "-3", "1e4", "1.5", ".5", "5.", "1e-3", "-1E1000000", "1E1000000", "1E30",
+                "1_0.5", "1_000", "9223372036854775807.9", "9223372036854775807",
+                "9223372036854775808", "nan", "sNaN", "inf", "-Infinity", "-0", "-0.0", "0E5",
+            ]),
+            LONG_DIGITS,
+            st.integers(4_299, 4_302).map(lambda n: "0" * n + "7"),
+        ),
+    ),
+    "Computational Cost": (
+        st.floats(0, 1e6).map(repr),
+        st.one_of(
+            st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-0", "-1.5", "1_0.5", "0x1p3"]),
+            LONG_DIGITS,
+        ),
+    ),
+}
+CELLS["Public Key Size"] = CELLS["Signature Size"]
+JUNK = st.text(max_size=4).filter(lambda cell: "\0" not in cell)
+
+
+@st.composite
+def catalog_texts(draw):
+    """A catalog's CSV text: a header in any column order, maybe with extra
+    columns, then rows of padded, odd, junk, blank, short and quoted cells."""
+    extra = draw(st.lists(st.sampled_from(["Notes", "Extra"]), unique=True))
+    columns = draw(st.permutations([*CELLS, *extra]))
+    rows = [[draw(PADDING) + column for column in columns]]
+    for _ in range(draw(st.integers(0, 8))):
+        row = []
+        for column in columns:
+            usual, odd = CELLS.get(column, (JUNK, JUNK))
+            value = draw(odd if draw(st.integers(0, 15)) == 0 else usual)
+            row.append(draw(PADDING) + value + draw(PADDING))
+        shape = draw(st.sampled_from(["full"] * 9 + ["junk", "short", "blank", "spaces"]))
+        if shape == "junk":
+            for i in draw(st.lists(st.integers(0, len(row) - 1), min_size=1, max_size=2)):
+                row[i] = draw(JUNK)
+        elif shape == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif shape == "blank":
+            row = draw(st.sampled_from([[], [""] * len(row)]))
+        elif shape == "spaces":
+            row = [draw(PADDING) for _ in row]
+        rows.append(row)
+    out = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(out, quoting=quoting).writerows(rows)
+    return out.getvalue()
+
+
+def _parsed(parse, text):
+    try:
+        return repr(list(parse(text)))
+    except Exception as exc:  # any error: both sides must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=catalog_texts())
+def test_parse_agrees_with_row_by_row_reference(text):
+    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+
+
+def test_catalog_slice_is_a_list_of_entries():
+    catalog = parse_algorithm_catalog(_catalog_text(_rows(5)))
+    entries = list(catalog)
+    for s in (slice(0, 1), slice(1, None), slice(None, None, -2), slice(7, 9), slice(-2, None)):
+        assert catalog[s] == entries[s]
+    assert catalog[1:3][0] is catalog.get("Alg1")
+    with pytest.raises(IndexError):
+        catalog[5]

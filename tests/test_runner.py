@@ -722,7 +722,7 @@ class TestSweepSimulatesOncePerBudgetVector:
         assert len(swept[0].slot_counts) == 6
         assert swept[0].slot_counts[4] == swept[0].slot_counts[5] != (0, 0)
 
-    def test_each_slot_resolves_once_per_assignment(self, monkeypatch):
+    def test_each_name_resolves_once_per_sweep(self, monkeypatch):
         names = []
 
         def counting(name, index):
@@ -738,8 +738,8 @@ class TestSweepSimulatesOncePerBudgetVector:
             default_architecture(), [Uniform(a.name) for a in catalog],
             EventCalendar(role_actions=(add,)), ten_day_ticks(), catalog,
         )
-        # five slots: four role specs and one add
-        assert names == [name for name in ("AlgA", "AlgB", "AlgC") for _ in range(5)]
+        # five slots (four role specs and one add) per assignment, one lookup per name
+        assert names == ["AlgA", "AlgB", "AlgC"]
 
     def test_add_on_a_date_without_a_tick_counts_zero(self):
         add = RoleAction(date(2020, 1, 3), ActionKind.ADD, "Target 2", RoleType.TARGET)
@@ -769,6 +769,17 @@ class TestSweepSimulatesOncePerBudgetVector:
         with pytest.raises(ConfigurationError, match="role 'Root 1': algorithm 'AlgZ'"):
             run_sweep(
                 default_architecture(), [Uniform("AlgA"), Uniform("AlgZ")], EventCalendar(),
+                ten_day_ticks(), Catalog([make_alg()]),
+            )
+        assert calls == []
+
+    def test_bad_name_after_found_names_its_first_slot(self, monkeypatch):
+        calls = counted_runs(monkeypatch)
+        rows = {"Root 1": "AlgA", "Timestamp 1": "AlgA", "Snapshot 1": "AlgZ", "Target 1": "AlgZ"}
+        message = "^role 'Snapshot 1': algorithm 'AlgZ' is not in the catalog$"
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(
+                default_architecture(), [Uniform("AlgA"), PerRole(rows)], EventCalendar(),
                 ten_day_ticks(), Catalog([make_alg()]),
             )
         assert calls == []
