@@ -51,8 +51,6 @@ class Table:
         positions = [header.index(column) for column in required]
         positions += [header.index(c) if c in header else None for c in optional]
         self.positions = positions
-        # a row this wide has every cell, unless an optional column is absent
-        self._width = float("inf") if None in positions else max(positions) + 1
 
     def cells(self, row: list[str]) -> list[str] | None:
         """The record's cells stripped, in the order of `positions`, with a
@@ -60,8 +58,6 @@ class Table:
         the record is blank."""
         if not "".join(row).strip():
             return None
-        if len(row) >= self._width:
-            return [row[i].strip() for i in self.positions]
         return [row[i].strip() if i is not None and i < len(row) else "" for i in self.positions]
 
 

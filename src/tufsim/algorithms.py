@@ -187,10 +187,10 @@ def _check_row(
     if name in rows:
         raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
     fields = (
-        _parse_int(sig_size, "Signature Size", lineno),
-        _parse_int(pk_size, "Public Key Size", lineno),
+        _parse_number(int, sig_size, "Signature Size", lineno),
+        _parse_number(int, pk_size, "Public Key Size", lineno),
         _parse_max_sigs(max_sigs, lineno),
-        _parse_float(cost, "Computational Cost", lineno),
+        _parse_number(float, cost, "Computational Cost", lineno),
     )
     problem = _range_problem(name, *fields)
     if problem is not None:
@@ -221,57 +221,28 @@ def _range_problem(
     return None
 
 
-def _parse_int(text: str, column: str, lineno: int) -> int:
+def _parse_number(
+    kind: type[int] | type[float], text: str, column: str, lineno: int
+) -> int | float:
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise CatalogError(
-            f"row {lineno}: '{column}' value {text!r} is not an integer"
-        ) from None
-
-
-def _parse_float(text: str, column: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise CatalogError(
-            f"row {lineno}: '{column}' value {text!r} is not a number"
-        ) from None
+        expected = "an integer" if kind is int else "a number"
+        raise CatalogError(f"row {lineno}: '{column}' value {text!r} is not {expected}") from None
 
 
 def _parse_max_sigs(text: str, lineno: int) -> int:
-    """`Max Signatures` through `int()` when the cell is an integer literal,
-    which gives what `_parse_max_sigs_decimal` gives, faster."""
-    # int() rejects a point or an exponent, and its ValueError costs more
-    # than the Decimal parse, so a cell such as 1.024E3 goes there directly
-    if "." in text or "E" in text or "e" in text:
-        return _parse_max_sigs_decimal(text, lineno)
-    try:
-        value = int(text)
-    except ValueError:  # not an integer literal, or past int()'s digit limit
-        return _parse_max_sigs_decimal(text, lineno)
-    if value >= _MAX_SIGS_BOUND:
-        raise _max_sigs_too_large(text, lineno)
-    return value if value > 0 else 0
-
-
-def _parse_max_sigs_decimal(text: str, lineno: int) -> int:
+    """`Max Signatures` read as a `Decimal` and truncated to an integer."""
     try:
         value = Decimal(text)
     except InvalidOperation:
         value = None
     if value is None or not value.is_finite():
-        raise CatalogError(
-            f"row {lineno}: 'Max Signatures' value {text!r} is not numeric"
-        )
+        raise CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} is not numeric")
     # int() of a cell such as 1E1000000 or -1E1000000 takes seconds, so the
     # bounds are checked on the Decimal.  int() truncates, so this check is
     # int(value) > 2**63 - 1; a negative value becomes 0, which the range
     # check rejects with the same error whatever the cell.
     if value >= _MAX_SIGS_BOUND:
-        raise _max_sigs_too_large(text, lineno)
+        raise CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1")
     return 0 if value.is_signed() else int(value)
-
-
-def _max_sigs_too_large(text: str, lineno: int) -> CatalogError:
-    return CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1")

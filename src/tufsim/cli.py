@@ -98,10 +98,7 @@ def run_cli(
             Path(args.output).write_text(report, encoding="utf-8")
         else:
             out.write(report)
-    except TufSimError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (TufSimError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     return 0
@@ -131,7 +128,8 @@ def _parse_config(argv: list[str] | None) -> argparse.Namespace:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark Excel's "CSV UTF-8" writes first
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigurationError(f"cannot read '{path}': {exc.strerror or exc}") from None
 

@@ -18,7 +18,6 @@ from tufsim import (
     find_algorithm,
     parse_algorithm_catalog,
 )
-from tufsim.algorithms import _parse_max_sigs, _parse_max_sigs_decimal
 from tufsim.cli import run_cli
 from tests.conftest import make_alg
 from tests.oracle import reference_catalog
@@ -186,16 +185,21 @@ MAX_SIGNATURES_CELLS = st.one_of(
 )
 
 
-def _outcome(parse, cell):
+def _parsed(parse, text):
     try:
-        return parse(cell, 2)
-    except CatalogError as exc:
+        return repr(list(parse(text)))
+    except Exception as exc:  # any error: both sides must fail alike
         return type(exc), str(exc)
 
 
 @given(cell=MAX_SIGNATURES_CELLS)
 def test_max_signatures_int_fast_path_agrees_with_decimal(cell):
-    assert _outcome(_parse_max_sigs, cell) == _outcome(_parse_max_sigs_decimal, cell)
+    # the parser's row loop reads an integer literal with int(), the
+    # reference reads every budget as a Decimal
+    out = io.StringIO()
+    csv.writer(out).writerows([HEADER.split(","), ["AlgA", "100", "50", cell, "1.5"]])
+    text = out.getvalue()
+    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
 
 
 def _rows(count):
@@ -372,13 +376,6 @@ def catalog_texts(draw):
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     csv.writer(out, quoting=quoting).writerows(rows)
     return out.getvalue()
-
-
-def _parsed(parse, text):
-    try:
-        return repr(list(parse(text)))
-    except Exception as exc:  # any error: both sides must fail alike
-        return type(exc), str(exc)
 
 
 @settings(max_examples=400, deadline=None)

@@ -183,6 +183,18 @@ def test_repeat_invocations_are_byte_identical(inputs):
     assert first == second
 
 
+def test_files_starting_with_a_byte_order_mark_read_as_plain_ones(inputs, tmp_path):
+    # Excel's "CSV UTF-8" writes a byte-order mark before the header
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    (bom / "algorithms.csv").write_text(ALGORITHMS, encoding="utf-8-sig")
+    (bom / "device_A.csv").write_text(EVENTS, encoding="utf-8-sig")
+    assert (bom / "algorithms.csv").read_bytes().startswith(b"\xef\xbb\xbfName,")
+    status, out, err = invoke(base_args(bom))
+    assert (status, err) == (0, "")
+    assert out == invoke(base_args(inputs))[1]
+
+
 def test_poisson_mode_runs_and_is_deterministic(inputs):
     args = [
         "--algorithms", str(inputs / "algorithms.csv"),
