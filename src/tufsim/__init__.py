@@ -6,6 +6,13 @@ and tallies what a worst-case client downloads and verifies: signature
 bytes, public-key bytes, and verification effort.  Signature algorithms
 are plain parameter sets, so bounded-signature schemes with key rollover
 can be compared against conventional ones over identical update schedules.
+
+The records are `typing.NamedTuple`s (with `_replace`, `_asdict` and tuple
+behaviour), except the three whose fields the engine reads on every busy
+tick, `SignatureAlgorithm`, `Timeline` and `RoleState`, which are
+`__slots__` classes.  Copy a NamedTuple with changes through `_replace`
+and convert it with `_asdict`; a `__slots__` record has no instance
+`__dict__` for `vars()`, and a changed one is built with its constructor.
 """
 
 from .algorithms import (

@@ -20,13 +20,15 @@ from .errors import TufSimError
 class Table:
     """A CSV table's data records and where each column read sits in them.
 
-    The first row is the header; its cells are matched after stripping
-    surrounding whitespace, and column order is free.  Each `required`
-    column must be present, or `error` names it; an absent `optional`
-    column reads as empty.  A header that names a `required` or `optional`
-    column twice is an error too; other columns, repeated or not, are
-    ignored.  `positions` holds each read column's index, in the order of
-    `required` then `optional`, None for an absent optional one.
+    One leading byte-order mark (U+FEFF), which spreadsheet "CSV UTF-8"
+    exports write first, is dropped.  The first row is the header; its
+    cells are matched after stripping surrounding whitespace, and column
+    order is free.  Each `required` column must be present, or `error`
+    names it; an absent `optional` column reads as empty.  A header that
+    names a `required` or `optional` column twice is an error too; other
+    columns, repeated or not, are ignored.  `positions` holds each read
+    column's index, in the order of `required` then `optional`, None for
+    an absent optional one.
     """
 
     def __init__(
@@ -37,6 +39,8 @@ class Table:
         required: Sequence[str],
         optional: Sequence[str] = (),
     ) -> None:
+        if text.startswith("\ufeff"):
+            text = text[1:]
         self.records = csv.reader(io.StringIO(text))
         header = next(self.records, None)
         if header is None:

@@ -8,6 +8,10 @@ catalog may use a handful of its rows.  A row is converted in one step
 straight from its CSV record; only a record that step cannot accept whole
 goes through the per-row checks.
 
+`SignatureAlgorithm` is an immutable `__slots__` record, since the engine
+reads its `max_sigs` on every busy tick; it has no `_replace`, so build a
+changed one with the constructor, which checks it again.
+
 Catalogs are immutable after parsing and safe to share between threads.
 What a catalog fills in on first read never changes what a read returns:
 each built entry is stored with `dict.setdefault`, so threads that read a
@@ -19,9 +23,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
+from ._record import FrozenRecord
 from ._table import Table
 from .errors import AlgorithmNotFoundError, CatalogError, ValidationError
 
@@ -42,27 +46,39 @@ _ONE, _DECIMAL_BOUND = Decimal(1), Decimal(_MAX_SIGS_BOUND)
 _Fields = tuple[int, int, int, float]
 
 
-@dataclass(frozen=True)
-class SignatureAlgorithm:
+class SignatureAlgorithm(FrozenRecord):
     """One signature scheme's parameter set.
 
     sig_size and pk_size are byte counts, max_sigs is the number of
     signatures one key pair may produce before it must be replaced, and
     cost is the finite effort to verify one signature in millions of cycles.
+
+    An immutable `__slots__` record: assigning a field raises
+    AttributeError and equality compares the five fields.  The hash is
+    computed once, here, since pricing hashes every slot's algorithm.
     """
 
-    name: str
-    sig_size: int
-    pk_size: int
-    max_sigs: int
-    cost: float
+    __slots__ = ("name", "sig_size", "pk_size", "max_sigs", "cost", "_hash")
+    _fields = __slots__[:5]
 
-    def __post_init__(self) -> None:
-        if not self.name.strip():
+    def __init__(
+        self, name: str, sig_size: int, pk_size: int, max_sigs: int, cost: float
+    ) -> None:
+        if not name.strip():
             raise ValidationError("algorithm name must be non-empty")
-        problem = _range_problem(self.name, self.sig_size, self.pk_size, self.max_sigs, self.cost)
+        problem = _range_problem(name, sig_size, pk_size, max_sigs, cost)
         if problem is not None:
             raise ValidationError(problem)
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "sig_size", sig_size)
+        set_field(self, "pk_size", pk_size)
+        set_field(self, "max_sigs", max_sigs)
+        set_field(self, "cost", cost)
+        set_field(self, "_hash", hash((name, sig_size, pk_size, max_sigs, cost)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Catalog(Sequence[SignatureAlgorithm]):

@@ -128,8 +128,7 @@ def _parse_config(argv: list[str] | None) -> argparse.Namespace:
 
 def _read(path: str) -> str:
     try:
-        # utf-8-sig drops the byte-order mark Excel's "CSV UTF-8" writes first
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read '{path}': {exc.strerror or exc}") from None
 

@@ -21,6 +21,8 @@ signatures and the root files that carried its key.  Only `price_counts`
 prices those counts, merged per algorithm and cost by `math.fsum`, so
 totals do not depend on the order in which signatures were made;
 `ledger_totals` and a sweep's per-assignment pricing both call it.
+`RoleState` is a mutable `__slots__` record, read and written every tick;
+`LedgerTotals` is a `typing.NamedTuple`.
 
 Semantics worth knowing before reading the code:
 
@@ -42,13 +44,15 @@ Semantics worth knowing before reading the code:
   its key.
 """
 
-from __future__ import annotations
+# No `from __future__ import annotations`: typing.NamedTuple compiles every
+# postponed (string) field annotation when its class is made, at import.
 
 import enum
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._record import Record
 from .algorithms import SignatureAlgorithm
 
 
@@ -61,8 +65,7 @@ class RoleType(enum.Enum):
     TARGET = "Target"
 
 
-@dataclass
-class RoleState:
+class RoleState(Record):
     """One role instance bound to a signature algorithm.
 
     lifetime_sigs counts every signature the role made; the current key,
@@ -72,21 +75,40 @@ class RoleState:
     from routine signing; the flag is read when the role is used, so it
     may be written directly.  pending is kept with the repository's due
     list: set it through `Repository.stage_update`.
+
+    A mutable `__slots__` record, read on every busy tick: equality
+    compares the nine fields, and it is unhashable.
     """
 
-    name: str
-    role_type: RoleType
-    algorithm: SignatureAlgorithm
-    lifetime_sigs: int = 0
-    key_start: int = 0
-    key_publications: int = 0
-    reserve: bool = False
-    pending: bool = True
-    rollover: bool = True
+    __slots__ = _fields = (
+        "name", "role_type", "algorithm", "lifetime_sigs", "key_start",
+        "key_publications", "reserve", "pending", "rollover",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        role_type: RoleType,
+        algorithm: SignatureAlgorithm,
+        lifetime_sigs: int = 0,
+        key_start: int = 0,
+        key_publications: int = 0,
+        reserve: bool = False,
+        pending: bool = True,
+        rollover: bool = True,
+    ) -> None:
+        self.name = name
+        self.role_type = role_type
+        self.algorithm = algorithm
+        self.lifetime_sigs = lifetime_sigs
+        self.key_start = key_start
+        self.key_publications = key_publications
+        self.reserve = reserve
+        self.pending = pending
+        self.rollover = rollover
 
 
-@dataclass(frozen=True)
-class LedgerTotals:
+class LedgerTotals(NamedTuple):
     """Read-only snapshot of a repository's accumulated client-side cost."""
 
     name: str

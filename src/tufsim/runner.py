@@ -18,14 +18,18 @@ with `Repository.publish_timestamps`, so its cost grows with the number
 of change points, not the number of ticks.  Each replay still makes the
 warnings that depend on which roles exist, and `Simulation` keeps its
 totals: the benchmark's tracer reads both from every `run_scenario` result.
+
+Every record here is a `typing.NamedTuple`.  `Architecture` checks its
+roles in every constructor, `_make` and `_replace` included, and
+`RunResult` leaves `slot_counts` out of its equality and hash.
 """
 
-from __future__ import annotations
+# No `from __future__ import annotations`: typing.NamedTuple compiles every
+# postponed (string) field annotation when its class is made, at import.
 
 import csv
 import io
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from datetime import date
 from typing import NamedTuple
 
@@ -41,8 +45,7 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RoleSpec:
+class RoleSpec(NamedTuple):
     """One role instance in an architecture.
 
     algorithm_name None means the run's assignment supplies the algorithm.
@@ -54,26 +57,35 @@ class RoleSpec:
     reserve: bool = False
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """A device's signing layout: its name plus an ordered list of roles.
-
-    Construction requires at least one instance of each of the four role
-    types; scripted actions may still drop below that mid-run, which is
-    reported as a warning rather than an error.
-    """
-
+class _ArchitectureFields(NamedTuple):
     device_name: str
     role_specs: tuple[RoleSpec, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "role_specs", tuple(self.role_specs))
-        present = {spec.role_type for spec in self.role_specs}
+
+class Architecture(_ArchitectureFields):
+    """A device's signing layout: its name plus an ordered list of roles.
+
+    Construction, `_make` and `_replace` store the role specs as a tuple
+    and require at least one instance of each of the four role types;
+    scripted actions may still drop below that mid-run, which is reported
+    as a warning rather than an error.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, device_name: str, role_specs: Iterable[RoleSpec]) -> "Architecture":
+        role_specs = tuple(role_specs)
+        present = {spec.role_type for spec in role_specs}
         missing = [t.value for t in RoleType if t not in present]
         if missing:
             raise ConfigurationError(
-                f"architecture '{self.device_name}' has no {', '.join(missing)} role"
+                f"architecture '{device_name}' has no {', '.join(missing)} role"
             )
+        return super().__new__(cls, device_name, role_specs)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Architecture":
+        return cls(*iterable)
 
 
 def default_architecture(device_name: str = "Device_A") -> Architecture:
@@ -84,8 +96,7 @@ def default_architecture(device_name: str = "Device_A") -> Architecture:
     ))
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(NamedTuple):
     """Assign one algorithm to every role that does not pin its own."""
 
     algorithm_name: str
@@ -95,8 +106,7 @@ class Uniform:
         return self.algorithm_name
 
 
-@dataclass(frozen=True)
-class PerRole:
+class PerRole(NamedTuple):
     """Assign algorithms per role name; roles with a pinned algorithm keep it."""
 
     algorithms: dict[str, str]
@@ -106,13 +116,13 @@ class PerRole:
 AlgorithmAssignment = Uniform | PerRole
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Priced ledger of one (architecture, assignment, scenario) run.
 
     slot_counts holds each slot's (lifetime signatures, key publications)
     in slot order; an add action on a date without a tick counts (0, 0).
-    Equality leaves it out: it compares the priced ledger and warnings.
+    Equality and the hash leave it out: they compare the priced ledger and
+    warnings, and a RunResult equals only another RunResult.
     """
 
     device_name: str
@@ -124,11 +134,22 @@ class RunResult:
     rollover_events: int
     root_publications: int
     warnings: tuple[str, ...] = ()
-    slot_counts: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    slot_counts: tuple[tuple[int, int], ...] = ()
 
     @property
     def total_bytes(self) -> int:
         return self.sig_bytes + self.pk_bytes
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RunResult):
+            return self[:-1] == other[:-1]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:  # tuple's own != compares slot_counts too
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
 
 class Simulation(NamedTuple):

@@ -1,21 +1,27 @@
 """Timelines of ticks, update-event lists, and scripted role changes.
 
-All values here are immutable after construction.  A tick calendar is a
-lazy `Timeline`: it stores its date range and cadence, not its ticks.
+All values here are immutable after construction.  `RoleAction` and
+`EventCalendar` are `typing.NamedTuple`s; `EventCalendar` normalises its
+fields in every constructor, `_make` and `_replace` included.  A tick
+calendar is a lazy `Timeline`, a `__slots__` record: it stores its date
+range and cadence, not its ticks, and `len` counts the ticks.
 Update events are date-granular: several arrivals on one date collapse to
 a single event, and under sub-daily cadence an event fires on the first
 tick of its date.  `Timeline.position` is the one place that decides
 which tick a date lands on, if any.
 """
 
-from __future__ import annotations
+# No `from __future__ import annotations`: typing.NamedTuple compiles every
+# postponed (string) field annotation when its class is made, at import.
 
 import enum
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from datetime import date, timedelta
+from typing import NamedTuple
 
+from ._record import FrozenRecord
 from ._table import read_table
 from .errors import CalendarError
 from .repository import RoleType
@@ -57,8 +63,7 @@ _UNREAD_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class RoleAction:
+class RoleAction(NamedTuple):
     """A scripted mid-run role change, applied on the first tick of its date.
 
     kind=ADD uses role_type and algorithm_name (None means the run's
@@ -74,34 +79,50 @@ class RoleAction:
     flag: bool | None = None
 
 
-@dataclass(frozen=True)
-class EventCalendar:
-    """Update events (a set of date/target pairs) plus scripted role actions."""
-
-    update_events: frozenset[tuple[date, str]] = frozenset()
-    role_actions: tuple[RoleAction, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "update_events", frozenset(self.update_events))
-        object.__setattr__(self, "role_actions", tuple(self.role_actions))
+class _EventCalendarFields(NamedTuple):
+    update_events: frozenset[tuple[date, str]]
+    role_actions: tuple[RoleAction, ...]
 
 
-@dataclass(frozen=True)
-class Timeline:
+class EventCalendar(_EventCalendarFields):
+    """Update events (a set of date/target pairs) plus scripted role actions.
+
+    The constructor, and so `_make` and `_replace`, stores the events as a
+    frozenset and the actions as a tuple, whatever iterables they come in.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        update_events: Iterable[tuple[date, str]] = frozenset(),
+        role_actions: Iterable[RoleAction] = (),
+    ) -> "EventCalendar":
+        return super().__new__(cls, frozenset(update_events), tuple(role_actions))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "EventCalendar":
+        return cls(*iterable)
+
+
+class Timeline(FrozenRecord):
     """The ascending ticks of an inclusive date range at one cadence.
 
     Daily has one tick per date, hourly 24, per-minute 1440; weekly has
     one tick on the start date and each 7th date after it.  Only the range
     and cadence are stored: `len` and `position` are date arithmetic.
+
+    An immutable, hashable `__slots__` record with field-wise equality.
     """
 
-    start: date
-    end: date
-    cadence: Cadence
+    __slots__ = _fields = ("start", "end", "cadence")
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise CalendarError(f"start date {self.start} is after end date {self.end}")
+    def __init__(self, start: date, end: date, cadence: Cadence) -> None:
+        if start > end:
+            raise CalendarError(f"start date {start} is after end date {end}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "cadence", cadence)
 
     @property
     def _step(self) -> int:

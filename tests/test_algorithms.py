@@ -282,9 +282,11 @@ class TestCatalog:
         built = []
 
         class Counted(SignatureAlgorithm):
-            def __post_init__(self):
-                built.append(self.name)
-                super().__post_init__()
+            __slots__ = ()
+
+            def __init__(self, name, *fields):
+                built.append(name)
+                super().__init__(name, *fields)
 
         monkeypatch.setattr(tufsim.algorithms, "SignatureAlgorithm", Counted)
         (tmp_path / "algorithms.csv").write_text(_catalog_text(_rows(1_000)))

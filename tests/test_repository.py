@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from tufsim import Repository, RoleType
+from tufsim import Repository, RoleState, RoleType
 from tests.conftest import make_alg
 from tests.oracle import reference_tick
 
@@ -360,7 +359,9 @@ def snapshot(repo: Repository) -> dict:
         key: value for key, value in vars(repo).items()
         if key != "roles" and not key.startswith("_")
     }
-    state["roles"] = [dataclasses.asdict(role) for role in repo.roles]
+    state["roles"] = [
+        {field: getattr(role, field) for field in RoleState._fields} for role in repo.roles
+    ]
     return state
 
 

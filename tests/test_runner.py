@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -22,6 +21,7 @@ from tufsim import (
     RoleAction,
     RoleSpec,
     RoleType,
+    SignatureAlgorithm,
     Uniform,
     default_architecture,
     emit_report_csv,
@@ -365,7 +365,7 @@ class TestInputsThatCannotApplyWarn:
         empty = run_one(
             default_architecture(), Uniform("AlgA"), EventCalendar(), ticks, Catalog([make_alg()])
         )
-        assert replace(result, warnings=()) == empty
+        assert result._replace(warnings=()) == empty
         assert result.warnings == (
             "2020-01-03: update event for 'Target 1' falls on no tick and was not applied",
             "2020-01-04: remove action for 'Root 1' falls on no tick and was not applied",
@@ -383,7 +383,7 @@ class TestInputsThatCannotApplyWarn:
             default_architecture(), PerRole({**rows, "Target 2": "AlgA"}), calendar,
             ten_day_ticks(), Catalog([make_alg()]),
         )
-        assert replace(result, warnings=()) == plain
+        assert result._replace(warnings=()) == plain
         assert result.warnings == tuple(
             f"assignment row for '{name}' names no role of the architecture or an add action"
             for name in ("Target 7", "Ghost")
@@ -408,7 +408,7 @@ class TestInputsThatCannotApplyWarn:
             ten_day_ticks(), catalog,
         )
         plain = run_one(arch, PerRole(rows), calendar, ten_day_ticks(), catalog)
-        assert replace(result, warnings=()) == plain
+        assert result._replace(warnings=()) == plain
         assert plain.warnings == ()
         assert result.warnings == (
             "assignment row for 'Target 1' is overridden by its pinned algorithm 'AlgA'",
@@ -427,7 +427,7 @@ class TestInputsThatCannotApplyWarn:
         assert taken.warnings == ()
         arch = Architecture(
             "Device_A",
-            tuple(replace(spec, algorithm_name="AlgA") for spec in default_architecture().role_specs),
+            tuple(spec._replace(algorithm_name="AlgA") for spec in default_architecture().role_specs),
         )
         overridden = run_one(
             arch, PerRole(rows), EventCalendar(role_actions=(pinned,)), ten_day_ticks(), catalog
@@ -451,7 +451,7 @@ class TestInputsThatCannotApplyWarn:
         dropped -= len(kept.update_events) + len(kept.role_actions)
         full = run_one(arch, assignment, calendar, timeline, catalog)
         on_ticks = run_one(arch, assignment, kept, timeline, catalog)
-        assert replace(full, warnings=()) == replace(on_ticks, warnings=())
+        assert full._replace(warnings=()) == on_ticks._replace(warnings=())
         extra = Counter(full.warnings) - Counter(on_ticks.warnings)
         assert len(full.warnings) == len(on_ticks.warnings) + dropped
         assert sum(extra.values()) == dropped
@@ -584,12 +584,12 @@ def sweep_runs(draw):
         pin = st.sampled_from([alg.name for alg in catalog])
         arch = Architecture(
             arch.device_name,
-            tuple(replace(spec, algorithm_name=draw(pin)) for spec in arch.role_specs),
+            tuple(spec._replace(algorithm_name=draw(pin)) for spec in arch.role_specs),
         )
         offset = draw(st.integers(0, (timeline.end - timeline.start).days))
         add = RoleAction(timeline.start + timedelta(days=offset), ActionKind.ADD,
                          draw(st.sampled_from(DIFF_NAMES)), draw(st.sampled_from(list(RoleType))))
-        calendar = replace(calendar, role_actions=calendar.role_actions + (add,))
+        calendar = calendar._replace(role_actions=calendar.role_actions + (add,))
     return arch, calendar, timeline, catalog
 
 
@@ -603,7 +603,9 @@ def saturating_runs(draw):
     )
     n = len(timeline)
     budgets = st.sampled_from([b for b in (n - 1, n, n + 1, 10**18) if b >= 1])
-    return arch, calendar, timeline, Catalog([replace(a, max_sigs=draw(budgets)) for a in catalog])
+    return arch, calendar, timeline, Catalog([
+        SignatureAlgorithm(a.name, a.sig_size, a.pk_size, draw(budgets), a.cost) for a in catalog
+    ])
 
 
 def counted_runs(monkeypatch):

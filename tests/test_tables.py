@@ -106,6 +106,19 @@ def test_a_repeated_column_no_reader_uses_is_ignored(reader):
     assert parse("\n".join(noted) + "\n") == parse("\n".join([header, *rows]) + "\n")
 
 
+@reader_names
+def test_one_leading_byte_order_mark_is_dropped(reader):
+    # spreadsheet "CSV UTF-8" exports write U+FEFF before the header
+    parse, error, header, rows, _ = READERS[reader]
+    text = "\n".join([header, *rows]) + "\n"
+    assert parse("\ufeff" + text) == parse(text)
+    with pytest.raises(error, match="is empty"):
+        parse("\ufeff")
+    first = header.split(",")[0]
+    with pytest.raises(error, match=f"missing the '{first}' column"):
+        parse("\ufeff\ufeff" + text)
+
+
 def test_a_catalog_column_named_twice_fails_the_run(tmp_path):
     header, rows = READERS["catalog"][2:4]
     catalog = tmp_path / "algorithms.csv"
