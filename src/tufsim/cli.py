@@ -149,10 +149,9 @@ def _execute(args: argparse.Namespace, err: TextIO) -> str:
         # cells are read stripped, so "" can only be a missing Target cell
         events = load_event_dates(_read(args.events), "").update_events
         if args.target is not None and all(name for _, name in events):
-            print(
-                "warning: --target not used: every row of the event file names its Target",
-                file=err,
-            )
+            reason = ("every row of the event file names its Target" if events
+                      else "the event file has no rows")
+            print(f"warning: --target not used: {reason}", file=err)
         calendar = EventCalendar({(day, name or target) for day, name in events})
     elif args.poisson_rate is not None:
         calendar = generate_poisson_events(

@@ -4,14 +4,14 @@ A Repository holds an ordered list of role instances (Root, Timestamp,
 Snapshot, Target) and counts, tick by tick, what a worst-case client pays:
 one that downloads and verifies every signature the repository ever
 publishes.  `publish_timestamp` advances one tick; `publish_timestamps(n)`
-advances n ticks to the same state, jumping over quiet stretches in closed
-form.  Both are checked against the plain four-phase tick and tick-by-tick
-run in `tests/oracle.py`, which scan every role.
+advances n ticks to the same state, applying the quiet ticks after each
+real tick in closed form.  Both are checked against the plain four-phase
+tick and tick-by-tick run in `tests/oracle.py`, which scan every role.
 
 A tick visits only the roles that can act: the Root, Timestamp and
 Snapshot roles, which are few, and the pending Targets, kept once each on
 a due list by `stage_update` and `add_role`.  Their rollover check, the
-signing and the quiet-stretch test never touch an idle Target, so a fleet
+signing and the quiet-run length never touch an idle Target, so a fleet
 of thousands of Target bins costs per tick what its updated bins do.  Only
 a root file, published when a key rolls over or a role is added or
 removed, visits every role.
@@ -37,11 +37,11 @@ Semantics worth knowing before reading the code:
 * A Snapshot signs whenever any Target signed this tick.
 * Root-file publication charges the public key of every current role
   (reserve ones included) plus one signature per Root instance.
-* A tick is quiet when no root update is flagged, no role has its
-  rollover flag set, no pending role has an exhausted key and no
-  non-reserve Target is pending.  On a quiet tick only the non-reserve
-  Timestamps sign, and the state stays quiet until one of them exhausts
-  its key.
+* A tick leaves no root update, no rollover flag, no signing Target due
+  and no used-up key on a due Target.  So after any tick only the
+  non-reserve Timestamps sign, tick after tick, until a Root, Timestamp
+  or Snapshot key is used up: that is the quiet run `publish_timestamps`
+  applies in closed form.
 """
 
 # No `from __future__ import annotations`: typing.NamedTuple compiles every
@@ -222,13 +222,14 @@ class Repository:
         Returns the number of roles processed.  publish_timestamp calls this
         internally; it is public so the trigger condition is testable alone.
         Only the Root, Timestamp and Snapshot roles and the pending Targets
-        are visited: a Target is flagged for rollover only while pending.
+        are visited, and all of them are pending: a Target is flagged for
+        rollover only while pending.
         """
         rolled = 0
         for roles in (self._others, self._due):
             for role in roles:
                 used = role.lifetime_sigs - role.key_start
-                if role.rollover or (used == role.algorithm.max_sigs and role.pending):
+                if role.rollover or used == role.algorithm.max_sigs:
                     role.rollover = True
                     role.key_start = role.lifetime_sigs
                     rolled += 1
@@ -278,44 +279,30 @@ class Repository:
         """Advance the repository by `count` ticks.
 
         The state afterwards equals that after `count` calls of
-        publish_timestamp.  Runs of quiet ticks are applied in closed form;
-        every other tick goes through publish_timestamp.
+        publish_timestamp.  Each pass makes one real tick, then applies the
+        quiet ticks that follow it in closed form: only the non-reserve
+        Timestamps sign, until one of their keys or a Root or Snapshot key
+        is used up.  A quiet run of one tick is left to the next pass, as a
+        real tick.
         """
-        while count > 1:
-            stride = self._quiet_stride(count)
-            if stride <= 1:
-                self.publish_timestamp()
-                count -= 1
-                continue
-            for role in self._others:
-                if role.role_type is RoleType.TIMESTAMP and not role.reserve:
-                    role.lifetime_sigs += stride
-            count -= stride
-        if count == 1:  # a single tick needs no quiet check
+        timestamp = RoleType.TIMESTAMP
+        while count > 0:
             self.publish_timestamp()
-
-    def _quiet_stride(self, limit: int) -> int:
-        """How many of the next `limit` ticks are quiet, in a row; 0 if the
-        next tick is not.
-
-        The run ends when a non-reserve Timestamp's key is exhausted: the
-        tick after that rolls the key over.  A Target can end it only while
-        pending, so only the due Targets are visited.
-        """
-        if self.update_root:
-            return 0
-        for role in self._due:  # pending, so a non-reserve one signs next tick
-            used = role.lifetime_sigs - role.key_start
-            if not role.reserve or role.rollover or used == role.algorithm.max_sigs:
-                return 0
-        stride = limit
-        for role in self._others:
-            used = role.lifetime_sigs - role.key_start
-            if role.rollover or used == role.algorithm.max_sigs:
-                return 0
-            if role.role_type is RoleType.TIMESTAMP and not role.reserve:
-                stride = min(stride, role.algorithm.max_sigs - used)
-        return stride
+            count -= 1
+            if count < 2:  # no quiet run longer than one tick fits
+                continue
+            quiet, signers = count, []
+            for role in self._others:
+                unused = role.algorithm.max_sigs - role.lifetime_sigs + role.key_start
+                if role.role_type is timestamp and not role.reserve:
+                    signers.append(role)
+                    quiet = min(quiet, unused)
+                elif not unused:  # used up: the next tick rolls it over
+                    quiet = 0
+            if quiet > 1:
+                for role in signers:
+                    role.lifetime_sigs += quiet
+                count -= quiet
 
     def ledger_totals(self) -> LedgerTotals:
         """Price the counts of current and removed roles with `price_counts`;

@@ -146,6 +146,17 @@ def test_target_unused_by_fully_targeted_events_warns(inputs, tmp_path):
     assert err == 3 * "warning: 2020-01-07: update event for 'Nobody' matched no Target role\n"
 
 
+def test_target_unused_by_an_event_file_without_rows_says_so(inputs, tmp_path):
+    events = tmp_path / "header_only.csv"
+    events.write_text("Date,Target\n\n")
+    args = base_args(inputs)
+    args[3] = str(events)
+    status, out, err = invoke([*args, "--target", "Nobody"])
+    assert status == 0
+    assert out == invoke(args)[1]
+    assert err == "warning: --target not used: the event file has no rows\n"
+
+
 def test_start_after_end(inputs):
     args = base_args(inputs)
     args[args.index("--end") + 1] = "2019-01-01"
