@@ -10,7 +10,7 @@ up as a difference instead of being shared by both sides.
 
 `reference_catalog` parses a catalog row by row: header, stripped cells,
 then each field's own check, calling none of `tufsim._table` or the
-catalog parser's helpers.
+catalog parser's helpers, and never reading a column at a time.
 """
 
 from __future__ import annotations
@@ -194,8 +194,16 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
 
 def reference_catalog(text: str) -> Catalog:
     """A catalog parsed one stripped row at a time, each field by its own
-    check, raising the first failure's error."""
+    check, raising the first failure's error; a record csv cannot read is
+    a `CatalogError` naming its line."""
     rows = csv.reader(io.StringIO(text))
+    try:
+        return _reference_entries(rows)
+    except csv.Error as exc:
+        raise CatalogError(f"catalog line {rows.line_num}: {exc}") from None
+
+
+def _reference_entries(rows) -> Catalog:
     header = next(rows, None)
     if header is None:
         raise CatalogError("catalog is empty; expected a header row")

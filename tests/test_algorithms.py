@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import csv
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tufsim._table
 import tufsim.algorithms
 import tufsim.runner
 from tufsim import (
@@ -351,9 +354,9 @@ JUNK = st.text(max_size=4).filter(lambda cell: "\0" not in cell)
 
 
 @st.composite
-def catalog_texts(draw):
-    """A catalog's CSV text: a header in any column order, maybe with extra
-    columns, then rows of padded, odd, junk, blank, short and quoted cells."""
+def catalog_rows(draw):
+    """A catalog's rows: a header in any column order, maybe with extra
+    columns, then rows of padded, odd, junk, blank and short cells."""
     extra = draw(st.lists(st.sampled_from(["Notes", "Extra"]), unique=True))
     columns = draw(st.permutations([*CELLS, *extra]))
     rows = [[draw(PADDING) + column for column in columns]]
@@ -374,9 +377,21 @@ def catalog_texts(draw):
         elif shape == "spaces":
             row = [draw(PADDING) for _ in row]
         rows.append(row)
-    out = io.StringIO()
+    return rows
+
+
+@st.composite
+def catalog_texts(draw):
+    """`catalog_rows` written by `csv.writer`, lines ended by \\r\\n and
+    cells quoted where needed or all of them."""
+    rows = draw(catalog_rows())
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    csv.writer(out, quoting=quoting).writerows(rows)
+    return _written(rows, quoting=quoting)
+
+
+def _written(rows, **dialect):
+    out = io.StringIO()
+    csv.writer(out, **dialect).writerows(rows)
     return out.getvalue()
 
 
@@ -384,6 +399,92 @@ def catalog_texts(draw):
 @given(text=catalog_texts())
 def test_parse_agrees_with_row_by_row_reference(text):
     assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=catalog_rows())
+def test_lf_written_parse_agrees_with_row_by_row_reference(rows):
+    # \n line ends and only the cells that need it quoted: a table of
+    # full rows with no quoted cell is read a column at a time
+    text = _written(rows, lineterminator="\n")
+    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+
+
+# the characters a cell written without quotes may not hold
+QUOTED_CHARACTERS = str.maketrans("", "", '",\r\n')
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=catalog_rows())
+def test_quote_free_and_quote_all_texts_parse_alike(rows):
+    rows = [[cell.translate(QUOTED_CHARACTERS) for cell in row] for row in rows]
+    quote_free = "".join(",".join(row) + "\n" for row in rows)
+    quote_all = _written(rows, quoting=csv.QUOTE_ALL, lineterminator="\n")
+    assert _parsed(parse_algorithm_catalog, quote_free) == _parsed(
+        parse_algorithm_catalog, quote_all
+    )
+
+
+def test_quoted_cells_are_read_by_csv_rules():
+    text = HEADER + '\n"AlgA",100,50,1E4,1.5\n"Alg ""B""",7,8,9,1\n'
+    assert [alg.name for alg in parse_algorithm_catalog(text)] == ["AlgA", 'Alg "B"']
+
+
+def test_rows_of_other_widths_are_read_as_records():
+    # one cell too many, then one too few: five cells a row again, but
+    # the extra cell is ignored and the short row lacks its cost
+    text = HEADER + "\nAlgA,1,2,3,4,AlgB\n1,2,3,4\n"
+    with pytest.raises(CatalogError, match=r"^row 3: 'Computational Cost' value '' "):
+        parse_algorithm_catalog(text)
+
+
+def test_a_name_repeated_far_down_the_catalog_is_rejected():
+    # about four chunks of rows lie between the name and its repeat
+    rows = _rows(3 * tufsim._table.CHUNK_CHARS // 20)
+    text = _catalog_text(rows) + "Alg0,1,2,3,4\n"
+    message = f"^row {len(rows) + 2}: duplicate algorithm name 'Alg0'$"
+    with pytest.raises(CatalogError, match=message):
+        parse_algorithm_catalog(text)
+
+
+def bulk_catalog_text(seed, count=60_000):
+    """A catalog of `count` rows shaped like a sweep over generated
+    parameter sets: every eleventh budget is `1E18`, the others alternate
+    between integers and decimal scientific notation such as `1.024E3`."""
+    rng = random.Random(seed)
+    lines = [HEADER]
+    for i in range(count):
+        if i % 11 == 0:
+            budget = "1E18"
+        else:
+            digits = str(rng.randrange(16, 2**20))
+            budget = digits if i % 2 else f"{digits[0]}.{digits[1:]}E{len(digits) - 1}"
+        lines.append(
+            f"BULK-{i:06d}-{rng.randrange(16**6):06x},{rng.randrange(16, 50_000)},"
+            f"{rng.randrange(16, 5_000)},{budget},{rng.randrange(1, 100_000) / 1000!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_full_size_catalog_agrees_with_row_by_row_reference():
+    text = bulk_catalog_text(13)
+    parsed, reference = list(parse_algorithm_catalog(text)), list(reference_catalog(text))
+    assert len(parsed) == len(reference) == 60_000
+    for row, (got, want) in enumerate(zip(parsed, reference), start=2):
+        assert got == want, f"row {row}"
+
+
+def test_parse_peak_memory_stays_below_the_text_size():
+    # the parse may hold a chunk of the text at a time, never a copy of it
+    text = bulk_catalog_text(7)
+    tracemalloc.start()
+    try:
+        catalog = parse_algorithm_catalog(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(catalog) == 60_000
+    assert peak - kept < len(text)
 
 
 def test_catalog_slice_is_a_list_of_entries():

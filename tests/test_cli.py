@@ -383,6 +383,22 @@ def test_non_finite_cost_is_an_error(inputs, tmp_path, cell):
     assert err == "error: row 5: AlgD: cost must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("algorithms.csv", ALGORITHMS + "x" * 140_000 + ",100,50,1E4,1.0\n",
+         "error: catalog line 5: field larger than field limit (131072)\n"),
+        ("device_A.csv", EVENTS + "2020-01-08," + "x" * 140_000 + "\n",
+         "error: event file line 4: field larger than field limit (131072)\n"),
+    ],
+    ids=["catalog", "event file"],
+)
+def test_a_cell_past_the_csv_field_limit_is_an_error(inputs, name, text, message):
+    (inputs / name).write_text(text)
+    status, out, err = invoke(base_args(inputs))
+    assert (status, out, err) == (2, "", message)
+
+
 def test_console_entry_point(inputs):
     proc = subprocess.run(
         [sys.executable, "-m", "tufsim.cli", *base_args(inputs)],

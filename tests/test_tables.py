@@ -119,6 +119,16 @@ def test_one_leading_byte_order_mark_is_dropped(reader):
         parse("\ufeff\ufeff" + text)
 
 
+@reader_names
+def test_a_record_csv_cannot_read_is_that_reader_s_error_naming_its_line(reader):
+    # a lone carriage return inside an unquoted cell; a file the CLI reads
+    # never holds one, since reading it turns \r\n and \r into \n
+    parse, error, header, rows, _ = READERS[reader]
+    text = "\n".join([header, rows[0], "x\ry", *rows[1:]]) + "\n"
+    with pytest.raises(error, match=" line 3: new-line character seen in unquoted field"):
+        parse(text)
+
+
 def test_a_catalog_column_named_twice_fails_the_run(tmp_path):
     header, rows = READERS["catalog"][2:4]
     catalog = tmp_path / "algorithms.csv"
