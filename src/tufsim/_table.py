@@ -2,28 +2,28 @@
 
 `Table` resolves the header and picks a record's cells; `read_table` yields
 the picked cells of every data row and serves four of the five readers.
-The catalog parser first asks `Table.chunks` for the text's cells a chunk
-of lines at a time, which takes only text that csv reads as plain lines
-split at commas, all as wide as the header; from any other text it walks
-`Table.records` from the first data row, converting each record's cells
-in place, and hands `Table.cells` only the records it cannot accept whole:
-a short or blank row, a cell that does not convert, a range failure, or an
-empty or repeated name.  The header rules live only here, and so does the
-one error csv itself raises, which names the input and its line.
+The catalog parser walks `Table.records` itself, converting each record's
+cells in place, and hands `Table.cells` only the records it cannot accept
+whole: a short or blank row, a cell that does not convert, a range
+failure, or an empty or repeated name.  The header rules live only here,
+and so does the one error csv itself raises, which each walk of
+`Table.records` turns into the reader's own error by `Table.failed`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from .errors import TufSimError
 
-# Characters per chunk of `Table.chunks`, rounded up to the end of a line.
-# A chunk's lists of lines and cells take about twelve bytes per character,
-# so this bounds what a parse holds beyond the catalog it builds.
+# Characters per piece of the text that csv reads through one StringIO,
+# rounded up to the end of a line.  A StringIO holds four bytes a
+# character, so one over the whole text is a copy four times the size of
+# an ASCII text; pieces cut after a newline give csv the same lines and
+# line numbers.
 CHUNK_CHARS = 1 << 16
 
 
@@ -51,9 +51,12 @@ class Table:
     ) -> None:
         if text.startswith("\ufeff"):
             text = text[1:]
-        self.text = text
-        self.records = _records(text, what, error)
-        header = next(self.records, None)
+        self.what, self.error = what, error
+        self.records = csv.reader(chain.from_iterable(_pieces(text)))
+        try:
+            header = next(self.records, None)
+        except csv.Error as exc:
+            raise self.failed(exc) from None
         if header is None:
             raise error(f"{what} is empty; expected a header row")
         header = [cell.strip() for cell in header]
@@ -66,35 +69,11 @@ class Table:
         positions = [header.index(column) for column in required]
         positions += [header.index(c) if c in header else None for c in optional]
         self.positions = positions
-        self.width = len(header)
 
-    def chunks(self) -> Iterator[list[str]]:
-        """The data records' cells, `width` to a record, in one flat list per
-        chunk of about `CHUNK_CHARS` characters of whole lines.
-
-        Raises ValueError before the first chunk csv would read otherwise:
-        the text holds a `"`, a carriage return or a NUL, or a chunk has a
-        line that is not `width` cells or is longer than csv's field size
-        limit.  The text's one final newline ends its last record; a blank
-        line is one empty cell, so it fails the width check.
-        """
-        text, width, limit = self.text, self.width, csv.field_size_limit()
-        if '"' in text or "\r" in text or "\0" in text:
-            raise ValueError("the text needs csv's quoting rules")
-        start = text.find("\n") + 1 or len(text)
-        stop = len(text) - text.endswith("\n")
-        while start < stop:
-            end = text.find("\n", start + CHUNK_CHARS, stop)
-            if end < 0:
-                end = stop
-            lines = text[start:end].split("\n")
-            commas = list(map(str.count, lines, repeat(",")))
-            if commas.count(width - 1) != len(lines):
-                raise ValueError("a line is not as wide as the header")
-            if max(map(len, lines)) > limit:
-                raise ValueError("a line is longer than csv's field size limit")
-            yield ",".join(lines).split(",")
-            start = end + 1
+    def failed(self, exc: csv.Error) -> TufSimError:
+        """The error for a record csv cannot read, such as a cell past
+        `csv.field_size_limit()`, naming the input and the record's line."""
+        return self.error(f"{self.what} line {self.records.line_num}: {exc}")
 
     def cells(self, row: list[str]) -> list[str] | None:
         """The record's cells stripped, in the order of `positions`, with a
@@ -116,28 +95,20 @@ def read_table(
     `Table.cells` picks them, skipping rows whose cells are all blank.
     Row numbers count CSV records from 1, the header included."""
     table = Table(text, what, error, required, optional)
-    for lineno, row in enumerate(table.records, start=2):
-        cells = table.cells(row)
-        if cells is not None:
-            yield lineno, cells
-
-
-def _lines(text: str) -> Iterator[Iterable[str]]:
-    """The lines `io.StringIO(text)` yields, in two parts: the first line
-    sliced from the text, so that reading the header alone copies nothing
-    more, then the StringIO from the second line on."""
-    end = text.find("\n") + 1 or len(text)
-    yield [text[:end]] if end else []
-    rest = io.StringIO(text)
-    rest.seek(end)
-    yield rest
-
-
-def _records(text: str, what: str, error: type[TufSimError]) -> Iterator[list[str]]:
-    """csv's records of the text, a csv.Error raised as `error` naming its
-    line."""
-    reader = csv.reader(chain.from_iterable(_lines(text)))
     try:
-        yield from reader
+        for lineno, row in enumerate(table.records, start=2):
+            cells = table.cells(row)
+            if cells is not None:
+                yield lineno, cells
     except csv.Error as exc:
-        raise error(f"{what} line {reader.line_num}: {exc}") from None
+        raise table.failed(exc) from None
+
+
+def _pieces(text: str) -> Iterator[io.StringIO]:
+    """The text as StringIOs of about `CHUNK_CHARS` characters, each but
+    the last ending just after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + CHUNK_CHARS) + 1 or len(text)
+        yield io.StringIO(text[start:end])
+        start = end

@@ -4,17 +4,10 @@ A catalog is a sequence of named parameter sets (signature size, public-key
 size, signature budget per key, per-verification cost) loaded from a CSV
 table.  Every row is checked when the table is parsed, but a row becomes a
 `SignatureAlgorithm` only when it is first read, since a sweep over a large
-catalog may use a handful of its rows.
-
-Text without csv quoting, whose lines are all as wide as the header, is
-read a column at a time: each chunk of lines becomes one list of cells,
-each column of it is converted by one `map`, and its ranges are checked
-by `min` and `max`, so the text is never copied whole and no Python code
-runs per row.  Any other text, and any text with a row that would fail a
-check, is read from its first row by the row loop over csv records: a row
-is converted in one step straight from its record, and only a record that
-step cannot accept whole goes through the per-row checks.  Both paths give
-the same catalog, and the row loop raises every error.
+catalog may use a handful of its rows.  A row is converted in one step
+straight from its CSV record; only a record that step cannot accept whole
+goes through the per-row checks.  csv reads the text a piece of whole
+lines at a time (see `_table`), so a large catalog is never copied whole.
 
 `SignatureAlgorithm` is an immutable `__slots__` record, since the engine
 reads its `max_sigs` on every busy tick; it has no `_replace`, so build a
@@ -29,6 +22,7 @@ the name list behind indexing comes out the same whichever thread makes it.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
@@ -162,89 +156,48 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     decimal scientific notation such as ``1E4``, truncated to an integer.
     Blank rows are skipped.  A cell missing from a short row reads as
     empty and fails its field's check.  Empty and duplicate names are
-    rejected.  Every row is checked here, and every error names its row.
+    rejected.  Every row is checked here, and every error names its row;
+    a record csv cannot read, such as one with a cell longer than
+    `csv.field_size_limit()`, is an error naming its line.
 
-    Text that `Table.chunks` takes, and whose every row passes, is read a
-    column at a time.  Otherwise each record is converted straight from its
-    cells.  Only a record that is short or blank, has a cell that does not
-    convert, fails a range check, or has an empty or repeated name takes
-    the per-row path: it skips a blank row, raises the row's error, or
-    accepts a budget only `Decimal` reads, such as one past `int()`'s digit
-    limit.
+    Each record is converted straight from its cells.  Only a record that
+    is short or blank, has a cell that does not convert, fails a range
+    check, or has an empty or repeated name takes the per-row path: it
+    skips a blank row, raises the row's error, or accepts a budget only
+    `Decimal` reads, such as one past `int()`'s digit limit.
     """
     table = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS)
-    columns = _column_rows(table)
-    if columns is not None:
-        return Catalog._of_rows(columns)
     n, s, p, m, c = table.positions
     rows: dict[str, _Fields] = {}
     blank = 0
-    for row in table.records:
-        # int(), float() and Decimal() skip the whitespace strip() would.  A
-        # decimal budget is bounded before int(), which takes seconds on 1E1000000
-        try:
-            name, budget = row[n].strip(), row[m]
-            if "." in budget or "E" in budget or "e" in budget:
-                budget = Decimal(budget)
-                budget = int(budget) if _ONE <= budget < _DECIMAL_BOUND else 0
-            else:
-                budget = int(budget)
-            sigs, keys, price = int(row[s]), int(row[p]), float(row[c])
-        except (IndexError, ValueError, ArithmeticError):
-            name = ""
-        if (
-            name and name not in rows and sigs >= 0 and keys >= 0
-            and 0 < budget < _MAX_SIGS_BOUND and 0.0 <= price < math.inf
-        ):
-            rows[name] = sigs, keys, budget, price
-            continue
-        cells = table.cells(row)
-        if cells is None:
-            blank += 1
-        else:  # every earlier record was taken or blank, so this is its number
-            rows[cells[0]] = _check_row(len(rows) + blank + 2, rows, *cells)
-    return Catalog._of_rows(rows)
-
-
-def _column_rows(table: Table) -> dict[str, _Fields] | None:
-    """The table's rows converted a column of a chunk at a time, or None
-    when a chunk is not plain lines or a row would fail a check.
-
-    Every cell is converted as the row loop converts it, so a table this
-    takes gives the row loop's fields.  A chunk's budgets are all read by
-    `Decimal` when any of them has a point or an exponent; for a cell in
-    range that is the integer the row loop gives, whether it reads the
-    cell by `int()` or, past `int()`'s digit limit, by `Decimal`.
-    """
-    n, s, p, m, c = table.positions
-    width = table.width
-    rows: dict[str, _Fields] = {}
     try:
-        for cells in table.chunks():
-            names = list(map(str.strip, cells[n::width]))
-            sigs = list(map(int, cells[s::width]))
-            keys = list(map(int, cells[p::width]))
-            budgets = cells[m::width]
-            marks = "".join(budgets)
-            if "." in marks or "E" in marks or "e" in marks:
-                budgets = list(map(Decimal, budgets))
-                if not (_ONE <= min(budgets) and max(budgets) < _DECIMAL_BOUND):
-                    return None
-            budgets = list(map(int, budgets))
-            costs = list(map(float, cells[c::width]))
-            # a sum of finite non-negative costs is finite unless it
-            # overflows, which only sends the table to the row loop
-            if not (
-                all(names) and len(set(names)) == len(names) and rows.keys().isdisjoint(names)
-                and min(sigs) >= 0 and min(keys) >= 0
-                and min(budgets) >= 1 and max(budgets) < _MAX_SIGS_BOUND
-                and min(costs) >= 0.0 and sum(costs) < math.inf
+        for row in table.records:
+            # int(), float() and Decimal() skip the whitespace strip() would.  A
+            # decimal budget is bounded before int(), which takes seconds on 1E1000000
+            try:
+                name, budget = row[n].strip(), row[m]
+                if "." in budget or "E" in budget or "e" in budget:
+                    budget = Decimal(budget)
+                    budget = int(budget) if _ONE <= budget < _DECIMAL_BOUND else 0
+                else:
+                    budget = int(budget)
+                sigs, keys, price = int(row[s]), int(row[p]), float(row[c])
+            except (IndexError, ValueError, ArithmeticError):
+                name = ""
+            if (
+                name and name not in rows and sigs >= 0 and keys >= 0
+                and 0 < budget < _MAX_SIGS_BOUND and 0.0 <= price < math.inf
             ):
-                return None
-            rows.update(zip(names, zip(sigs, keys, budgets, costs)))
-    except (ValueError, ArithmeticError):
-        return None
-    return rows
+                rows[name] = sigs, keys, budget, price
+                continue
+            cells = table.cells(row)
+            if cells is None:
+                blank += 1
+            else:  # every earlier record was taken or blank, so this is its number
+                rows[cells[0]] = _check_row(len(rows) + blank + 2, rows, *cells)
+    except csv.Error as exc:
+        raise table.failed(exc) from None
+    return Catalog._of_rows(rows)
 
 
 def _check_row(

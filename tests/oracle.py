@@ -10,7 +10,8 @@ up as a difference instead of being shared by both sides.
 
 `reference_catalog` parses a catalog row by row: header, stripped cells,
 then each field's own check, calling none of `tufsim._table` or the
-catalog parser's helpers, and never reading a column at a time.
+catalog parser's helpers, and reading the whole text through one
+`io.StringIO`.
 """
 
 from __future__ import annotations

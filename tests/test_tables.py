@@ -120,12 +120,16 @@ def test_one_leading_byte_order_mark_is_dropped(reader):
 
 
 @reader_names
-def test_a_record_csv_cannot_read_is_that_reader_s_error_naming_its_line(reader):
-    # a lone carriage return inside an unquoted cell; a file the CLI reads
-    # never holds one, since reading it turns \r\n and \r into \n
+@pytest.mark.parametrize("line", [1, 3])
+def test_a_record_csv_cannot_read_is_that_reader_s_error_naming_its_line(reader, line):
+    # a lone carriage return inside an unquoted cell, in place of the header
+    # or of a data row; a file the CLI reads never holds one, since reading
+    # it turns \r\n and \r into \n
     parse, error, header, rows, _ = READERS[reader]
-    text = "\n".join([header, rows[0], "x\ry", *rows[1:]]) + "\n"
-    with pytest.raises(error, match=" line 3: new-line character seen in unquoted field"):
+    lines = [header, *rows]
+    lines.insert(line - 1, "x\ry")
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(error, match=f" line {line}: new-line character seen in unquoted field"):
         parse(text)
 
 
