@@ -169,9 +169,8 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     table = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS)
     n, s, p, m, c = table.positions
     rows: dict[str, _Fields] = {}
-    blank = 0
     try:
-        for row in table.records:
+        for lineno, row in enumerate(table.records, start=2):
             # int(), float() and Decimal() skip the whitespace strip() would.  A
             # decimal budget is bounded before int(), which takes seconds on 1E1000000
             try:
@@ -191,10 +190,8 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
                 rows[name] = sigs, keys, budget, price
                 continue
             cells = table.cells(row)
-            if cells is None:
-                blank += 1
-            else:  # every earlier record was taken or blank, so this is its number
-                rows[cells[0]] = _check_row(len(rows) + blank + 2, rows, *cells)
+            if cells is not None:
+                rows[cells[0]] = _check_row(lineno, rows, *cells)
     except csv.Error as exc:
         raise table.failed(exc) from None
     return Catalog._of_rows(rows)

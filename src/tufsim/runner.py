@@ -6,7 +6,8 @@ algorithm changes a run only through its slot's key budget (`max_sigs`),
 and only up to `len(ticks)`: a role signs at most once per tick, so a
 larger budget never runs out.  So `run_sweep`, the one path from an
 assignment to a report row, compiles its inputs once into a `Script`,
-resolves each assignment to one algorithm per slot, calls `run_scenario`
+resolves each assignment in one pass to one algorithm per slot and a
+warning per per-role row that no slot took, calls `run_scenario`
 once per distinct vector of effective budgets `min(max_sigs, len(ticks))`,
 and prices each assignment from that run's per-slot counts with
 `repository.price_counts`, the one pricing function: bytes are exact and
@@ -245,10 +246,18 @@ def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Si
                 if action.kind is ActionKind.ADD:
                     repo.add_role(action.name, action.role_type, algorithms[slot])
                     states[slot] = repo.roles[-1]
-                elif not _apply_action(repo, action):
+                    continue
+                if action.kind is ActionKind.REMOVE:
+                    matched = repo.remove_role(action.name)
+                else:
+                    matched = repo.set_reserve(action.name, action.flag)
+                if not matched:
                     warnings.append(f"{point.day}: {action.kind.value} action for "
                                     f"'{action.name}' matched no role")
-            _check_role_coverage(repo, point.day, warnings)
+            missing = repo.missing_role_types()
+            if missing:
+                warnings.append(f"{point.day}: no {', '.join(t.value for t in missing)} "
+                                "role remains after scripted actions")
         for target in point.targets:
             if repo.stage_update(target) == 0:
                 warnings.append(f"{point.day}: update event for '{target}' matched no Target role")
@@ -275,16 +284,18 @@ def run_sweep(
 ) -> list[RunResult]:
     """Run each assignment and return its priced result, in input order.
 
-    The inputs compile once into a `Script`.  All algorithm names — from
-    role specs, the assignments, and scripted add actions — resolve
-    against the catalog first, one algorithm per slot and one lookup per
-    distinct name, so a bad name fails before anything runs.  Then `run_scenario` runs once per distinct
-    vector of effective slot budgets, the first time an assignment has it,
-    and each assignment is priced from that run's `slot_counts` with its
-    own algorithms, which gives exactly what a run of its own would.  An
-    assignment's warnings are those on its own rows first — a per-role row
-    naming no role of the architecture or of an add action, and a row
-    whose every role pins its algorithm — then the run's.
+    The inputs compile once into a `Script`.  Every assignment resolves
+    before anything runs, so a bad name fails first: one pass over the
+    slots takes each slot's pin, else its Uniform algorithm or its
+    per-role row, with one catalog lookup per distinct name, and notes
+    the rows it took.  Then `run_scenario` runs once per distinct vector
+    of effective slot budgets, the first time an assignment has it, and
+    each assignment is priced from that run's `slot_counts` with its own
+    algorithms, which gives exactly what a run of its own would.  An
+    assignment's warnings are those on its per-role rows that no slot
+    took first, in row order — a row naming no role of the architecture
+    or of an add action, and a row whose every role pins its algorithm —
+    then the run's.
     """
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
@@ -293,7 +304,7 @@ def run_sweep(
     resolved = [_resolve(script.slots, assignment, catalog, found) for assignment in assignments]
     runs: dict[tuple[int, ...], Simulation] = {}
     results = []
-    for assignment, algorithms in zip(assignments, resolved):
+    for assignment, (algorithms, row_warnings) in zip(assignments, resolved):
         # a role signs at most once per tick, so a budget of len(ticks) or
         # more never runs out: it behaves as any other such budget
         budgets = tuple(min(alg.max_sigs, script.ticks) for alg in algorithms)
@@ -313,7 +324,7 @@ def run_sweep(
                 total_signatures=signatures,
                 rollover_events=run.rollover_events,
                 root_publications=run.root_publications,
-                warnings=tuple(_assignment_warnings(script.slots, assignment)) + run.warnings,
+                warnings=(*row_warnings, *run.warnings),
                 slot_counts=run.slot_counts,
             )
         )
@@ -388,53 +399,31 @@ def parse_assignment_csv(csv_text: str, label: str = "per-role") -> PerRole:
     return PerRole(algorithms=algorithms, label=label)
 
 
-def _assignment_warnings(
-    slots: Sequence[tuple[str, str | None]], assignment: AlgorithmAssignment
-) -> list[str]:
-    """One warning per per-role row that cannot take effect: it names no
-    slot, or every slot it names pins its own algorithm."""
-    if not isinstance(assignment, PerRole):
-        return []
-    pins: dict[str, list[str | None]] = {}
-    for name, pinned in slots:
-        pins.setdefault(name, []).append(pinned)
-    warnings = []
-    for name in assignment.algorithms:
-        pinned = pins.get(name)
-        if pinned is None:
-            warnings.append(
-                f"assignment row for '{name}' names no role of the architecture or an add action"
-            )
-        elif None not in pinned:
-            algorithms = [f"'{algorithm}'" for algorithm in dict.fromkeys(pinned)]
-            warnings.append(
-                f"assignment row for '{name}' is overridden by its pinned "
-                f"algorithm{'s' if len(algorithms) > 1 else ''} {', '.join(algorithms)}"
-            )
-    return warnings
-
-
 def _resolve(
     slots: Sequence[tuple[str, str | None]],
     assignment: AlgorithmAssignment,
     catalog: Catalog,
     found: dict[str, SignatureAlgorithm],
-) -> list[SignatureAlgorithm]:
-    """Each slot's algorithm: its pin, else the assignment's choice.  Each
-    name is looked up in the catalog once and kept in `found`."""
+) -> tuple[list[SignatureAlgorithm], list[str]]:
+    """Each slot's algorithm, its pin or else the assignment's choice, and
+    one warning per per-role row that no slot took, in row order: the row
+    names no slot, or every slot of its name pins an algorithm.  Each name
+    is looked up in the catalog once and kept in `found`."""
     algorithms = []
-    for role_name, pinned in slots:
-        if pinned is not None:
-            name = pinned
+    taken: set[str] = set()
+    pins: dict[str, dict[str, None]] = {}  # each role name's distinct pins, in slot order
+    for role_name, name in slots:
+        if name is not None:
+            pins.setdefault(role_name, {})[name] = None
         elif isinstance(assignment, Uniform):
             name = assignment.algorithm_name
         else:
-            mapped = assignment.algorithms.get(role_name)
-            if mapped is None:
+            name = assignment.algorithms.get(role_name)
+            if name is None:
                 raise ConfigurationError(
                     f"assignment does not name an algorithm for role '{role_name}'"
                 )
-            name = mapped
+            taken.add(role_name)
         algorithm = found.get(name)
         if algorithm is None:
             try:
@@ -444,19 +433,15 @@ def _resolve(
                     f"role '{role_name}': algorithm '{name}' is not in the catalog"
                 ) from None
         algorithms.append(algorithm)
-    return algorithms
-
-
-def _apply_action(repo: Repository, action: RoleAction) -> bool:
-    """Apply a remove or reserve action; False when it matched no role."""
-    if action.kind is ActionKind.REMOVE:
-        return repo.remove_role(action.name) > 0
-    return repo.set_reserve(action.name, bool(action.flag)) > 0
-
-
-def _check_role_coverage(repo: Repository, day: date, warnings: list[str]) -> None:
-    missing = repo.missing_role_types()
-    if missing:
-        warnings.append(
-            f"{day}: no {', '.join(t.value for t in missing)} role remains after scripted actions"
-        )
+    warnings = []
+    for row in assignment.algorithms if isinstance(assignment, PerRole) else ():
+        if row in taken:
+            continue
+        pinned = [f"'{pin}'" for pin in pins.get(row, ())]
+        if pinned:
+            warnings.append(f"assignment row for '{row}' is overridden by its pinned "
+                            f"algorithm{'s' if len(pinned) > 1 else ''} {', '.join(pinned)}")
+        else:
+            warnings.append(f"assignment row for '{row}' names no role of the architecture "
+                            "or an add action")
+    return algorithms, warnings

@@ -1,10 +1,12 @@
 """Timelines of ticks, update-event lists, and scripted role changes.
 
 All values here are immutable after construction.  `RoleAction` and
-`EventCalendar` are `typing.NamedTuple`s; `EventCalendar` normalises its
-fields in every constructor, `_make` and `_replace` included.  A tick
-calendar is a lazy `Timeline`, a `__slots__` record: it stores its date
-range and cadence, not its ticks, and `len` counts the ticks.
+`EventCalendar` are `typing.NamedTuple`s whose every constructor, `_make`
+and `_replace` included, checks or normalises the fields: a `RoleAction`
+holds only the fields its kind reads, and `EventCalendar` stores a
+frozenset and a tuple.  A tick calendar is a lazy `Timeline`, a
+`__slots__` record: it stores its date range and cadence, not its ticks,
+and `len` counts the ticks.
 Update events are date-granular: several arrivals on one date collapse to
 a single event, and under sub-daily cadence an event fires on the first
 tick of its date.  `Timeline.position` is the one place that decides
@@ -55,28 +57,62 @@ class ActionKind(enum.Enum):
     RESERVE = "reserve"
 
 
-# action-file columns each kind does not read; a filled one is an error
-_UNREAD_COLUMNS = {
-    ActionKind.ADD: ("Flag",),
-    ActionKind.REMOVE: ("RoleType", "Algorithm", "Flag"),
-    ActionKind.RESERVE: ("RoleType", "Algorithm"),
+# RoleAction's optional fields, each with its action-file column
+_OPTIONAL_COLUMNS = {"role_type": "RoleType", "algorithm_name": "Algorithm", "flag": "Flag"}
+# the optional fields each kind does not read: None in a RoleAction, empty in a file
+_UNREAD_FIELDS = {
+    ActionKind.ADD: ("flag",),
+    ActionKind.REMOVE: tuple(_OPTIONAL_COLUMNS),
+    ActionKind.RESERVE: ("role_type", "algorithm_name"),
 }
 
 
-class RoleAction(NamedTuple):
-    """A scripted mid-run role change, applied on the first tick of its date.
-
-    kind=ADD uses role_type and algorithm_name (None means the run's
-    algorithm assignment supplies one); kind=RESERVE uses flag; kind=REMOVE
-    needs the name alone.
-    """
-
+class _RoleActionFields(NamedTuple):
     date: date
     kind: ActionKind
     name: str
     role_type: RoleType | None = None
     algorithm_name: str | None = None
     flag: bool | None = None
+
+
+class RoleAction(_RoleActionFields):
+    """A scripted mid-run role change, applied on the first tick of its date.
+
+    kind=ADD reads a `RoleType` role_type and algorithm_name (None means
+    the run's algorithm assignment supplies one); kind=RESERVE reads a
+    `bool` flag; kind=REMOVE reads the name alone.  Construction, `_make`
+    and `_replace` raise `CalendarError` for a field the kind does not
+    read that is not None, and for an add without a `RoleType` or a
+    reserve without a `bool` flag.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        date: date,
+        kind: ActionKind,
+        name: str,
+        role_type: RoleType | None = None,
+        algorithm_name: str | None = None,
+        flag: bool | None = None,
+    ) -> "RoleAction":
+        self = super().__new__(cls, date, kind, name, role_type, algorithm_name, flag)
+        for field in _UNREAD_FIELDS[kind]:
+            value = getattr(self, field)
+            if value is not None:
+                raise CalendarError(f"{kind.value} action for '{name}' takes no {field}, "
+                                    f"got {value!r}")
+        if kind is ActionKind.ADD and not isinstance(role_type, RoleType):
+            raise CalendarError(f"add action for '{name}' needs a RoleType, got {role_type!r}")
+        if kind is ActionKind.RESERVE and not isinstance(flag, bool):
+            raise CalendarError(f"reserve action for '{name}' needs a bool flag, got {flag!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "RoleAction":
+        return cls(*iterable)
 
 
 class _EventCalendarFields(NamedTuple):
@@ -184,12 +220,11 @@ def load_role_actions(csv_text: str) -> EventCalendar:
             ) from None
         if not name:
             raise CalendarError(f"row {lineno}: action is missing a role name")
-        cells = {"RoleType": type_text, "Algorithm": algorithm, "Flag": flag_text}
-        for column in _UNREAD_COLUMNS[kind]:
-            if cells[column]:
-                raise CalendarError(
-                    f"row {lineno}: {kind.value} action takes no {column}, got {cells[column]!r}"
-                )
+        cells = {"role_type": type_text, "algorithm_name": algorithm, "flag": flag_text}
+        for field in _UNREAD_FIELDS[kind]:
+            if cells[field]:
+                raise CalendarError(f"row {lineno}: {kind.value} action takes no "
+                                    f"{_OPTIONAL_COLUMNS[field]}, got {cells[field]!r}")
 
         role_type = None
         algorithm_name = None

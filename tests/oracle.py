@@ -10,8 +10,8 @@ up as a difference instead of being shared by both sides.
 
 `reference_catalog` parses a catalog row by row: header, stripped cells,
 then each field's own check, calling none of `tufsim._table` or the
-catalog parser's helpers, and reading the whole text through one
-`io.StringIO`.
+catalog parser's helpers, and reading the whole text, after any leading
+byte-order mark, through one `io.StringIO`.
 """
 
 from __future__ import annotations
@@ -196,8 +196,9 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
 def reference_catalog(text: str) -> Catalog:
     """A catalog parsed one stripped row at a time, each field by its own
     check, raising the first failure's error; a record csv cannot read is
-    a `CatalogError` naming its line."""
-    rows = csv.reader(io.StringIO(text))
+    a `CatalogError` naming its line.  One leading byte-order mark is
+    dropped first."""
+    rows = csv.reader(io.StringIO(text[1:] if text.startswith("\ufeff") else text))
     try:
         return _reference_entries(rows)
     except csv.Error as exc:

@@ -383,10 +383,11 @@ def catalog_rows(draw):
 @st.composite
 def catalog_texts(draw):
     """`catalog_rows` written by `csv.writer`, lines ended by \\r\\n and
-    cells quoted where needed or all of them."""
+    cells quoted where needed or all of them, on some draws after the
+    byte-order mark that spreadsheet exports write first."""
     rows = draw(catalog_rows())
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    return _written(rows, quoting=quoting)
+    return draw(st.sampled_from(["", "\ufeff"])) + _written(rows, quoting=quoting)
 
 
 def _written(rows, **dialect):

@@ -131,6 +131,46 @@ class TestBudgets:
         assert small.rollover_events == large.rollover_events == 6
 
 
+class TestScaling:
+    @given(
+        run=scenarios(pins=PINS),
+        algorithms=st.lists(
+            st.fixed_dictionaries({
+                "sig_size": st.integers(0, 5000),
+                "pk_size": st.integers(0, 3000),
+                "max_sigs": budgets,
+                "cost": st.sampled_from([0.1, 1 / 3, 2.9, 4.3, 1e6]),
+            }),
+            min_size=len(PINS), max_size=4,
+        ),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_sizes_and_power_of_two_costs_scale_their_column_exactly(self, run, algorithms, data):
+        """Multiply every `sig_size` or every `pk_size` by an integer k, or
+        every `cost` by a power of two, which binary floating point scales
+        exactly: that column of every result multiplies by k, and nothing
+        else changes, counts included."""
+        arch, calendar, ticks = run
+        field, column = data.draw(st.sampled_from(
+            [("sig_size", "sig_bytes"), ("pk_size", "pk_bytes"), ("cost", "cost")]
+        ))
+        if field == "cost":
+            k = data.draw(st.sampled_from([2.0**j for j in range(-4, 11)]))
+        else:
+            k = data.draw(st.integers(0, 10**6))
+        base = sweep(arch, calendar, ticks, Catalog(
+            [make_alg(f"Alg{i}", **fields) for i, fields in enumerate(algorithms)]
+        ))
+        scaled = sweep(arch, calendar, ticks, Catalog(
+            [make_alg(f"Alg{i}", **{**fields, field: fields[field] * k})
+             for i, fields in enumerate(algorithms)]
+        ))
+        assert scaled == [result._replace(**{column: getattr(result, column) * k})
+                          for result in base]
+        assert [r.slot_counts for r in scaled] == [r.slot_counts for r in base]
+
+
 ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 

@@ -266,16 +266,21 @@ def differential_runs(draw, algorithms=3, budgets=(1, 2, 3, 4, 5, 10**18)):
     # a few dates fall outside [start, end]; weekly ones may fall off the grid
     when = st.integers(-2, days + 2).map(lambda offset: START + timedelta(days=offset))
     events = draw(st.sets(st.tuples(when, st.sampled_from(DIFF_NAMES + ["Target 1"])), max_size=12))
+    # st.builds would fill an optional field it is not given, so the fields
+    # an action's kind does not read are passed as None
+    unread = st.none()
     actions = draw(
         st.lists(
             st.builds(RoleAction, date=when, kind=st.just(ActionKind.ADD),
                       name=st.sampled_from(DIFF_NAMES),
-                      role_type=st.sampled_from(list(RoleType)), algorithm_name=pinned)
+                      role_type=st.sampled_from(list(RoleType)), algorithm_name=pinned,
+                      flag=unread)
             | st.builds(RoleAction, date=when, kind=st.just(ActionKind.REMOVE),
-                        name=st.sampled_from(DIFF_NAMES + ["Root 1", "Target 1"]))
+                        name=st.sampled_from(DIFF_NAMES + ["Root 1", "Target 1"]),
+                        role_type=unread, algorithm_name=unread, flag=unread)
             | st.builds(RoleAction, date=when, kind=st.just(ActionKind.RESERVE),
                         name=st.sampled_from(DIFF_NAMES + ["Timestamp 1"]),
-                        flag=st.booleans()),
+                        role_type=unread, algorithm_name=unread, flag=st.booleans()),
             max_size=6,
         )
     )
@@ -333,6 +338,27 @@ def fleet_runs(draw):
     )
 
 
+@st.composite
+def per_role_runs(draw):
+    """A differential run under a `PerRole` assignment with a row for each
+    name an unpinned slot has, a row for each name whose every slot is
+    pinned, and rows naming no role, in any order.  A row no slot takes
+    may name an algorithm that is not in the catalog."""
+    arch, _, calendar, timeline, catalog = draw(differential_runs())
+    slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
+    slots += [(a.name, a.algorithm_name) for a in calendar.role_actions if a.kind is ActionKind.ADD]
+    unpinned = {name for name, pinned in slots if pinned is None}
+    taken = st.sampled_from([alg.name for alg in catalog])
+    rows = {name: draw(taken) for name in sorted(unpinned)}
+    untaken = taken | st.just("AlgZ")
+    for name in sorted({name for name, _ in slots} - unpinned):
+        rows[name] = draw(untaken)
+    for name in draw(st.lists(st.sampled_from(["Ghost 1", "Ghost 2", "Target 9"]), unique=True)):
+        rows[name] = draw(untaken)
+    order = draw(st.permutations(list(rows)))
+    return arch, PerRole({name: rows[name] for name in order}), calendar, timeline, catalog
+
+
 class TestEngineMatchesTickByTick:
     @given(run=differential_runs())
     @settings(deadline=None, max_examples=100)
@@ -346,6 +372,14 @@ class TestEngineMatchesTickByTick:
     @given(run=fleet_runs())
     @settings(deadline=None, max_examples=100)
     def test_same_result_over_a_fleet_of_bins(self, run):
+        expected = reference_run(*run)
+        result = run_one(*run)
+        assert result == expected
+        assert result.slot_counts == expected.slot_counts
+
+    @given(run=per_role_runs())
+    @settings(deadline=None, max_examples=100)
+    def test_same_result_and_warnings_under_a_per_role_assignment(self, run):
         expected = reference_run(*run)
         result = run_one(*run)
         assert result == expected

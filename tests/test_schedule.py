@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 from datetime import date, timedelta
 
 import pytest
@@ -12,6 +13,7 @@ from tufsim import (
     Cadence,
     CalendarError,
     EventCalendar,
+    RoleAction,
     RoleType,
     Timeline,
     generate_poisson_events,
@@ -338,3 +340,61 @@ class TestLoadRoleActions:
             load_role_actions(
                 self.HEADER + "2020-01-02,remove,Target 1,,,\n" + "2020-01-03," + row + "\n"
             )
+
+
+class TestRoleActionRecord:
+    """A `RoleAction` holds only the fields its kind reads, however it is
+    made, so a library caller cannot build an action the loader would
+    reject."""
+
+    DAY = date(2020, 1, 2)
+    UNSET = {"role_type": None, "algorithm_name": None, "flag": None}
+    GOOD = {
+        ActionKind.ADD: {"role_type": RoleType.TARGET, "algorithm_name": "AlgA"},
+        ActionKind.REMOVE: {},
+        ActionKind.RESERVE: {"flag": False},
+    }
+    BAD = [
+        (ActionKind.ADD, {"role_type": RoleType.TARGET, "flag": True}, "takes no flag"),
+        (ActionKind.ADD, {"role_type": RoleType.TARGET, "flag": False}, "takes no flag"),
+        (ActionKind.ADD, {}, "needs a RoleType"),
+        (ActionKind.ADD, {"role_type": "Target"}, "needs a RoleType"),
+        (ActionKind.REMOVE, {"role_type": RoleType.TARGET}, "takes no role_type"),
+        (ActionKind.REMOVE, {"algorithm_name": "AlgA"}, "takes no algorithm_name"),
+        (ActionKind.REMOVE, {"flag": False}, "takes no flag"),
+        (ActionKind.RESERVE, {"role_type": RoleType.TARGET, "flag": True}, "takes no role_type"),
+        (ActionKind.RESERVE, {"algorithm_name": "AlgA", "flag": True}, "takes no algorithm_name"),
+        (ActionKind.RESERVE, {}, "needs a bool flag"),
+        (ActionKind.RESERVE, {"flag": "true"}, "needs a bool flag"),
+        (ActionKind.RESERVE, {"flag": 1}, "needs a bool flag"),
+    ]
+
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    def test_each_kind_builds_from_the_fields_it_reads(self, kind):
+        fields = {**self.UNSET, **self.GOOD[kind]}
+        action = RoleAction(self.DAY, kind, "Target 2", **fields)
+        assert action == (self.DAY, kind, "Target 2", *fields.values())
+        assert RoleAction._make(action) == action
+        assert action._replace(name="Target 3").name == "Target 3"
+        assert pickle.loads(pickle.dumps(action)) == action
+
+    @pytest.mark.parametrize("kind, fields, message", BAD)
+    def test_constructor_rejects_a_field_its_kind_does_not_take(self, kind, fields, message):
+        with pytest.raises(CalendarError, match=f"^{kind.value} action for 'Target 2' {message}"):
+            RoleAction(self.DAY, kind, "Target 2", **fields)
+
+    @pytest.mark.parametrize("kind, fields, message", BAD)
+    def test_make_rejects_a_field_its_kind_does_not_take(self, kind, fields, message):
+        with pytest.raises(CalendarError, match=message):
+            RoleAction._make((self.DAY, kind, "Target 2", *{**self.UNSET, **fields}.values()))
+
+    @pytest.mark.parametrize("kind, fields, message", BAD)
+    def test_replace_rejects_a_field_its_kind_does_not_take(self, kind, fields, message):
+        good = RoleAction(self.DAY, kind, "Target 2", **self.GOOD[kind])
+        with pytest.raises(CalendarError, match=message):
+            good._replace(**{**self.UNSET, **fields})
+
+    def test_replace_checks_a_changed_kind(self):
+        remove = RoleAction(self.DAY, ActionKind.REMOVE, "Target 2")
+        with pytest.raises(CalendarError, match="reserve action for 'Target 2' needs a bool flag"):
+            remove._replace(kind=ActionKind.RESERVE)
