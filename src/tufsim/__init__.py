@@ -8,11 +8,13 @@ are plain parameter sets, so bounded-signature schemes with key rollover
 can be compared against conventional ones over identical update schedules.
 
 The records are `typing.NamedTuple`s (with `_replace`, `_asdict` and tuple
-behaviour), except the three whose fields the engine reads on every busy
-tick, `SignatureAlgorithm`, `Timeline` and `RoleState`, which are
-`__slots__` classes.  Copy a NamedTuple with changes through `_replace`
-and convert it with `_asdict`; a `__slots__` record has no instance
-`__dict__` for `vars()`, and a changed one is built with its constructor.
+behaviour), except three `__slots__` classes: `SignatureAlgorithm` and
+`RoleState`, whose fields the engine reads on every busy tick, and
+`Timeline`, which stores its date range instead of its ticks and which
+`compile_script` reads once per calendar date, not per tick.  Copy a
+NamedTuple with changes through `_replace` and convert it with `_asdict`;
+a `__slots__` record has no instance `__dict__` for `vars()`, and a
+changed one is built with its constructor.
 """
 
 from .algorithms import (

@@ -8,14 +8,20 @@ whole: a short or blank row, a cell that does not convert, a range
 failure, or an empty or repeated name.  The header rules live only here,
 and so does the one error csv itself raises, which each walk of
 `Table.records` turns into the reader's own error by `Table.failed`.
+
+`read_cell` is the one place a reader converts a picked cell: it returns
+the parse's value, or raises the reader's error naming the row and the
+problem when the parse raises ValueError.  `parse_bool` is the parse of a
+true/false cell, which the caller lower-cases first.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
+from typing import TypeVar
 
 from .errors import TufSimError
 
@@ -25,6 +31,8 @@ from .errors import TufSimError
 # an ASCII text; pieces cut after a newline give csv the same lines and
 # line numbers.
 CHUNK_CHARS = 1 << 16
+
+T = TypeVar("T")
 
 
 class Table:
@@ -102,6 +110,23 @@ def read_table(
                 yield lineno, cells
     except csv.Error as exc:
         raise table.failed(exc) from None
+
+
+def read_cell(parse: Callable[[str], T], text: str, lineno: int,
+              error: type[TufSimError], problem: str) -> T:
+    """`parse(text)`; when it raises ValueError, `error` with the message
+    "row {lineno}: " and `problem`, its `{}` fields filled with `text`."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise error(f"row {lineno}: " + problem.format(text)) from None
+
+
+def parse_bool(text: str) -> bool:
+    """True for "true", False for "false"; ValueError for any other text."""
+    if text not in ("true", "false"):
+        raise ValueError(f"not true or false: {text!r}")
+    return text == "true"
 
 
 def _pieces(text: str) -> Iterator[io.StringIO]:

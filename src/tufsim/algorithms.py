@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
 
 from ._record import FrozenRecord
-from ._table import Table
+from ._table import Table, read_cell
 from .errors import AlgorithmNotFoundError, CatalogError, ValidationError
 
 _REQUIRED_COLUMNS = (
@@ -207,10 +207,13 @@ def _check_row(
     if name in rows:
         raise CatalogError(f"row {lineno}: duplicate algorithm name '{name}'")
     fields = (
-        _parse_number(int, sig_size, "Signature Size", lineno),
-        _parse_number(int, pk_size, "Public Key Size", lineno),
+        read_cell(int, sig_size, lineno, CatalogError,
+                  "'Signature Size' value {!r} is not an integer"),
+        read_cell(int, pk_size, lineno, CatalogError,
+                  "'Public Key Size' value {!r} is not an integer"),
         _parse_max_sigs(max_sigs, lineno),
-        _parse_number(float, cost, "Computational Cost", lineno),
+        read_cell(float, cost, lineno, CatalogError,
+                  "'Computational Cost' value {!r} is not a number"),
     )
     problem = _range_problem(name, *fields)
     if problem is not None:
@@ -239,16 +242,6 @@ def _range_problem(
     if not 0.0 <= cost < math.inf:
         return f"{name}: cost must be finite and >= 0"
     return None
-
-
-def _parse_number(
-    kind: type[int] | type[float], text: str, column: str, lineno: int
-) -> int | float:
-    try:
-        return kind(text)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise CatalogError(f"row {lineno}: '{column}' value {text!r} is not {expected}") from None
 
 
 def _parse_max_sigs(text: str, lineno: int) -> int:

@@ -34,7 +34,7 @@ from collections.abc import Iterable, Sequence
 from datetime import date
 from typing import NamedTuple
 
-from ._table import read_table
+from ._table import parse_bool, read_cell, read_table
 from .algorithms import Catalog, SignatureAlgorithm, find_algorithm
 from .errors import AlgorithmNotFoundError, ConfigurationError
 from .repository import Repository, RoleState, RoleType, price_counts
@@ -66,16 +66,21 @@ class _ArchitectureFields(NamedTuple):
 class Architecture(_ArchitectureFields):
     """A device's signing layout: its name plus an ordered list of roles.
 
-    Construction, `_make` and `_replace` store the role specs as a tuple
-    and require at least one instance of each of the four role types;
-    scripted actions may still drop below that mid-run, which is reported
-    as a warning rather than an error.
+    Construction, `_make` and `_replace` store the role specs as a tuple,
+    require each spec's role_type to be a `RoleType` and its reserve a
+    `bool`, and require at least one instance of each of the four role
+    types; scripted actions may still drop below that mid-run, which is
+    reported as a warning rather than an error.
     """
 
     __slots__ = ()
 
     def __new__(cls, device_name: str, role_specs: Iterable[RoleSpec]) -> "Architecture":
         role_specs = tuple(role_specs)
+        for spec in role_specs:
+            if not (isinstance(spec.role_type, RoleType) and isinstance(spec.reserve, bool)):
+                raise ConfigurationError(f"role '{spec.name}' needs a RoleType and a bool "
+                                         f"reserve, got {spec.role_type!r} and {spec.reserve!r}")
         present = {spec.role_type for spec in role_specs}
         missing = [t.value for t in RoleType if t not in present]
         if missing:
@@ -357,28 +362,15 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
     """
     specs: list[RoleSpec] = []
     for lineno, (name, type_text, algorithm, reserve_text) in read_table(
-        csv_text,
-        "architecture file",
-        ConfigurationError,
+        csv_text, "architecture file", ConfigurationError,
         ("Role Name", "Role Type", "Algorithm", "Reserve"),
     ):
         if not name:
             raise ConfigurationError(f"row {lineno}: role name is empty")
-        try:
-            role_type = RoleType(type_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"row {lineno}: unknown role type {type_text!r}"
-            ) from None
-        reserve_text = reserve_text.lower()
-        if reserve_text in ("", "false"):
-            reserve = False
-        elif reserve_text == "true":
-            reserve = True
-        else:
-            raise ConfigurationError(
-                f"row {lineno}: Reserve must be true or false, got {reserve_text!r}"
-            )
+        role_type = read_cell(RoleType, type_text, lineno, ConfigurationError,
+                              "unknown role type {!r}")
+        reserve = read_cell(parse_bool, reserve_text.lower() or "false", lineno,
+                            ConfigurationError, "Reserve must be true or false, got {!r}")
         specs.append(RoleSpec(name, role_type, algorithm or None, reserve))
     return Architecture(device_name=device_name, role_specs=tuple(specs))
 

@@ -24,7 +24,7 @@ from datetime import date, timedelta
 from typing import NamedTuple
 
 from ._record import FrozenRecord
-from ._table import read_table
+from ._table import parse_bool, read_cell, read_table
 from .errors import CalendarError
 from .repository import RoleType
 
@@ -65,6 +65,13 @@ _UNREAD_FIELDS = {
     ActionKind.REMOVE: tuple(_OPTIONAL_COLUMNS),
     ActionKind.RESERVE: ("role_type", "algorithm_name"),
 }
+# how load_role_actions reads each optional cell its kind reads: a parse, and
+# the problem its error names when the parse raises ValueError
+_CELL_READERS = {
+    "role_type": (RoleType, "unknown role type {!r}"),
+    "algorithm_name": (lambda text: text or None, ""),
+    "flag": (lambda text: parse_bool(text.lower()), "reserve action needs Flag true or false"),
+}
 
 
 class _RoleActionFields(NamedTuple):
@@ -82,9 +89,9 @@ class RoleAction(_RoleActionFields):
     kind=ADD reads a `RoleType` role_type and algorithm_name (None means
     the run's algorithm assignment supplies one); kind=RESERVE reads a
     `bool` flag; kind=REMOVE reads the name alone.  Construction, `_make`
-    and `_replace` raise `CalendarError` for a field the kind does not
-    read that is not None, and for an add without a `RoleType` or a
-    reserve without a `bool` flag.
+    and `_replace` raise `CalendarError` for a kind that is not an
+    `ActionKind`, a field the kind does not read that is not None, and an
+    add without a `RoleType` or a reserve without a `bool` flag.
     """
 
     __slots__ = ()
@@ -99,6 +106,8 @@ class RoleAction(_RoleActionFields):
         flag: bool | None = None,
     ) -> "RoleAction":
         self = super().__new__(cls, date, kind, name, role_type, algorithm_name, flag)
+        if not isinstance(kind, ActionKind):
+            raise CalendarError(f"action for '{name}' needs an ActionKind, got {kind!r}")
         for field in _UNREAD_FIELDS[kind]:
             value = getattr(self, field)
             if value is not None:
@@ -199,61 +208,32 @@ def load_role_actions(csv_text: str) -> EventCalendar:
     """Parse scripted role changes from CSV.
 
     Columns: `Date,Action,Name,RoleType,Algorithm,Flag` with Action one of
-    add/remove/reserve.  A field the action does not read must be empty; a
-    filled one is an error.  An add row may leave Algorithm empty to
-    inherit the run's assignment.
+    add/remove/reserve, in any case.  The kind table `_UNREAD_FIELDS`
+    decides which optional cells an action reads: a cell it does not read
+    must be empty, and a filled one is an error; the cells it reads are
+    then converted.  An add row may leave Algorithm empty to inherit the
+    run's assignment.
     """
     actions: list[RoleAction] = []
-    for lineno, (day_text, kind_text, name, type_text, algorithm, flag_text) in read_table(
-        csv_text,
-        "action file",
-        CalendarError,
-        ("Date", "Action", "Name", "RoleType", "Algorithm", "Flag"),
+    for lineno, (day_text, kind_text, name, *optional) in read_table(
+        csv_text, "action file", CalendarError,
+        ("Date", "Action", "Name", *_OPTIONAL_COLUMNS.values()),
     ):
         day = _parse_date(day_text, lineno)
-        kind_text = kind_text.lower()
-        try:
-            kind = ActionKind(kind_text)
-        except ValueError:
-            raise CalendarError(
-                f"row {lineno}: unknown action {kind_text!r}; expected add, remove or reserve"
-            ) from None
+        kind = read_cell(ActionKind, kind_text.lower(), lineno, CalendarError,
+                         "unknown action {!r}; expected add, remove or reserve")
         if not name:
             raise CalendarError(f"row {lineno}: action is missing a role name")
-        cells = {"role_type": type_text, "algorithm_name": algorithm, "flag": flag_text}
+        cells = dict(zip(_OPTIONAL_COLUMNS, optional))
         for field in _UNREAD_FIELDS[kind]:
-            if cells[field]:
+            text = cells.pop(field)
+            if text:
                 raise CalendarError(f"row {lineno}: {kind.value} action takes no "
-                                    f"{_OPTIONAL_COLUMNS[field]}, got {cells[field]!r}")
-
-        role_type = None
-        algorithm_name = None
-        flag = None
-        if kind is ActionKind.ADD:
-            try:
-                role_type = RoleType(type_text)
-            except ValueError:
-                raise CalendarError(
-                    f"row {lineno}: unknown role type {type_text!r}"
-                ) from None
-            algorithm_name = algorithm or None
-        elif kind is ActionKind.RESERVE:
-            flag_text = flag_text.lower()
-            if flag_text not in ("true", "false"):
-                raise CalendarError(
-                    f"row {lineno}: reserve action needs Flag true or false"
-                )
-            flag = flag_text == "true"
-        actions.append(
-            RoleAction(
-                date=day,
-                kind=kind,
-                name=name,
-                role_type=role_type,
-                algorithm_name=algorithm_name,
-                flag=flag,
-            )
-        )
+                                    f"{_OPTIONAL_COLUMNS[field]}, got {text!r}")
+        for field, text in cells.items():
+            parse, problem = _CELL_READERS[field]
+            cells[field] = read_cell(parse, text, lineno, CalendarError, problem)
+        actions.append(RoleAction(day, kind, name, **cells))
     return EventCalendar(role_actions=tuple(actions))
 
 
@@ -301,10 +281,7 @@ def parse_iso_date(text: str) -> date:
 
 
 def _parse_date(text: str, lineno: int) -> date:
-    try:
-        return parse_iso_date(text)
-    except ValueError:
-        raise CalendarError(f"row {lineno}: invalid date {text!r}") from None
+    return read_cell(parse_iso_date, text, lineno, CalendarError, "invalid date {!r}")
 
 
 _MASK64 = 2**64 - 1

@@ -11,7 +11,10 @@ up as a difference instead of being shared by both sides.
 `reference_catalog` parses a catalog row by row: header, stripped cells,
 then each field's own check, calling none of `tufsim._table` or the
 catalog parser's helpers, and reading the whole text, after any leading
-byte-order mark, through one `io.StringIO`.
+byte-order mark, through one `io.StringIO`.  `reference_actions` and
+`reference_architecture` read an action file and an architecture table
+the same way, each writing out its row checks in order, with their
+messages, instead of reading the loaders' kind table or cell reader.
 """
 
 from __future__ import annotations
@@ -19,17 +22,24 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections.abc import Iterator
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
 
 from tufsim import (
     ActionKind,
+    Architecture,
     Cadence,
+    CalendarError,
     Catalog,
     CatalogError,
+    ConfigurationError,
+    EventCalendar,
     PerRole,
     Repository,
+    RoleAction,
+    RoleSpec,
     RoleType,
     RunResult,
     SignatureAlgorithm,
@@ -265,3 +275,101 @@ def _reference_budget(text: str, lineno: int) -> int:
     if value >= 2**63:
         raise CatalogError(f"row {lineno}: 'Max Signatures' value {text!r} exceeds 2**63 - 1")
     return 0 if value.is_signed() else int(value)
+
+
+def reference_actions(text: str) -> EventCalendar:
+    """An action file read row by row: the date, the action, the name, the
+    cells the action must leave empty, then the cells it reads."""
+    actions = []
+    columns = ("Date", "Action", "Name", "RoleType", "Algorithm", "Flag")
+    for lineno, cells in _reference_rows(text, "action file", CalendarError, columns):
+        day_text, kind_text, name, type_text, algorithm, flag_text = cells
+        if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", day_text):
+            raise CalendarError(f"row {lineno}: invalid date {day_text!r}")
+        try:
+            day = date(int(day_text[:4]), int(day_text[5:7]), int(day_text[8:]))
+        except ValueError:
+            raise CalendarError(f"row {lineno}: invalid date {day_text!r}") from None
+        kind_text = kind_text.lower()
+        if kind_text not in ("add", "remove", "reserve"):
+            raise CalendarError(
+                f"row {lineno}: unknown action {kind_text!r}; expected add, remove or reserve"
+            )
+        if not name:
+            raise CalendarError(f"row {lineno}: action is missing a role name")
+        unread = {
+            "add": [("Flag", flag_text)],
+            "remove": [("RoleType", type_text), ("Algorithm", algorithm), ("Flag", flag_text)],
+            "reserve": [("RoleType", type_text), ("Algorithm", algorithm)],
+        }[kind_text]
+        for column, cell in unread:
+            if cell:
+                raise CalendarError(
+                    f"row {lineno}: {kind_text} action takes no {column}, got {cell!r}"
+                )
+        if kind_text == "add":
+            role_type = _reference_role_type(type_text)
+            if role_type is None:
+                raise CalendarError(f"row {lineno}: unknown role type {type_text!r}")
+            actions.append(RoleAction(day, ActionKind.ADD, name, role_type, algorithm or None))
+        elif kind_text == "reserve":
+            if flag_text.lower() not in ("true", "false"):
+                raise CalendarError(f"row {lineno}: reserve action needs Flag true or false")
+            flag = flag_text.lower() == "true"
+            actions.append(RoleAction(day, ActionKind.RESERVE, name, flag=flag))
+        else:
+            actions.append(RoleAction(day, ActionKind.REMOVE, name))
+    return EventCalendar(role_actions=actions)
+
+
+def reference_architecture(text: str, device_name: str) -> Architecture:
+    """An architecture table read row by row: the name, the role type,
+    then Reserve, which reads empty as false."""
+    specs = []
+    columns = ("Role Name", "Role Type", "Algorithm", "Reserve")
+    for lineno, cells in _reference_rows(text, "architecture file", ConfigurationError, columns):
+        name, type_text, algorithm, reserve_text = cells
+        if not name:
+            raise ConfigurationError(f"row {lineno}: role name is empty")
+        role_type = _reference_role_type(type_text)
+        if role_type is None:
+            raise ConfigurationError(f"row {lineno}: unknown role type {type_text!r}")
+        reserve_text = reserve_text.lower()
+        if reserve_text not in ("", "false", "true"):
+            raise ConfigurationError(
+                f"row {lineno}: Reserve must be true or false, got {reserve_text!r}"
+            )
+        specs.append(RoleSpec(name, role_type, algorithm or None, reserve_text == "true"))
+    return Architecture(device_name, specs)
+
+
+def _reference_role_type(text: str) -> RoleType | None:
+    """The role type whose value is exactly `text`, or None."""
+    for role_type in RoleType:
+        if role_type.value == text:
+            return role_type
+    return None
+
+
+def _reference_rows(text, what, error, columns):
+    """Yield `(row number, stripped cells)` for each data row that has a
+    non-blank cell, the cells in the order of `columns`; the text after
+    one leading byte-order mark is read through one `io.StringIO`."""
+    rows = csv.reader(io.StringIO(text[1:] if text.startswith("\ufeff") else text))
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise error(f"{what} is empty; expected a header row")
+        header = [cell.strip() for cell in header]
+        for column in columns:
+            if column not in header:
+                raise error(f"{what} is missing the '{column}' column")
+        for column in columns:
+            if header.count(column) > 1:
+                raise error(f"{what} names the '{column}' column twice")
+        positions = [header.index(column) for column in columns]
+        for lineno, row in enumerate(rows, start=2):
+            if "".join(row).strip():
+                yield lineno, [row[i].strip() if i < len(row) else "" for i in positions]
+    except csv.Error as exc:
+        raise error(f"{what} line {rows.line_num}: {exc}") from None

@@ -33,8 +33,16 @@ from tufsim import (
     parse_assignment_csv,
     run_sweep,
 )
-from tests.conftest import make_alg, run_one
-from tests.oracle import materialized_ticks, reference_run
+from tests.conftest import (
+    BOOL_CELLS,
+    NAME_CELLS,
+    ROLE_TYPE_CELLS,
+    make_alg,
+    outcome,
+    run_one,
+    table_texts,
+)
+from tests.oracle import materialized_ticks, reference_architecture, reference_run
 
 START = date(2020, 1, 1)
 
@@ -863,6 +871,25 @@ class TestEmitReportCsv:
             assert int(row[8]) == result.root_publications
 
 
+ARCHITECTURE_COLUMNS = ["Role Name", "Role Type", "Algorithm", "Reserve"]
+
+
+@st.composite
+def architecture_rows(draw):
+    """Rows of names, role types, Algorithm and Reserve cells, on most
+    draws with one well-formed role of each type among them."""
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "Role Name": NAME_CELLS,
+        "Role Type": ROLE_TYPE_CELLS,
+        "Algorithm": st.sampled_from(["", "AlgA"]),
+        "Reserve": BOOL_CELLS,
+    }), max_size=4))
+    if draw(st.integers(0, 3)):
+        rows += [{"Role Name": f"{t.value} 1", "Role Type": t.value, "Algorithm": "",
+                  "Reserve": ""} for t in RoleType]
+    return draw(st.permutations(rows))
+
+
 class TestArchitecture:
     def test_missing_role_type_is_a_hard_error(self):
         with pytest.raises(ConfigurationError, match="Snapshot"):
@@ -903,6 +930,34 @@ class TestArchitecture:
     def test_parse_architecture_missing_column(self):
         with pytest.raises(ConfigurationError, match="Reserve"):
             parse_architecture_csv("Role Name,Role Type,Algorithm\n")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (RoleSpec("Target 2", "Target"), "role 'Target 2' needs a RoleType and a bool "
+                                             "reserve, got 'Target' and False"),
+            (RoleSpec("Target 2", RoleType.TARGET, reserve="false"),
+             "got <RoleType.TARGET: 'Target'> and 'false'"),
+            (RoleSpec("Target 2", RoleType.TARGET, reserve=0), "and 0$"),
+            (RoleSpec("Target 2", RoleType.TARGET, reserve=None), "and None$"),
+        ],
+        ids=["role type as text", "reserve as text", "reserve 0", "reserve None"],
+    )
+    def test_a_spec_of_the_wrong_type_is_rejected(self, spec, message):
+        arch = default_architecture()
+        specs = (*arch.role_specs, spec)
+        with pytest.raises(ConfigurationError, match=message):
+            Architecture("Device_A", specs)
+        with pytest.raises(ConfigurationError, match=message):
+            Architecture._make(("Device_A", specs))
+        with pytest.raises(ConfigurationError, match=message):
+            arch._replace(role_specs=specs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=table_texts(ARCHITECTURE_COLUMNS, architecture_rows()))
+    def test_same_architecture_or_error_as_row_by_row_reference(self, text):
+        parsed = outcome(lambda t: parse_architecture_csv(t, "D"), text)
+        assert parsed == outcome(lambda t: reference_architecture(t, "D"), text)
 
 
 class TestParseAssignmentCsv:

@@ -22,7 +22,15 @@ from tufsim import (
     load_role_actions,
     merge_calendars,
 )
-from tests.oracle import materialized_ticks
+from tests.conftest import (
+    BOOL_CELLS,
+    NAME_CELLS,
+    ROLE_TYPE_CELLS,
+    any_case,
+    outcome,
+    table_texts,
+)
+from tests.oracle import materialized_ticks, reference_actions
 
 START = date(2020, 1, 1)
 # basic-format and week dates: `date.fromisoformat` takes them from Python
@@ -342,6 +350,39 @@ class TestLoadRoleActions:
             )
 
 
+ACTION_COLUMNS = ["Date", "Action", "Name", "RoleType", "Algorithm", "Flag"]
+DATE_CELLS = st.sampled_from(["2020-01-02", "2020-02-29", "2021-12-31"])
+BAD_DATE_CELLS = st.sampled_from(["2021-02-29", "", "2020-1-02", *NOT_YYYY_MM_DD])
+# each optional cell, filled whether or not the row's action reads it
+OPTIONAL_CELLS = {
+    "RoleType": ROLE_TYPE_CELLS,
+    "Algorithm": st.sampled_from(["", "AlgA"]),
+    "Flag": BOOL_CELLS,
+}
+
+
+@st.composite
+def action_cells(draw):
+    """One action row's cells: a kind in any case, or no kind, the cells
+    that kind reads, and on some rows other optional cells filled."""
+    kind = draw(st.sampled_from(["add", "remove", "reserve"] * 3 + ["rename", "adds", ""]))
+    dates = BAD_DATE_CELLS if draw(st.integers(0, 9)) == 0 else DATE_CELLS
+    cells = {"Date": draw(dates), "Action": draw(any_case(kind)), "Name": draw(NAME_CELLS)}
+    reads = {"add": ["RoleType", "Algorithm"], "reserve": ["Flag"]}.get(kind, [])
+    for column in OPTIONAL_CELLS:
+        cells[column] = draw(OPTIONAL_CELLS[column]) if column in reads else ""
+    for column in draw(st.lists(st.sampled_from(list(OPTIONAL_CELLS)), max_size=2, unique=True)):
+        cells[column] = draw(OPTIONAL_CELLS[column])
+    return cells
+
+
+class TestLoadRoleActionsAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=table_texts(ACTION_COLUMNS, st.lists(action_cells(), min_size=1, max_size=6)))
+    def test_same_actions_or_error_as_row_by_row_reference(self, text):
+        assert outcome(load_role_actions, text) == outcome(reference_actions, text)
+
+
 class TestRoleActionRecord:
     """A `RoleAction` holds only the fields its kind reads, however it is
     made, so a library caller cannot build an action the loader would
@@ -393,6 +434,16 @@ class TestRoleActionRecord:
         good = RoleAction(self.DAY, kind, "Target 2", **self.GOOD[kind])
         with pytest.raises(CalendarError, match=message):
             good._replace(**{**self.UNSET, **fields})
+
+    def test_kind_that_is_not_an_action_kind_is_rejected(self):
+        message = "^action for 'Target 2' needs an ActionKind, got 'add'$"
+        with pytest.raises(CalendarError, match=message):
+            RoleAction(self.DAY, "add", "Target 2", RoleType.TARGET)
+        with pytest.raises(CalendarError, match=message):
+            RoleAction._make((self.DAY, "add", "Target 2", RoleType.TARGET, None, None))
+        remove = RoleAction(self.DAY, ActionKind.REMOVE, "Target 2")
+        with pytest.raises(CalendarError, match=message):
+            remove._replace(kind="add")
 
     def test_replace_checks_a_changed_kind(self):
         remove = RoleAction(self.DAY, ActionKind.REMOVE, "Target 2")
