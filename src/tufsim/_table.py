@@ -2,10 +2,10 @@
 
 `Table` resolves the header and picks a record's cells; `read_table` yields
 the picked cells of every data row and serves four of the five readers.
-The catalog parser walks `Table.records` itself, converting each record's
-cells in place, and hands `Table.cells` only the records it cannot accept
-whole: a short or blank row, a cell that does not convert, a range
-failure, or an empty or repeated name.  The header rules live only here,
+The catalog parser first takes whole pieces of the text from
+`Table.pieces` itself, and then has `Table.read_from` point
+`Table.records` at the piece it could not take, so csv reads the rest and
+`Table.cells` picks each row's cells.  The header rules live only here,
 and so does the one error csv itself raises, which each walk of
 `Table.records` turns into the reader's own error by `Table.failed`.
 
@@ -46,7 +46,9 @@ class Table:
     names a `required` or `optional` column twice is an error too; other
     columns, repeated or not, are ignored.  `positions` holds each read
     column's index, in the order of `required` then `optional`, None for
-    an absent optional one.
+    an absent optional one, and `width` counts the header's cells.
+    `pieces` yields the text after the first piece as pieces of whole lines
+    (see `_pieces`), and `records` reads them as they are needed.
     """
 
     def __init__(
@@ -57,10 +59,9 @@ class Table:
         required: Sequence[str],
         optional: Sequence[str] = (),
     ) -> None:
-        if text.startswith("\ufeff"):
-            text = text[1:]
         self.what, self.error = what, error
-        self.records = csv.reader(chain.from_iterable(_pieces(text)))
+        self.pieces = _pieces(text, int(text.startswith("\ufeff")))
+        self.read_from(next(self.pieces, ""), 0)
         try:
             header = next(self.records, None)
         except csv.Error as exc:
@@ -76,12 +77,21 @@ class Table:
                 raise error(f"{what} names the '{column}' column twice")
         positions = [header.index(column) for column in required]
         positions += [header.index(c) if c in header else None for c in optional]
-        self.positions = positions
+        self.positions, self.width = positions, len(header)
+
+    def read_from(self, piece: str, lines: int) -> None:
+        """Point `records` at `piece` and then the pieces left in `pieces`;
+        `lines` lines of the text come before `piece`, so `failed` names
+        lines of the whole text.  `self.piece` is the StringIO over `piece`,
+        which holds what csv has not read of it."""
+        self.lines, self.piece = lines, io.StringIO(piece)
+        rest = chain.from_iterable(map(io.StringIO, self.pieces))
+        self.records = csv.reader(chain(self.piece, rest))
 
     def failed(self, exc: csv.Error) -> TufSimError:
         """The error for a record csv cannot read, such as a cell past
         `csv.field_size_limit()`, naming the input and the record's line."""
-        return self.error(f"{self.what} line {self.records.line_num}: {exc}")
+        return self.error(f"{self.what} line {self.lines + self.records.line_num}: {exc}")
 
     def cells(self, row: list[str]) -> list[str] | None:
         """The record's cells stripped, in the order of `positions`, with a
@@ -129,11 +139,10 @@ def parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _pieces(text: str) -> Iterator[io.StringIO]:
-    """The text as StringIOs of about `CHUNK_CHARS` characters, each but
-    the last ending just after a newline."""
-    start = 0
+def _pieces(text: str, start: int) -> Iterator[str]:
+    """The text from `start` on in pieces of about `CHUNK_CHARS`
+    characters, each but the last ending just after a newline."""
     while start < len(text):
         end = text.find("\n", start + CHUNK_CHARS) + 1 or len(text)
-        yield io.StringIO(text[start:end])
+        yield text[start:end]
         start = end

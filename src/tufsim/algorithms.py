@@ -4,10 +4,14 @@ A catalog is a sequence of named parameter sets (signature size, public-key
 size, signature budget per key, per-verification cost) loaded from a CSV
 table.  Every row is checked when the table is parsed, but a row becomes a
 `SignatureAlgorithm` only when it is first read, since a sweep over a large
-catalog may use a handful of its rows.  A row is converted in one step
-straight from its CSV record; only a record that step cannot accept whole
-goes through the per-row checks.  csv reads the text a piece of whole
+catalog may use a handful of its rows.  The text is read a piece of whole
 lines at a time (see `_table`), so a large catalog is never copied whole.
+A piece whose every line one regular expression accepts is taken in one
+step: each name keeps the rest of its line as text, which the per-row
+checks convert on the first read.  The pattern accepts only lines that csv
+and a split at commas read alike and whose cells those checks accept.
+From the first piece the pattern does not take whole on, csv reads the
+text and each row is checked and converted as it is read.
 
 `SignatureAlgorithm` is an immutable `__slots__` record, since the engine
 reads its `max_sigs` on every busy tick; it has no `_replace`, so build a
@@ -24,8 +28,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
 from ._record import FrozenRecord
 from ._table import Table, read_cell
@@ -42,10 +48,19 @@ _REQUIRED_COLUMNS = (
 # Signature budgets are kept as exact integers; a budget from this bound up
 # would overflow a signed 64-bit counter.
 _MAX_SIGS_BOUND = 2**63
-_ONE, _DECIMAL_BOUND = Decimal(1), Decimal(_MAX_SIGS_BOUND)
 
 # A row's checked fields: sig_size, pk_size, max_sigs, cost.
 _Fields = tuple[int, int, int, float]
+
+# The line pattern's cells: an unread cell csv reads as is, and the number
+# cells the per-row checks convert in range, none longer than 349 characters.
+# A budget is 1 <= value < 2**63 with no leading zero, as an integer or as
+# d[.ddd]E<exp>; at 19 digits or E18 only a leading 1 to 8 stays below 2**63.
+# A cost of at most 308 digits before the point is finite.
+_CELL = r'[^"\r\n\0,]'
+_BUDGET = (r"(?:[1-9][0-9]{0,17}|[1-8][0-9]{18}"
+           r"|[1-9](?:\.[0-9]{0,40})?E(?:1[0-7]|[0-9])|[1-8](?:\.[0-9]{0,40})?E18)")
+_COST = r"[0-9]{1,308}(?:\.[0-9]{0,40})?"
 
 
 class SignatureAlgorithm(FrozenRecord):
@@ -88,14 +103,14 @@ class Catalog(Sequence[SignatureAlgorithm]):
 
     Build one from `SignatureAlgorithm`s with `Catalog(algorithms)`; names
     must be unique.  `parse_algorithm_catalog` builds one from checked rows,
-    each turned into a `SignatureAlgorithm` the first time it is read and
-    cached, so every read of a name gives the same object.  A catalog
-    equals another with the same entries in the same order, and a list of
-    them.
+    each converted and turned into a `SignatureAlgorithm` the first time it
+    is read and cached, so every read of a name gives the same object.  A
+    catalog equals another with the same entries in the same order, and a
+    list of them.
     """
 
     def __init__(self, algorithms: Iterable[SignatureAlgorithm] = ()) -> None:
-        self._fields: dict[str, _Fields] = {}
+        self._fields: dict[str, _Fields | str] = {}
         self._built: dict[str, SignatureAlgorithm] = {}
         self._names: list[str] | None = None  # for indexing, made on first use
         for algorithm in algorithms:
@@ -108,9 +123,11 @@ class Catalog(Sequence[SignatureAlgorithm]):
             self._built[name] = algorithm
 
     @classmethod
-    def _of_rows(cls, fields: dict[str, _Fields]) -> Catalog:
+    def _of_rows(cls, fields: dict[str, _Fields | str], pick: itemgetter) -> Catalog:
+        """Rows by name: checked fields, or the text of a line the line
+        pattern took, whose split cells `pick` gives in field order."""
         catalog = cls()
-        catalog._fields = fields
+        catalog._fields, catalog._pick = fields, pick
         return catalog
 
     def get(self, name: str) -> SignatureAlgorithm | None:
@@ -120,6 +137,8 @@ class Catalog(Sequence[SignatureAlgorithm]):
             fields = self._fields.get(name)
             if fields is None:
                 return None
+            if isinstance(fields, str):  # the line pattern took it, so this cannot fail
+                fields = _check_row(0, {}, name, *self._pick(fields.split(",")))
             algorithm = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
         return algorithm
 
@@ -137,10 +156,8 @@ class Catalog(Sequence[SignatureAlgorithm]):
         return map(self.get, self._fields)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Catalog):
-            return list(self._fields.items()) == list(other._fields.items())
-        if isinstance(other, list):
-            return list(self) == other
+        if isinstance(other, (Catalog, list)):
+            return list(self) == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -160,41 +177,63 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     a record csv cannot read, such as one with a cell longer than
     `csv.field_size_limit()`, is an error naming its line.
 
-    Each record is converted straight from its cells.  Only a record that
-    is short or blank, has a cell that does not convert, fails a range
-    check, or has an empty or repeated name takes the per-row path: it
-    skips a blank row, raises the row's error, or accepts a budget only
-    `Decimal` reads, such as one past `int()`'s digit limit.
+    Pieces of whole lines that `_line_pattern` accepts, with no name
+    repeated, are taken whole and converted on first read.  From the first
+    other piece on, csv reads the text and each row is checked as it is
+    read; either way a row gives the same entry or the same error.
     """
     table = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS)
-    n, s, p, m, c = table.positions
-    rows: dict[str, _Fields] = {}
+    rows: dict[str, _Fields | str] = {}
+    line, pick = _line_pattern(table.positions, table.width)
+    lines = 1  # the header's
+    if line is not None and table.records.line_num == 1:
+        piece = table.piece.read()
+        while piece:
+            found = line.findall(piece)
+            count, before = piece.count("\n") + (piece[-1] != "\n"), len(rows)
+            if len(found) == count:
+                rows.update(found)
+            if len(rows) - before < count:
+                # a line the pattern rejects, or a repeated name, which the
+                # per-row path raises on, so no entry it overwrote is read:
+                # take this piece's new names out again; csv reads on from it
+                for _ in range(len(rows) - before):
+                    rows.popitem()
+                break
+            lines += count
+            piece = next(table.pieces, "")
+        table.read_from(piece, lines)
     try:
-        for lineno, row in enumerate(table.records, start=2):
-            # int(), float() and Decimal() skip the whitespace strip() would.  A
-            # decimal budget is bounded before int(), which takes seconds on 1E1000000
-            try:
-                name, budget = row[n].strip(), row[m]
-                if "." in budget or "E" in budget or "e" in budget:
-                    budget = Decimal(budget)
-                    budget = int(budget) if _ONE <= budget < _DECIMAL_BOUND else 0
-                else:
-                    budget = int(budget)
-                sigs, keys, price = int(row[s]), int(row[p]), float(row[c])
-            except (IndexError, ValueError, ArithmeticError):
-                name = ""
-            if (
-                name and name not in rows and sigs >= 0 and keys >= 0
-                and 0 < budget < _MAX_SIGS_BOUND and 0.0 <= price < math.inf
-            ):
-                rows[name] = sigs, keys, budget, price
-                continue
+        for lineno, row in enumerate(table.records, start=lines + 1):
             cells = table.cells(row)
             if cells is not None:
                 rows[cells[0]] = _check_row(lineno, rows, *cells)
     except csv.Error as exc:
         raise table.failed(exc) from None
-    return Catalog._of_rows(rows)
+    return Catalog._of_rows(rows, pick)
+
+
+def _line_pattern(positions: list[int], width: int) -> tuple[re.Pattern[str] | None, itemgetter]:
+    """A pattern of the catalog lines the per-row checks accept, read alike
+    by csv and by a split at commas: exactly `width` cells, none holding a
+    quote, CR or NUL or longer than `csv.field_size_limit()`, a name with
+    no surrounding whitespace, and sizes, budget and cost that convert in
+    range.  `findall` gives each line's name and the rest of the line, the
+    whole line when the name is not its first cell; the getter picks the
+    four number cells of that text split at commas.  No pattern (None)
+    when the field limit is below the longest number cell it accepts."""
+    limit = min(csv.field_size_limit(), 2**31)  # re's longest repeat is 2**32 - 2
+    n, s, p, m, c = positions
+    cells = [f"{_CELL}{{0,{limit}}}"] * width
+    cells[n] = rf"(?!\s){_CELL}{{1,{limit}}}(?<!\s)"
+    cells[s] = cells[p] = "[0-9]{1,18}"
+    cells[m], cells[c] = _BUDGET, _COST
+    if n == 0:
+        source = f"({cells[0]}),({','.join(cells[1:])})"
+    else:
+        source = rf"(?=(?:[^,\n]*,){{{n}}}([^,\n]*))({','.join(cells)})"
+    pick = itemgetter(*(i - (n == 0) for i in (s, p, m, c)))
+    return (re.compile(f"^{source}$", re.M) if limit >= 349 else None), pick
 
 
 def _check_row(

@@ -15,6 +15,7 @@ byte-order mark, through one `io.StringIO`.  `reference_actions` and
 `reference_architecture` read an action file and an architecture table
 the same way, each writing out its row checks in order, with their
 messages, instead of reading the loaders' kind table or cell reader.
+All three walk the header, blank and short rows through `_reference_rows`.
 """
 
 from __future__ import annotations
@@ -208,32 +209,9 @@ def reference_catalog(text: str) -> Catalog:
     check, raising the first failure's error; a record csv cannot read is
     a `CatalogError` naming its line.  One leading byte-order mark is
     dropped first."""
-    rows = csv.reader(io.StringIO(text[1:] if text.startswith("\ufeff") else text))
-    try:
-        return _reference_entries(rows)
-    except csv.Error as exc:
-        raise CatalogError(f"catalog line {rows.line_num}: {exc}") from None
-
-
-def _reference_entries(rows) -> Catalog:
-    header = next(rows, None)
-    if header is None:
-        raise CatalogError("catalog is empty; expected a header row")
-    header = [cell.strip() for cell in header]
-    for column in CATALOG_COLUMNS:
-        if column not in header:
-            raise CatalogError(f"catalog is missing the '{column}' column")
-    for column in CATALOG_COLUMNS:
-        if header.count(column) > 1:
-            raise CatalogError(f"catalog names the '{column}' column twice")
-    positions = [header.index(column) for column in CATALOG_COLUMNS]
     entries: dict[str, SignatureAlgorithm] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not "".join(row).strip():
-            continue
-        name, sig_size, pk_size, max_sigs, cost = (
-            row[i].strip() if i < len(row) else "" for i in positions
-        )
+    for lineno, cells in _reference_rows(text, "catalog", CatalogError, CATALOG_COLUMNS):
+        name, sig_size, pk_size, max_sigs, cost = cells
         if not name:
             raise CatalogError(f"row {lineno}: algorithm name is empty")
         if name in entries:

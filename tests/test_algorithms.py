@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,8 +23,8 @@ from tufsim import (
     parse_algorithm_catalog,
 )
 from tufsim.cli import run_cli
-from tests.conftest import make_alg
-from tests.oracle import reference_catalog
+from tests.conftest import make_alg, outcome
+from tests.oracle import CATALOG_COLUMNS, reference_catalog
 
 HEADER = "Name,Signature Size,Public Key Size,Max Signatures,Computational Cost"
 
@@ -188,21 +189,14 @@ MAX_SIGNATURES_CELLS = st.one_of(
 )
 
 
-def _parsed(parse, text):
-    try:
-        return repr(list(parse(text)))
-    except Exception as exc:  # any error: both sides must fail alike
-        return type(exc), str(exc)
-
-
 @given(cell=MAX_SIGNATURES_CELLS)
 def test_max_signatures_int_fast_path_agrees_with_decimal(cell):
-    # the parser's row loop reads an integer literal with int(), the
-    # reference reads every budget as a Decimal
+    # the parser's line pattern takes some integer literals and some
+    # scientific notation, the reference reads every budget as a Decimal
     out = io.StringIO()
     csv.writer(out).writerows([HEADER.split(","), ["AlgA", "100", "50", cell, "1.5"]])
     text = out.getvalue()
-    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
 
 
 def _rows(count):
@@ -211,6 +205,22 @@ def _rows(count):
 
 def _catalog_text(rows):
     return HEADER + "\n" + "".join(f"{n},{s},{p},{m},{c}\n" for n, s, p, m, c in rows)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the `SignatureAlgorithm`s catalogs build from here on."""
+    names = []
+
+    class Counted(SignatureAlgorithm):
+        __slots__ = ()
+
+        def __init__(self, name, *fields):
+            names.append(name)
+            super().__init__(name, *fields)
+
+    monkeypatch.setattr(tufsim.algorithms, "SignatureAlgorithm", Counted)
+    return names
 
 
 class TestCatalog:
@@ -281,17 +291,7 @@ class TestCatalog:
         assert run_cli(argv, stdout=out, stderr=err) == 2
         assert (out.getvalue(), err.getvalue()) == ("", f"error: row 5001: {message}\n")
 
-    def test_a_sweep_builds_only_the_algorithms_it_uses(self, tmp_path, monkeypatch):
-        built = []
-
-        class Counted(SignatureAlgorithm):
-            __slots__ = ()
-
-            def __init__(self, name, *fields):
-                built.append(name)
-                super().__init__(name, *fields)
-
-        monkeypatch.setattr(tufsim.algorithms, "SignatureAlgorithm", Counted)
+    def test_a_sweep_builds_only_the_algorithms_it_uses(self, tmp_path, built):
         (tmp_path / "algorithms.csv").write_text(_catalog_text(_rows(1_000)))
         used = {"Root 1": "Alg7", "Timestamp 1": "Alg300", "Snapshot 1": "Alg999",
                 "Target 1": "Alg7"}
@@ -399,7 +399,7 @@ def _written(rows, **dialect):
 @settings(max_examples=400, deadline=None)
 @given(text=catalog_texts())
 def test_parse_agrees_with_row_by_row_reference(text):
-    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
 
 
 @settings(max_examples=400, deadline=None)
@@ -408,7 +408,7 @@ def test_lf_written_parse_agrees_with_row_by_row_reference(rows):
     # \n line ends, which every file the CLI reads has once read, and only
     # the cells that need it quoted
     text = _written(rows, lineterminator="\n")
-    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
 
 
 # the characters a cell written without quotes may not hold
@@ -421,7 +421,7 @@ def test_quote_free_and_quote_all_texts_parse_alike(rows):
     rows = [[cell.translate(QUOTED_CHARACTERS) for cell in row] for row in rows]
     quote_free = "".join(",".join(row) + "\n" for row in rows)
     quote_all = _written(rows, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    assert _parsed(parse_algorithm_catalog, quote_free) == _parsed(
+    assert outcome(parse_algorithm_catalog, quote_free) == outcome(
         parse_algorithm_catalog, quote_all
     )
 
@@ -436,12 +436,12 @@ def test_a_record_across_the_cut_between_pieces_reads_as_one_text():
     text = head + f'"{name}",1,2,3,4\nAfter,5,6,7,8\n'
     catalog = parse_algorithm_catalog(text)
     assert catalog[len(rows)].name == name
-    assert _parsed(parse_algorithm_catalog, text) == _parsed(reference_catalog, text)
+    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
     broken = text + "A\rB,1,2,3,4\n"
     lines = broken.count("\n")
     with pytest.raises(CatalogError, match=f"^catalog line {lines}: new-line character"):
         parse_algorithm_catalog(broken)
-    assert _parsed(parse_algorithm_catalog, broken) == _parsed(reference_catalog, broken)
+    assert outcome(parse_algorithm_catalog, broken) == outcome(reference_catalog, broken)
 
 
 def bulk_catalog_text(seed, count=60_000):
@@ -492,3 +492,168 @@ def test_catalog_slice_is_a_list_of_entries():
     assert catalog[1:3][0] is catalog.get("Alg1")
     with pytest.raises(IndexError):
         catalog[5]
+
+
+def test_a_parsed_catalog_keeps_under_220_bytes_a_row_and_builds_what_is_read(built):
+    # a row is kept as its name and the unconverted rest of its line until
+    # it is first read
+    text = bulk_catalog_text(7)
+    tracemalloc.start()
+    try:
+        catalog = parse_algorithm_catalog(text)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 220 * 60_000
+    names = [line.split(",", 1)[0] for line in text.splitlines()[1::937]][:64]
+    for name in names * 2:
+        assert catalog.get(name).name == name
+    assert sorted(built) == sorted(names)
+
+
+# whitespace that is neither a line end nor a cell's quote or comma
+INNER_SPACE = st.text(" \t\x0b\x0c\x1c\x85\xa0\u2003\u3000", max_size=2)
+# each column's usual cells, which the catalog's line pattern takes
+USUAL_CELLS = {
+    "Name": st.text("abcdefgh", min_size=2, max_size=6),
+    "Signature Size": st.integers(0, 10**6).map(str),
+    "Public Key Size": st.integers(0, 10**6).map(str),
+    "Max Signatures": st.one_of(
+        st.integers(1, 2**40).map(str),
+        st.builds("{}.{}E{}".format, st.integers(1, 9), DIGITS, st.integers(0, 17)),
+    ),
+    "Computational Cost": st.integers(0, 10**8).map(lambda n: f"{n // 1000}.{n % 1000:03d}"),
+}
+SIZE_EDGES = st.sampled_from(["0", "007", "1" * 18, "1" * 19, "9" * 19, "-0", "-1", "+1", "1_0", "",
+                              "\u0663", " 5"])
+# the rules of the line pattern by name, each as a column and cells on
+# both sides of the rule; no cell holds a comma or a line end
+EDGE_RULES = {
+    "name-whitespace": ("Name", st.builds(
+        "{}{}{}".format, INNER_SPACE, st.text("ab \xa0\u2028", min_size=1, max_size=3), INNER_SPACE,
+    )),
+    "name-other": ("Name", st.sampled_from(["", " ", "Good7", 'a"b', '"a"', "a\rb", "\0",
+                                            "a\u200b", "\u200b"])),
+    "signature-size": ("Signature Size", SIZE_EDGES),
+    "public-key-size": ("Public Key Size", SIZE_EDGES),
+    "budget-notation": ("Max Signatures", st.sampled_from([
+        "0", "01", "00", "-0", "+1", "1e4", "1E-3", "1E+3", "1E03", "1.E3", ".5E3", "1_0", " 7",
+        "9223372036854775807.9",
+    ])),
+    # integers around 2**63, most of 19 digits led by 8 or 9
+    "budget-integer-near-2**63": ("Max Signatures", st.one_of(
+        st.sampled_from([str(2**63), "9999999999999999999", str(2**63 - 1), "8999999999999999999",
+                         str(2**63 + 1), "9300000000000000000", "999999999999999999",
+                         "10000000000000000000"]),
+        st.builds("{}{}".format, st.sampled_from("89"),
+                  st.text("0123456789", min_size=18, max_size=18)),
+    )),
+    # d[.ddd]E<exp> around 2**63, with up to 42 digits after the point
+    "budget-scientific-near-2**63": ("Max Signatures", st.one_of(
+        st.sampled_from(["9.5E18", "1E19", "8.999E18", "9E18", "9.223372036854775808E18", "8E19",
+                         "9E17", "1E18", "1.5E19"]),
+        st.builds("{}.{}E{}".format, st.sampled_from("189"), st.text("0123456789", max_size=42),
+                  st.integers(17, 19)),
+    )),
+    "cost-notation": ("Computational Cost", st.sampled_from([
+        "0", "00", "-0", ".5", "5.", "-1.5", "1e3", "inf", "nan", "1_0", " 2",
+    ])),
+    # digit runs around float's limit, 1.8E308
+    "cost-near-float-limit": ("Computational Cost", st.builds(
+        "{}{}".format, st.sampled_from(["9" * 309, "9" * 308, "8" * 309, "1" * 309, "1" * 310]),
+        st.sampled_from(["", ".", ".5", "." + "5" * 40, "." + "5" * 41]),
+    )),
+    "unread-cell": ("Notes", st.sampled_from(["x", " ", "a b", "\x0b", "\u3000", '"', "x\ry",
+                                              "\0"])),
+}
+
+
+def _good_rows(columns):
+    """Rows the line pattern takes, in the order of `columns`, more than
+    one piece of the text long, named Good0, Good1 and so on."""
+    cells = {"Signature Size": "100", "Public Key Size": "50", "Max Signatures": "1.024E3",
+             "Computational Cost": "0." + "1" * 30}
+    rows, size = [], 0
+    while size <= tufsim._table.CHUNK_CHARS:
+        rows.append(",".join(
+            f"Good{len(rows)}" if column == "Name" else cells.get(column, "")
+            for column in columns
+        ))
+        size += len(rows[-1]) + 1
+    return rows
+
+
+@st.composite
+def pattern_edge_texts(draw, column, edge_cells):
+    """A catalog written without quoting that tests one rule of the line
+    pattern: a header of shuffled and extra columns and rows of usual
+    cells, one row with an `edge_cells` cell in `column`, and on some
+    draws one row that is short, long, blank or holds a lone CR.  Each of
+    the two goes among the first rows or, on some draws, after more than
+    a piece of good rows.  Lines end in \\n or \\r\\n."""
+    extra = draw(st.lists(st.sampled_from(["Notes", "Extra"]), max_size=2))  # may repeat
+    if column not in CATALOG_COLUMNS:
+        extra.append(column)
+    columns = draw(st.permutations([*CATALOG_COLUMNS, *extra]))
+
+    def usual():
+        return [draw(USUAL_CELLS.get(c, st.just(""))) for c in columns]
+
+    head = [usual() for _ in range(draw(st.integers(0, 3)))]
+    tail = [usual() for _ in range(draw(st.integers(0, 2)))]
+    edge = usual()
+    edge[columns.index(column)] = draw(edge_cells)
+    odd = [edge]
+    shape = draw(st.sampled_from(["none"] * 6 + ["short", "long", "blank", "cr"]))
+    if shape != "none":
+        row = usual()
+        if shape == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row.append(draw(st.sampled_from(["x", '"', "x\ry"])))
+        elif shape == "blank":
+            row = draw(st.sampled_from([[], [""] * len(row)]))
+        else:
+            row[draw(st.integers(0, len(row) - 1))] += "\rx"
+        odd.append(row)
+    for row in odd:
+        rows = draw(st.sampled_from([head, tail]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = [",".join(draw(st.sampled_from(["", " "])) + c for c in columns)]
+    lines += map(",".join, head)
+    if draw(st.booleans()):
+        lines += _good_rows(columns)
+    lines += map(",".join, tail)
+    newline = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@pytest.mark.parametrize("rule", EDGE_RULES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_quote_free_rows_at_the_line_patterns_edges_agree_with_row_by_row_reference(rule, data):
+    text = data.draw(pattern_edge_texts(*EDGE_RULES[rule]), label="text")
+    got, want = outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    if isinstance(got, str) and isinstance(want, str):
+        # entry by entry, so a failure names the first entry that differs
+        # instead of diffing two reprs of over a thousand entries
+        got, want = got.split("SignatureAlgorithm("), want.split("SignatureAlgorithm(")
+    assert got == want
+
+
+@pytest.mark.parametrize("limit", [40, 348, 349, 1_000, sys.maxsize])
+def test_cells_at_and_past_the_csv_field_limit_read_as_row_by_row(limit):
+    # the line pattern reads the limit when the catalog is parsed, and is
+    # not used below the longest number cell it takes, a 349-character cost
+    old = csv.field_size_limit(limit)
+    try:
+        width = min(limit, 10_000)
+        long_cost = "1" * 308 + "." + "5" * 40
+        rows = [f"{'n' * width},1,2,3,4,x", f"{'n' * (width + 1)},1,2,3,4,x",
+                f"A,1,2,3,4,{'n' * width}", f"A,1,2,3,4,{'n' * (width + 1)}",
+                f"A,1,2,3,{long_cost},x", f"A,1,2,3,{long_cost}5,x"]
+        for row in rows:
+            text = f"{HEADER},Notes\nGood,1,2,3,4,\n{row}\n"
+            assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
+    finally:
+        csv.field_size_limit(old)

@@ -1,8 +1,9 @@
 """The public records: what each constructor, comparison and copy gives.
 
-Cold records are `typing.NamedTuple`s; `SignatureAlgorithm`, `Timeline`
-and `RoleState`, read on every busy tick, are `__slots__` classes.  None
-is a dataclass, so importing the CLI loads neither `dataclasses` nor
+Cold records are `typing.NamedTuple`s; `SignatureAlgorithm` and
+`RoleState`, read on every busy tick, and `Timeline`, which
+`compile_script` reads once per calendar date, are `__slots__` classes.
+None is a dataclass, so importing the CLI loads neither `dataclasses` nor
 `inspect`.
 """
 
