@@ -1,13 +1,11 @@
 """The CSV table reader behind every input file.
 
-`Table` resolves the header and picks a record's cells; `read_table` yields
-the picked cells of every data row and serves four of the five readers.
-The catalog parser first takes whole pieces of the text from
-`Table.pieces` itself, and then has `Table.read_from` point
-`Table.records` at the piece it could not take, so csv reads the rest and
-`Table.cells` picks each row's cells.  The header rules live only here,
-and so does the one error csv itself raises, which each walk of
-`Table.records` turns into the reader's own error by `Table.failed`.
+`Table` resolves the header and picks a record's cells, and `Table.rows`
+is the one walk of a table's data records that all five readers use.  The
+header rules live only here, and so does the one error csv itself raises,
+which the walk turns into the reader's own error naming the line.  csv
+reads the text from the top, a piece of whole lines at a time (see
+`_pieces`), so a large input is never copied whole.
 
 `read_cell` is the one place a reader converts a picked cell: it returns
 the parse's value, or raises the reader's error naming the row and the
@@ -47,8 +45,6 @@ class Table:
     columns, repeated or not, are ignored.  `positions` holds each read
     column's index, in the order of `required` then `optional`, None for
     an absent optional one, and `width` counts the header's cells.
-    `pieces` yields the text after the first piece as pieces of whole lines
-    (see `_pieces`), and `records` reads them as they are needed.
     """
 
     def __init__(
@@ -59,13 +55,8 @@ class Table:
         required: Sequence[str],
         optional: Sequence[str] = (),
     ) -> None:
-        self.what, self.error = what, error
-        self.pieces = _pieces(text, int(text.startswith("\ufeff")))
-        self.read_from(next(self.pieces, ""), 0)
-        try:
-            header = next(self.records, None)
-        except csv.Error as exc:
-            raise self.failed(exc) from None
+        self._records = _records(text, what, error)
+        header = next(self._records, None)
         if header is None:
             raise error(f"{what} is empty; expected a header row")
         header = [cell.strip() for cell in header]
@@ -79,47 +70,18 @@ class Table:
         positions += [header.index(c) if c in header else None for c in optional]
         self.positions, self.width = positions, len(header)
 
-    def read_from(self, piece: str, lines: int) -> None:
-        """Point `records` at `piece` and then the pieces left in `pieces`;
-        `lines` lines of the text come before `piece`, so `failed` names
-        lines of the whole text.  `self.piece` is the StringIO over `piece`,
-        which holds what csv has not read of it."""
-        self.lines, self.piece = lines, io.StringIO(piece)
-        rest = chain.from_iterable(map(io.StringIO, self.pieces))
-        self.records = csv.reader(chain(self.piece, rest))
-
-    def failed(self, exc: csv.Error) -> TufSimError:
-        """The error for a record csv cannot read, such as a cell past
-        `csv.field_size_limit()`, naming the input and the record's line."""
-        return self.error(f"{self.what} line {self.lines + self.records.line_num}: {exc}")
-
-    def cells(self, row: list[str]) -> list[str] | None:
-        """The record's cells stripped, in the order of `positions`, with a
-        cell missing from a short row read as ""; None when every cell of
-        the record is blank."""
-        if not "".join(row).strip():
-            return None
-        return [row[i].strip() if i is not None and i < len(row) else "" for i in self.positions]
-
-
-def read_table(
-    text: str,
-    what: str,
-    error: type[TufSimError],
-    required: Sequence[str],
-    optional: Sequence[str] = (),
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield `(row number, cells)` for each data row of a CSV table, as
-    `Table.cells` picks them, skipping rows whose cells are all blank.
-    Row numbers count CSV records from 1, the header included."""
-    table = Table(text, what, error, required, optional)
-    try:
-        for lineno, row in enumerate(table.records, start=2):
-            cells = table.cells(row)
-            if cells is not None:
-                yield lineno, cells
-    except csv.Error as exc:
-        raise table.failed(exc) from None
+    def rows(self) -> Iterator[tuple[int, list[str]]]:
+        """Yield `(row number, cells)` for each data record: its cells
+        stripped, in the order of `positions`, with a cell missing from a
+        short record read as "".  Records whose cells are all blank are
+        skipped.  Row numbers count CSV records from 1, the header
+        included.  csv reads on from where it stopped, so a table is
+        walked once."""
+        positions = self.positions
+        for lineno, row in enumerate(self._records, start=2):
+            if "".join(row).strip():
+                yield lineno, [row[i].strip() if i is not None and i < len(row) else ""
+                               for i in positions]
 
 
 def read_cell(parse: Callable[[str], T], text: str, lineno: int,
@@ -137,6 +99,18 @@ def parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"not true or false: {text!r}")
     return text == "true"
+
+
+def _records(text: str, what: str, error: type[TufSimError]) -> Iterator[list[str]]:
+    """csv's records of the text after any byte-order mark; a record csv
+    cannot read, such as one with a cell past `csv.field_size_limit()`,
+    raises `error` naming the input and the record's line."""
+    pieces = _pieces(text, int(text.startswith("\ufeff")))
+    records = csv.reader(chain.from_iterable(map(io.StringIO, pieces)))
+    try:
+        yield from records
+    except csv.Error as exc:
+        raise error(f"{what} line {records.line_num}: {exc}") from None
 
 
 def _pieces(text: str, start: int) -> Iterator[str]:

@@ -2,16 +2,17 @@
 
 A catalog is a sequence of named parameter sets (signature size, public-key
 size, signature budget per key, per-verification cost) loaded from a CSV
-table.  Every row is checked when the table is parsed, but a row becomes a
+table.  Every row is checked when the table is parsed, but a parsed catalog
+keeps each row's four number cells as text, and a row becomes a
 `SignatureAlgorithm` only when it is first read, since a sweep over a large
-catalog may use a handful of its rows.  The text is read a piece of whole
-lines at a time (see `_table`), so a large catalog is never copied whole.
-A piece whose every line one regular expression accepts is taken in one
-step: each name keeps the rest of its line as text, which the per-row
-checks convert on the first read.  The pattern accepts only lines that csv
-and a split at commas read alike and whose cells those checks accept.
-From the first piece the pattern does not take whole on, csv reads the
-text and each row is checked and converted as it is read.
+catalog may use a handful of its rows.
+
+One regular expression takes the whole body of a plain catalog in one
+pass over pieces of whole lines (see `_table`), so a large catalog is
+never copied whole: it accepts only lines that csv and a split at commas
+read alike and whose cells the per-row checks accept.  When any line
+fails it, or a name repeats, it takes nothing, and the catalog is read by
+csv and checked row by row through `Table.rows`, as every other input is.
 
 `SignatureAlgorithm` is an immutable `__slots__` record, since the engine
 reads its `max_sigs` on every busy tick; it has no `_replace`, so build a
@@ -34,7 +35,7 @@ from decimal import Decimal, InvalidOperation
 from operator import itemgetter
 
 from ._record import FrozenRecord
-from ._table import Table, read_cell
+from ._table import Table, _pieces, read_cell
 from .errors import AlgorithmNotFoundError, CatalogError, ValidationError
 
 _REQUIRED_COLUMNS = (
@@ -103,57 +104,52 @@ class Catalog(Sequence[SignatureAlgorithm]):
 
     Build one from `SignatureAlgorithm`s with `Catalog(algorithms)`; names
     must be unique.  `parse_algorithm_catalog` builds one from checked rows,
-    each converted and turned into a `SignatureAlgorithm` the first time it
-    is read and cached, so every read of a name gives the same object.  A
-    catalog equals another with the same entries in the same order, and a
-    list of them.
+    each kept as the text of its four number cells until it is first read,
+    then converted, turned into a `SignatureAlgorithm` and kept in its
+    place, so every read of a name gives the same object.  A catalog
+    equals another with the same entries in the same order, and a list of
+    them.
     """
 
     def __init__(self, algorithms: Iterable[SignatureAlgorithm] = ()) -> None:
-        self._fields: dict[str, _Fields | str] = {}
-        self._built: dict[str, SignatureAlgorithm] = {}
+        self._entries: dict[str, SignatureAlgorithm | str] = {}
+        self._built: dict[str, SignatureAlgorithm] = {}  # decides a race to build a row
         self._names: list[str] | None = None  # for indexing, made on first use
         for algorithm in algorithms:
-            name = algorithm.name
-            if name in self._fields:
-                raise CatalogError(f"duplicate algorithm name '{name}'")
-            self._fields[name] = (
-                algorithm.sig_size, algorithm.pk_size, algorithm.max_sigs, algorithm.cost
-            )
-            self._built[name] = algorithm
+            if algorithm.name in self._entries:
+                raise CatalogError(f"duplicate algorithm name '{algorithm.name}'")
+            self._entries[algorithm.name] = algorithm
 
     @classmethod
-    def _of_rows(cls, fields: dict[str, _Fields | str], pick: itemgetter) -> Catalog:
-        """Rows by name: checked fields, or the text of a line the line
-        pattern took, whose split cells `pick` gives in field order."""
+    def _of_rows(cls, rows: dict[str, str], pick: itemgetter) -> Catalog:
+        """Checked rows by name, each a text whose cells split at commas
+        `pick` gives as Signature Size, Public Key Size, Max Signatures and
+        Computational Cost."""
         catalog = cls()
-        catalog._fields, catalog._pick = fields, pick
+        catalog._entries, catalog._pick = rows, pick
         return catalog
 
     def get(self, name: str) -> SignatureAlgorithm | None:
         """The entry named exactly `name`, or None."""
-        algorithm = self._built.get(name)
-        if algorithm is None:
-            fields = self._fields.get(name)
-            if fields is None:
-                return None
-            if isinstance(fields, str):  # the line pattern took it, so this cannot fail
-                fields = _check_row(0, {}, name, *self._pick(fields.split(",")))
-            algorithm = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
-        return algorithm
+        entry = self._entries.get(name)
+        if isinstance(entry, str):  # checked when parsed, so this cannot fail
+            fields = _check_row(0, {}, name, *self._pick(entry.split(",")))
+            entry = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
+            self._entries[name] = entry
+        return entry
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return len(self._entries)
 
     def __getitem__(self, index: int | slice) -> SignatureAlgorithm | list[SignatureAlgorithm]:
         if self._names is None:
-            self._names = list(self._fields)
+            self._names = list(self._entries)
         if isinstance(index, slice):
             return [self.get(name) for name in self._names[index]]
         return self.get(self._names[index])
 
     def __iter__(self) -> Iterator[SignatureAlgorithm]:
-        return map(self.get, self._fields)
+        return map(self.get, self._entries)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Catalog, list)):
@@ -177,40 +173,38 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     a record csv cannot read, such as one with a cell longer than
     `csv.field_size_limit()`, is an error naming its line.
 
-    Pieces of whole lines that `_line_pattern` accepts, with no name
-    repeated, are taken whole and converted on first read.  From the first
-    other piece on, csv reads the text and each row is checked as it is
-    read; either way a row gives the same entry or the same error.
+    When `_line_pattern` takes every line after the header and no name
+    repeats, the rows are taken in one pass; otherwise csv reads the
+    catalog and each row is checked as it is read.  Either way a row gives
+    the same entry or the same error, and is converted on first read.
     """
     table = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS)
-    rows: dict[str, _Fields | str] = {}
     line, pick = _line_pattern(table.positions, table.width)
-    lines = 1  # the header's
-    if line is not None and table.records.line_num == 1:
-        piece = table.piece.read()
-        while piece:
-            found = line.findall(piece)
-            count, before = piece.count("\n") + (piece[-1] != "\n"), len(rows)
-            if len(found) == count:
-                rows.update(found)
-            if len(rows) - before < count:
-                # a line the pattern rejects, or a repeated name, which the
-                # per-row path raises on, so no entry it overwrote is read:
-                # take this piece's new names out again; csv reads on from it
-                for _ in range(len(rows) - before):
-                    rows.popitem()
-                break
-            lines += count
-            piece = next(table.pieces, "")
-        table.read_from(piece, lines)
-    try:
-        for lineno, row in enumerate(table.records, start=lines + 1):
-            cells = table.cells(row)
-            if cells is not None:
-                rows[cells[0]] = _check_row(lineno, rows, *cells)
-    except csv.Error as exc:
-        raise table.failed(exc) from None
+    rows = _taken(csv_text, line)
+    if rows is None:
+        rows, pick = {}, itemgetter(0, 1, 2, 3)
+        for lineno, cells in table.rows():
+            _check_row(lineno, rows, *cells)  # checks only: the row is kept as text
+            rows[cells[0]] = ",".join(cells[1:])
     return Catalog._of_rows(rows, pick)
+
+
+def _taken(text: str, line: re.Pattern[str] | None) -> dict[str, str] | None:
+    """Each name and the text of its line that `findall` gives, when `line`
+    matches every line after a header line that holds no quote, which csv
+    therefore reads as the whole header, and no name repeats; else None."""
+    start = text.find("\n") + 1
+    if line is None or not start or '"' in text[:start]:
+        return None
+    rows: dict[str, str] = {}
+    count = 0
+    for piece in _pieces(text, start):
+        found = line.findall(piece)
+        if len(found) < piece.count("\n") + (piece[-1] != "\n"):
+            return None
+        rows.update(found)
+        count += len(found)
+    return rows if len(rows) == count else None
 
 
 def _line_pattern(positions: list[int], width: int) -> tuple[re.Pattern[str] | None, itemgetter]:
@@ -237,7 +231,7 @@ def _line_pattern(positions: list[int], width: int) -> tuple[re.Pattern[str] | N
 
 
 def _check_row(
-    lineno: int, rows: dict[str, _Fields], name: str, sig_size: str, pk_size: str,
+    lineno: int, rows: dict[str, str], name: str, sig_size: str, pk_size: str,
     max_sigs: str, cost: str,
 ) -> _Fields:
     """One row's fields, checked one by one; raises the first failure."""

@@ -131,6 +131,9 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read '{path}': {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read '{path}': not UTF-8 text (byte {exc.start})") from None
 
 
 def _execute(args: argparse.Namespace, err: TextIO) -> str:

@@ -34,7 +34,7 @@ from collections.abc import Iterable, Sequence
 from datetime import date
 from typing import NamedTuple
 
-from ._table import parse_bool, read_cell, read_table
+from ._table import Table, parse_bool, read_cell
 from .algorithms import Catalog, SignatureAlgorithm, find_algorithm
 from .errors import AlgorithmNotFoundError, ConfigurationError
 from .repository import Repository, RoleState, RoleType, price_counts
@@ -361,10 +361,10 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
     Reserve cell means false.
     """
     specs: list[RoleSpec] = []
-    for lineno, (name, type_text, algorithm, reserve_text) in read_table(
+    for lineno, (name, type_text, algorithm, reserve_text) in Table(
         csv_text, "architecture file", ConfigurationError,
         ("Role Name", "Role Type", "Algorithm", "Reserve"),
-    ):
+    ).rows():
         if not name:
             raise ConfigurationError(f"row {lineno}: role name is empty")
         role_type = read_cell(RoleType, type_text, lineno, ConfigurationError,
@@ -378,9 +378,9 @@ def parse_architecture_csv(csv_text: str, device_name: str = "Device_A") -> Arch
 def parse_assignment_csv(csv_text: str, label: str = "per-role") -> PerRole:
     """Parse a per-role assignment table: `Role Name,Algorithm`."""
     algorithms: dict[str, str] = {}
-    for lineno, (name, algorithm) in read_table(
+    for lineno, (name, algorithm) in Table(
         csv_text, "assignment file", ConfigurationError, ("Role Name", "Algorithm")
-    ):
+    ).rows():
         if not name or not algorithm:
             raise ConfigurationError(
                 f"row {lineno}: assignment rows need both a role name and an algorithm"

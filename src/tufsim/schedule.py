@@ -24,7 +24,7 @@ from datetime import date, timedelta
 from typing import NamedTuple
 
 from ._record import FrozenRecord
-from ._table import parse_bool, read_cell, read_table
+from ._table import Table, parse_bool, read_cell
 from .errors import CalendarError
 from .repository import RoleType
 
@@ -197,9 +197,9 @@ def load_event_dates(csv_text: str, default_target: str) -> EventCalendar:
     `default_target`; duplicate (date, target) pairs collapse.
     """
     events: set[tuple[date, str]] = set()
-    for lineno, (day, target) in read_table(
+    for lineno, (day, target) in Table(
         csv_text, "event file", CalendarError, ("Date",), ("Target",)
-    ):
+    ).rows():
         events.add((_parse_date(day, lineno), target or default_target))
     return EventCalendar(update_events=frozenset(events))
 
@@ -215,10 +215,10 @@ def load_role_actions(csv_text: str) -> EventCalendar:
     run's assignment.
     """
     actions: list[RoleAction] = []
-    for lineno, (day_text, kind_text, name, *optional) in read_table(
+    for lineno, (day_text, kind_text, name, *optional) in Table(
         csv_text, "action file", CalendarError,
         ("Date", "Action", "Name", *_OPTIONAL_COLUMNS.values()),
-    ):
+    ).rows():
         day = _parse_date(day_text, lineno)
         kind = read_cell(ActionKind, kind_text.lower(), lineno, CalendarError,
                          "unknown action {!r}; expected add, remove or reserve")

@@ -54,6 +54,19 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+def assert_same_catalog_outcome(got, want):
+    """Assert that two catalog `outcome`s are equal.  Two catalogs compare
+    by their number of entries first, then entry by entry, so a failure
+    names the first entry that differs instead of having pytest diff two
+    reprs of thousands of entries."""
+    if isinstance(got, str) and isinstance(want, str):
+        got, want = got.split("SignatureAlgorithm("), want.split("SignatureAlgorithm(")
+        assert len(got) == len(want), "the catalogs have different numbers of entries"
+        for entry, (got_entry, want_entry) in enumerate(zip(got, want)):
+            assert got_entry == want_entry, f"entry {entry}"
+    assert got == want
+
+
 @st.composite
 def table_texts(draw, columns, rows):
     """A CSV table of `columns` and of the list of cell dicts `rows` draws.

@@ -23,7 +23,7 @@ from tufsim import (
     parse_algorithm_catalog,
 )
 from tufsim.cli import run_cli
-from tests.conftest import make_alg, outcome
+from tests.conftest import assert_same_catalog_outcome, make_alg, outcome
 from tests.oracle import CATALOG_COLUMNS, reference_catalog
 
 HEADER = "Name,Signature Size,Public Key Size,Max Signatures,Computational Cost"
@@ -196,7 +196,9 @@ def test_max_signatures_int_fast_path_agrees_with_decimal(cell):
     out = io.StringIO()
     csv.writer(out).writerows([HEADER.split(","), ["AlgA", "100", "50", cell, "1.5"]])
     text = out.getvalue()
-    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
 
 
 def _rows(count):
@@ -254,6 +256,9 @@ class TestCatalog:
     def test_built_from_algorithms_rejects_a_duplicate_name(self):
         with pytest.raises(CatalogError, match="duplicate algorithm name 'AlgA'"):
             Catalog([make_alg("AlgA"), make_alg("AlgA", sig_size=7)])
+        algorithm = make_alg("AlgA")
+        with pytest.raises(CatalogError, match="duplicate algorithm name 'AlgA'"):
+            Catalog([algorithm, algorithm])
 
     @pytest.mark.parametrize(
         ("cell", "error", "message"),
@@ -399,7 +404,9 @@ def _written(rows, **dialect):
 @settings(max_examples=400, deadline=None)
 @given(text=catalog_texts())
 def test_parse_agrees_with_row_by_row_reference(text):
-    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -408,7 +415,9 @@ def test_lf_written_parse_agrees_with_row_by_row_reference(rows):
     # \n line ends, which every file the CLI reads has once read, and only
     # the cells that need it quoted
     text = _written(rows, lineterminator="\n")
-    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
 
 
 # the characters a cell written without quotes may not hold
@@ -421,8 +430,8 @@ def test_quote_free_and_quote_all_texts_parse_alike(rows):
     rows = [[cell.translate(QUOTED_CHARACTERS) for cell in row] for row in rows]
     quote_free = "".join(",".join(row) + "\n" for row in rows)
     quote_all = _written(rows, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    assert outcome(parse_algorithm_catalog, quote_free) == outcome(
-        parse_algorithm_catalog, quote_all
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, quote_free), outcome(parse_algorithm_catalog, quote_all)
     )
 
 
@@ -436,12 +445,26 @@ def test_a_record_across_the_cut_between_pieces_reads_as_one_text():
     text = head + f'"{name}",1,2,3,4\nAfter,5,6,7,8\n'
     catalog = parse_algorithm_catalog(text)
     assert catalog[len(rows)].name == name
-    assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
     broken = text + "A\rB,1,2,3,4\n"
     lines = broken.count("\n")
     with pytest.raises(CatalogError, match=f"^catalog line {lines}: new-line character"):
         parse_algorithm_catalog(broken)
-    assert outcome(parse_algorithm_catalog, broken) == outcome(reference_catalog, broken)
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, broken), outcome(reference_catalog, broken)
+    )
+
+
+def test_a_header_record_over_several_lines_is_read_by_csv():
+    # csv reads the plain lines after the header line into the header's
+    # unclosed quoted cell, so the catalog has no rows
+    text = HEADER + ',"Notes\nAlgA,1,2,3,4,\nAlgB,5,6,7,8,\n'
+    assert parse_algorithm_catalog(text) == []
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
 
 
 def bulk_catalog_text(seed, count=60_000):
@@ -471,17 +494,72 @@ def test_full_size_catalog_agrees_with_row_by_row_reference():
         assert got == want, f"row {row}"
 
 
-def test_parse_peak_memory_stays_below_the_text_size():
-    # the parse may hold a piece of the text at a time, never a copy of it
-    text = bulk_catalog_text(7)
+def late_quoted_catalog_text(seed):
+    """`bulk_catalog_text` with the name of its last row quoted, so the
+    line pattern takes none of it and csv reads the whole catalog."""
+    head, last = bulk_catalog_text(seed).rstrip("\n").rsplit("\n", 1)
+    name, rest = last.split(",", 1)
+    return f'{head}\n"{name}",{rest}\n'
+
+
+def parse_traced(text):
+    """The catalog parsed from `text`, and the bytes `tracemalloc` counts
+    as kept after the parse and at its peak."""
     tracemalloc.start()
     try:
         catalog = parse_algorithm_catalog(text)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return catalog, kept, peak
+
+
+def test_parse_peak_memory_stays_below_the_text_size():
+    # the parse may hold a piece of the text at a time, never a copy of it
+    text = bulk_catalog_text(7)
+    catalog, kept, peak = parse_traced(text)
     assert len(catalog) == 60_000
     assert peak - kept < len(text)
+
+
+def test_a_late_quoted_parse_peak_memory_stays_below_the_text_size():
+    # what the line pattern matched before the quoted row is dropped
+    # before csv reads the catalog from its first row
+    text = late_quoted_catalog_text(7)
+    catalog, kept, peak = parse_traced(text)
+    assert len(catalog) == 60_000
+    assert peak - kept < len(text)
+
+
+def test_a_catalog_quoted_only_in_its_last_row_agrees_with_row_by_row_reference():
+    text = late_quoted_catalog_text(13)
+    assert text.count('"') == 2
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
+
+
+def test_a_name_repeated_in_the_last_piece_is_the_reference_s_duplicate_error():
+    # the line pattern matches every line, but takes none of them
+    lines = bulk_catalog_text(13).splitlines()
+    name = lines[-2].split(",", 1)[0]
+    lines[-1] = name + "," + lines[-1].split(",", 1)[1]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(CatalogError, match=f"^row {len(lines)}: duplicate algorithm name '{name}'$"):
+        parse_algorithm_catalog(text)
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
+
+
+def test_a_fully_quoted_catalog_keeps_under_220_bytes_a_row():
+    # a row csv reads is kept as the text of its four number cells, as a
+    # row the line pattern takes is, until it is first read
+    text = _written(csv.reader(bulk_catalog_text(7).splitlines()),
+                    quoting=csv.QUOTE_ALL, lineterminator="\n")
+    catalog, kept, _ = parse_traced(text)
+    assert len(catalog) == 60_000
+    assert kept < 220 * 60_000
 
 
 def test_catalog_slice_is_a_list_of_entries():
@@ -498,12 +576,7 @@ def test_a_parsed_catalog_keeps_under_220_bytes_a_row_and_builds_what_is_read(bu
     # a row is kept as its name and the unconverted rest of its line until
     # it is first read
     text = bulk_catalog_text(7)
-    tracemalloc.start()
-    try:
-        catalog = parse_algorithm_catalog(text)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    catalog, kept, _ = parse_traced(text)
     assert kept < 220 * 60_000
     names = [line.split(",", 1)[0] for line in text.splitlines()[1::937]][:64]
     for name in names * 2:
@@ -633,12 +706,9 @@ def pattern_edge_texts(draw, column, edge_cells):
 @given(data=st.data())
 def test_quote_free_rows_at_the_line_patterns_edges_agree_with_row_by_row_reference(rule, data):
     text = data.draw(pattern_edge_texts(*EDGE_RULES[rule]), label="text")
-    got, want = outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
-    if isinstance(got, str) and isinstance(want, str):
-        # entry by entry, so a failure names the first entry that differs
-        # instead of diffing two reprs of over a thousand entries
-        got, want = got.split("SignatureAlgorithm("), want.split("SignatureAlgorithm(")
-    assert got == want
+    assert_same_catalog_outcome(
+        outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+    )
 
 
 @pytest.mark.parametrize("limit", [40, 348, 349, 1_000, sys.maxsize])
@@ -654,6 +724,8 @@ def test_cells_at_and_past_the_csv_field_limit_read_as_row_by_row(limit):
                 f"A,1,2,3,{long_cost},x", f"A,1,2,3,{long_cost}5,x"]
         for row in rows:
             text = f"{HEADER},Notes\nGood,1,2,3,4,\n{row}\n"
-            assert outcome(parse_algorithm_catalog, text) == outcome(reference_catalog, text)
+            assert_same_catalog_outcome(
+                outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+            )
     finally:
         csv.field_size_limit(old)

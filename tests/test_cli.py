@@ -107,6 +107,33 @@ def test_missing_algorithms_file(inputs):
     assert "nope.csv" in err
 
 
+# each input flag with a table naming a role or an algorithm in a Latin-1
+# spreadsheet export, whose é is the one byte 0xE9, not UTF-8
+LATIN_1_INPUTS = {
+    "--algorithms": ALGORITHMS.replace("AlgB", "Algé"),
+    "--events": "Date,Target\n2020-01-03,Ciblé\n",
+    "--actions": "Date,Action,Name,RoleType,Algorithm,Flag\n2020-01-02,add,Ciblé,Target,,\n",
+    "--arch": "Role Name,Role Type,Algorithm,Reserve\nRoot 1,Root,,\nCiblé,Target,,\n",
+    "--assignment": "Role Name,Algorithm\nRoot 1,Algé\n",
+}
+
+
+@pytest.mark.parametrize("flag", list(LATIN_1_INPUTS))
+def test_an_input_that_is_not_utf8_is_an_error_naming_it(inputs, tmp_path, flag):
+    path = tmp_path / "latin-1.csv"
+    data = LATIN_1_INPUTS[flag].encode("latin-1")
+    path.write_bytes(data)
+    args = base_args(inputs)
+    if flag in args:
+        args[args.index(flag) + 1] = str(path)
+    else:
+        args += [flag, str(path)]
+    status, out, err = invoke(args)
+    assert (status, out) == (2, "")
+    byte = data.index("é".encode("latin-1"))
+    assert err == f"error: cannot read '{path}': not UTF-8 text (byte {byte})\n"
+
+
 def test_seed_requires_poisson_rate(inputs):
     status, _, err = invoke(base_args(inputs, "--seed", "7"))
     assert status != 0
