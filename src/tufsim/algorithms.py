@@ -2,17 +2,20 @@
 
 A catalog is a sequence of named parameter sets (signature size, public-key
 size, signature budget per key, per-verification cost) loaded from a CSV
-table.  Every row is checked when the table is parsed, but a parsed catalog
-keeps each row's four number cells as text, and a row becomes a
-`SignatureAlgorithm` only when it is first read, since a sweep over a large
-catalog may use a handful of its rows.
+table.  Every row is checked when the table is parsed, but a row becomes
+a `SignatureAlgorithm` only when it is first read, since a sweep over a
+large catalog may use a handful of its rows.
 
 One regular expression takes the whole body of a plain catalog in one
 pass over pieces of whole lines (see `_table`), so a large catalog is
 never copied whole: it accepts only lines that csv and a split at commas
-read alike and whose cells the per-row checks accept.  When any line
-fails it, or a name repeats, it takes nothing, and the catalog is read by
-csv and checked row by row through `Table.rows`, as every other input is.
+read alike and whose cells the per-row checks accept.  It gives only the
+names: the catalog keeps the text it parsed, and each name maps to the
+number of the piece that holds its line, which a first read finds again.
+When any line fails the pattern, or a name repeats, it takes nothing,
+and the catalog is read by csv and checked row by row through
+`Table.rows`, as every other input is; such a row is kept as the text of
+its four number cells.
 
 `SignatureAlgorithm` is an immutable `__slots__` record, since the engine
 reads its `max_sigs` on every busy tick; it has no `_replace`, so build a
@@ -22,7 +25,8 @@ Catalogs are immutable after parsing and safe to share between threads.
 What a catalog fills in on first read never changes what a read returns:
 each built entry is stored with `dict.setdefault`, so threads that read a
 row for the first time at once all get the one object stored first, and
-the name list behind indexing comes out the same whichever thread makes it.
+the names and line starts behind indexing come out the same whichever
+thread makes them.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 
 from ._record import FrozenRecord
@@ -103,53 +109,89 @@ class Catalog(Sequence[SignatureAlgorithm]):
     """The entries of a catalog in file order, with a lookup by name.
 
     Build one from `SignatureAlgorithm`s with `Catalog(algorithms)`; names
-    must be unique.  `parse_algorithm_catalog` builds one from checked rows,
-    each kept as the text of its four number cells until it is first read,
-    then converted, turned into a `SignatureAlgorithm` and kept in its
-    place, so every read of a name gives the same object.  A catalog
-    equals another with the same entries in the same order, and a list of
-    them.
+    must be unique.  `parse_algorithm_catalog` builds one from checked
+    rows.  A row the line pattern took is kept as its name and the number
+    of the piece of the parsed text that holds its line, and the catalog
+    keeps that text; a row csv read is kept as the text of its four number
+    cells.  On first read a row is converted, turned into a
+    `SignatureAlgorithm` and kept in its place, so every read of a name
+    gives the same object.  `get` finds a line by its name within its
+    piece; iteration, indexing and `==` walk the lines in order instead.
+    A catalog equals another with the same entries in the same order, and
+    a list of them.
     """
 
     def __init__(self, algorithms: Iterable[SignatureAlgorithm] = ()) -> None:
-        self._entries: dict[str, SignatureAlgorithm | str] = {}
+        self._entries: dict[str, SignatureAlgorithm | str | int] = {}
         self._built: dict[str, SignatureAlgorithm] = {}  # decides a race to build a row
-        self._names: list[str] | None = None  # for indexing, made on first use
+        self._index: tuple[list[str], list[int]] | None = None  # made on first use
+        self._text, self._cuts = "", (0,)  # the parsed text, when rows are kept as pieces
         for algorithm in algorithms:
             if algorithm.name in self._entries:
                 raise CatalogError(f"duplicate algorithm name '{algorithm.name}'")
             self._entries[algorithm.name] = algorithm
 
-    @classmethod
-    def _of_rows(cls, rows: dict[str, str], pick: itemgetter) -> Catalog:
-        """Checked rows by name, each a text whose cells split at commas
-        `pick` gives as Signature Size, Public Key Size, Max Signatures and
-        Computational Cost."""
-        catalog = cls()
-        catalog._entries, catalog._pick = rows, pick
-        return catalog
-
     def get(self, name: str) -> SignatureAlgorithm | None:
         """The entry named exactly `name`, or None."""
-        entry = self._entries.get(name)
+        return self._read(name, self._entries.get(name), "")
+
+    def _read(self, name: str, entry: SignatureAlgorithm | str | int | None,
+              line: str) -> SignatureAlgorithm | None:
+        """`entry`, kept for `name`, built on first read; `line` is its line
+        of the parsed text, or "" when that is not known."""
+        if isinstance(entry, int):
+            entry = line or self._line_at(self._line_start(name, entry))
         if isinstance(entry, str):  # checked when parsed, so this cannot fail
-            fields = _check_row(0, {}, name, *self._pick(entry.split(",")))
+            fields = _check_row(0, (), name, *self._pick(entry.split(",")))
             entry = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
             self._entries[name] = entry
         return entry
+
+    def _line_start(self, name: str, piece: int) -> int:
+        """Where the line of `name` starts: the line of piece number
+        `piece` whose cell number `_column` is `name`.  The name may also
+        make up or sit inside other cells, so a match counts only when it
+        fills a cell and has `_column` commas before it on its line."""
+        text, start, end = self._text, self._cuts[piece], self._cuts[piece + 1]
+        at = start - 1  # a newline ends the text before each piece
+        while True:  # names are unique, so this stops at the line of `name`
+            at = text.find(name, at + 1, end)
+            after, line = at + len(name), text.rfind("\n", start - 1, at) + 1
+            if (text[at - 1] in ",\n" and (after == end or text[after] in ",\n")
+                    and text.count(",", line, at) == self._column):
+                return line
+
+    def _line_at(self, at: int) -> str:
+        """The line of the parsed text that starts at `at`."""
+        end = self._text.find("\n", at)
+        return self._text[at:end] if end >= 0 else self._text[at:]
+
+    def _lines(self) -> Iterator[str]:
+        """Each row's line of the parsed text, in row order, by one walk
+        of the text a piece at a time, then "" without end, as for every
+        row of a catalog that keeps no text: pair it with the rows."""
+        text, cuts = self._text, self._cuts
+        pieces = (text[start:end].rstrip("\n").split("\n") for start, end in zip(cuts, cuts[1:]))
+        return chain(chain.from_iterable(pieces), repeat(""))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __getitem__(self, index: int | slice) -> SignatureAlgorithm | list[SignatureAlgorithm]:
-        if self._names is None:
-            self._names = list(self._entries)
+        if self._index is None:  # where each line starts, found by one walk
+            ends = (len(line) + 1 for line in islice(self._lines(), len(self)))
+            starts = list(accumulate(ends, initial=self._cuts[0]))
+            starts.pop()  # the end of the last line
+            self._index = list(self._entries), starts
+        names, starts = self._index
         if isinstance(index, slice):
-            return [self.get(name) for name in self._names[index]]
-        return self.get(self._names[index])
+            return [self[i] for i in range(*index.indices(len(names)))]
+        name = names[index]
+        return self._read(name, self._entries[name], self._line_at(starts[index]))
 
     def __iter__(self) -> Iterator[SignatureAlgorithm]:
-        return map(self.get, self._entries)
+        entries = self._entries  # a first read replaces a value, never a key
+        return map(self._read, entries, entries.values(), self._lines())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Catalog, list)):
@@ -178,60 +220,62 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     catalog and each row is checked as it is read.  Either way a row gives
     the same entry or the same error, and is converted on first read.
     """
-    table = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS)
-    line, pick = _line_pattern(table.positions, table.width)
-    rows = _taken(csv_text, line)
-    if rows is None:
-        rows, pick = {}, itemgetter(0, 1, 2, 3)
-        for lineno, cells in table.rows():
-            _check_row(lineno, rows, *cells)  # checks only: the row is kept as text
-            rows[cells[0]] = ",".join(cells[1:])
-    return Catalog._of_rows(rows, pick)
+    table, catalog = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS), Catalog()
+    name, *numbers = table.positions
+    taken = _taken(csv_text, _line_pattern((name, *numbers), table.width, csv.field_size_limit()))
+    if taken is not None:  # each name maps to the number of the piece that holds its line
+        catalog._entries, catalog._cuts = taken
+        catalog._text, catalog._column, catalog._pick = csv_text, name, itemgetter(*numbers)
+        return catalog
+    rows, catalog._pick = catalog._entries, itemgetter(0, 1, 2, 3)
+    for lineno, cells in table.rows():
+        _check_row(lineno, rows, *cells)  # checks only: the row is kept as text
+        rows[cells[0]] = ",".join(cells[1:])
+    return catalog
 
 
-def _taken(text: str, line: re.Pattern[str] | None) -> dict[str, str] | None:
-    """Each name and the text of its line that `findall` gives, when `line`
-    matches every line after a header line that holds no quote, which csv
-    therefore reads as the whole header, and no name repeats; else None."""
+def _taken(text: str, line: re.Pattern[str] | None) -> tuple[dict[str, int], list[int]] | None:
+    """Each name that `findall` gives mapped to the number of the piece
+    (see `_pieces`) that holds its line, and where each piece starts, then
+    the end of the text, when `line` matches every line after a header
+    line that holds no quote, which csv therefore reads as the whole
+    header, and no name repeats; else None."""
     start = text.find("\n") + 1
     if line is None or not start or '"' in text[:start]:
         return None
-    rows: dict[str, str] = {}
-    count = 0
-    for piece in _pieces(text, start):
+    rows, cuts, count = {}, [start], 0
+    for k, piece in enumerate(_pieces(text, start)):
         found = line.findall(piece)
         if len(found) < piece.count("\n") + (piece[-1] != "\n"):
             return None
-        rows.update(found)
+        rows.update(dict.fromkeys(found, k))
         count += len(found)
-    return rows if len(rows) == count else None
+        cuts.append(cuts[-1] + len(piece))
+    return (rows, cuts) if len(rows) == count else None
 
 
-def _line_pattern(positions: list[int], width: int) -> tuple[re.Pattern[str] | None, itemgetter]:
+@lru_cache(maxsize=32)
+def _line_pattern(positions: tuple[int, ...], width: int, limit: int) -> re.Pattern[str] | None:
     """A pattern of the catalog lines the per-row checks accept, read alike
     by csv and by a split at commas: exactly `width` cells, none holding a
-    quote, CR or NUL or longer than `csv.field_size_limit()`, a name with
-    no surrounding whitespace, and sizes, budget and cost that convert in
-    range.  `findall` gives each line's name and the rest of the line, the
-    whole line when the name is not its first cell; the getter picks the
-    four number cells of that text split at commas.  No pattern (None)
-    when the field limit is below the longest number cell it accepts."""
-    limit = min(csv.field_size_limit(), 2**31)  # re's longest repeat is 2**32 - 2
+    quote, CR or NUL or longer than the csv field limit `limit`, a name
+    with no surrounding whitespace, and sizes, budget and cost that convert
+    in range.  `findall` gives each line's name.  No pattern (None) when
+    `limit` is below the longest number cell it accepts.  Built once per
+    header shape and limit."""
+    limit = min(limit, 2**31)  # re's longest repeat is 2**32 - 2
+    if limit < 349:
+        return None
     n, s, p, m, c = positions
     cells = [f"{_CELL}{{0,{limit}}}"] * width
-    cells[n] = rf"(?!\s){_CELL}{{1,{limit}}}(?<!\s)"
+    cells[n] = rf"((?!\s){_CELL}{{1,{limit}}}(?<!\s))"
     cells[s] = cells[p] = "[0-9]{1,18}"
     cells[m], cells[c] = _BUDGET, _COST
-    if n == 0:
-        source = f"({cells[0]}),({','.join(cells[1:])})"
-    else:
-        source = rf"(?=(?:[^,\n]*,){{{n}}}([^,\n]*))({','.join(cells)})"
-    pick = itemgetter(*(i - (n == 0) for i in (s, p, m, c)))
-    return (re.compile(f"^{source}$", re.M) if limit >= 349 else None), pick
+    return re.compile(f"^{','.join(cells)}$", re.M)
 
 
 def _check_row(
-    lineno: int, rows: dict[str, str], name: str, sig_size: str, pk_size: str,
+    lineno: int, rows: Container[str], name: str, sig_size: str, pk_size: str,
     max_sigs: str, cost: str,
 ) -> _Fields:
     """One row's fields, checked one by one; raises the first failure."""

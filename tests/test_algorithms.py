@@ -562,6 +562,15 @@ def test_a_fully_quoted_catalog_keeps_under_220_bytes_a_row():
     assert kept < 220 * 60_000
 
 
+def test_a_plain_catalog_parse_peaks_under_150_bytes_a_row():
+    # a row the line pattern takes is kept as its name and the number of
+    # the piece that holds its line, and the catalog keeps the caller's
+    # text, so the parse allocates no string a row but the name
+    catalog, kept, peak = parse_traced(bulk_catalog_text(7))
+    assert len(catalog) == 60_000
+    assert peak < 150 * 60_000
+
+
 def test_catalog_slice_is_a_list_of_entries():
     catalog = parse_algorithm_catalog(_catalog_text(_rows(5)))
     entries = list(catalog)
@@ -573,8 +582,8 @@ def test_catalog_slice_is_a_list_of_entries():
 
 
 def test_a_parsed_catalog_keeps_under_220_bytes_a_row_and_builds_what_is_read(built):
-    # a row is kept as its name and the unconverted rest of its line until
-    # it is first read
+    # a row is kept as its name and the number of the piece that holds its
+    # line until it is first read
     text = bulk_catalog_text(7)
     catalog, kept, _ = parse_traced(text)
     assert kept < 220 * 60_000
@@ -729,3 +738,103 @@ def test_cells_at_and_past_the_csv_field_limit_read_as_row_by_row(limit):
             )
     finally:
         csv.field_size_limit(old)
+
+
+# names of few characters, so that one is often a prefix, suffix or inner
+# part of another, or the text of a number cell
+LOOKUP_NAMES = st.text("ab10", min_size=1, max_size=3)
+
+
+def assert_same_entries(got, want):
+    """Assert that two lists of entries are equal, entry by entry."""
+    assert_same_catalog_outcome(repr(got), repr(want))
+
+
+@st.composite
+def lookup_texts(draw):
+    """A catalog written without quotes that the line pattern takes whole:
+    the Name column anywhere among shuffled and extra columns, and names
+    of few characters that are prefixes, suffixes and inner parts of each
+    other and the text of other rows' number and unread cells.  On some
+    draws the rows lie around more than a piece of other rows, the text
+    starts with a byte-order mark, or its last line has no newline."""
+    extra = draw(st.lists(st.sampled_from(["Notes", "Extra"]), max_size=2))  # may repeat
+    columns = draw(st.permutations([*CATALOG_COLUMNS, *extra]))
+    names = draw(st.lists(LOOKUP_NAMES, min_size=1, max_size=12, unique=True))
+    other = st.sampled_from(names)
+    numbers = st.sampled_from(["1", "10", "100", "11"])
+    cells = {
+        "Signature Size": st.text("10", min_size=1, max_size=3),
+        "Public Key Size": st.text("10", min_size=1, max_size=3),
+        "Max Signatures": numbers,
+        "Computational Cost": st.one_of(numbers, st.just("0.1")),
+    }
+    unread = st.one_of(st.just(""), other, st.builds("{}{}".format, other, other))
+    rows = [",".join(name if column == "Name" else draw(cells.get(column, unread))
+                     for column in columns) for name in names]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(rows)))
+        rows[at:at] = _good_rows(columns)  # before, among or after the rows
+    text = ",".join(columns) + "\n" + "\n".join(rows) + draw(st.sampled_from(["\n", ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=lookup_texts(), data=st.data())
+def test_reads_of_a_plain_catalog_agree_with_row_by_row_reference(text, data):
+    # every read starts from a fresh parse, so each way of reading finds
+    # the lines itself: `get` by name within a piece, iteration, indexing
+    # and `==` by walking the text
+    want = list(reference_catalog(text))
+    by_name = {entry.name: entry for entry in want}
+    catalog = parse_algorithm_catalog(text)
+    assert catalog._text, "the line pattern did not take the catalog"
+    names = data.draw(st.permutations(list(by_name)), label="names")
+    for name in names:
+        assert catalog.get(name) == by_name[name], name
+    for name in data.draw(st.lists(LOOKUP_NAMES | st.sampled_from(["", "Good", "Good1,"])),
+                          label="absent"):
+        if name not in by_name:
+            assert catalog.get(name) is None, name
+    assert_same_entries(list(parse_algorithm_catalog(text)), want)
+    catalog = parse_algorithm_catalog(text)
+    indices = data.draw(st.lists(st.integers(-len(want), len(want) - 1), max_size=20),
+                        label="indices")
+    assert_same_entries([catalog[i] for i in indices], [want[i] for i in indices])
+    bounds = st.none() | st.integers(-len(want) - 2, len(want) + 2)
+    part = slice(data.draw(bounds, label="start"), data.draw(bounds, label="stop"),
+                 data.draw(st.none() | st.sampled_from([1, 2, -1, -3]), label="step"))
+    assert_same_entries(parse_algorithm_catalog(text)[part], want[part])
+    assert parse_algorithm_catalog(text) == reference_catalog(text)
+    assert parse_algorithm_catalog(text) == want
+    # some names read first, then the rest in order by iteration and index
+    catalog = parse_algorithm_catalog(text)
+    for name in names[:data.draw(st.integers(0, len(names)), label="read first")]:
+        catalog.get(name)
+    assert_same_entries(list(catalog), want)
+    assert_same_entries(catalog[:], want)
+
+
+def test_iteration_indexing_and_equality_walk_the_text_without_a_search(monkeypatch):
+    # a search for a name scans its piece, so reading every row that way
+    # would take time in proportion to the rows times the piece size
+    text = bulk_catalog_text(7, count=3_000)
+    want = list(reference_catalog(text))
+
+    def search(self, name, piece):
+        raise AssertionError(f"searched for {name!r}")
+
+    monkeypatch.setattr(Catalog, "_line_start", search)
+    assert_same_entries(list(parse_algorithm_catalog(text)), want)
+    catalog = parse_algorithm_catalog(text)
+    assert_same_entries([catalog[i] for i in range(-len(want), len(want))], want * 2)
+    assert_same_entries(parse_algorithm_catalog(text)[::-3], want[::-3])
+    assert parse_algorithm_catalog(text) == want
+
+
+def test_a_parsed_catalog_without_rows_has_no_index():
+    catalog = parse_algorithm_catalog(HEADER + "\n")
+    assert catalog[:] == list(catalog) == []
+    for index in (0, -1):
+        with pytest.raises(IndexError):
+            catalog[index]

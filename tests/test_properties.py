@@ -19,6 +19,7 @@ from tufsim import (
     Cadence,
     Catalog,
     EventCalendar,
+    PerRole,
     RoleAction,
     RoleSpec,
     RoleType,
@@ -107,14 +108,42 @@ class TestBudgets:
 
     @given(run=scenarios(), data=st.data())
     @settings(deadline=None, max_examples=150)
-    def test_a_larger_uniform_budget_never_raises_rollover_events(self, run, data):
+    def test_a_larger_budget_for_all_but_root_never_raises_rollover_events(self, run, data):
         """Budgets up to the tick count, the range where a budget can run
-        out, in ascending order: the rollover counts never rise."""
+        out, in ascending order for every role but Root, whose keys never
+        run out: the rollover counts never rise.  A Timestamp, Snapshot or
+        Target signs on the same ticks whatever the budgets, so each of its
+        keys runs out no sooner.  A role that shares a name with a Root
+        role shares its budget too."""
         arch, calendar, ticks = run
-        sizes = data.draw(st.sets(st.integers(1, len(ticks) + 1), min_size=2, max_size=6))
-        catalog = Catalog([make_alg(f"Alg{b}", max_sigs=b) for b in sorted(sizes)])
-        rollovers = [result.rollover_events for result in sweep(arch, calendar, ticks, catalog)]
+        roots = {spec.name for spec in arch.role_specs if spec.role_type is RoleType.ROOT}
+        roots |= {action.name for action in calendar.role_actions
+                  if action.kind is ActionKind.ADD and action.role_type is RoleType.ROOT}
+        sizes = sorted(data.draw(st.sets(st.integers(1, len(ticks) + 1), min_size=2, max_size=6)))
+        catalog = Catalog([make_alg("Unlimited", max_sigs=10**18),
+                           *(make_alg(f"Alg{b}", max_sigs=b) for b in sizes)])
+        assignments = [
+            PerRole({name: "Unlimited" if name in roots else f"Alg{b}" for name in NAMES})
+            for b in sizes
+        ]
+        results = run_sweep(arch, assignments, calendar, ticks, catalog)
+        rollovers = [result.rollover_events for result in results]
         assert rollovers == sorted(rollovers, reverse=True)
+
+    def test_rollover_events_are_not_monotone_in_the_budget(self):
+        """Two Timestamp keys that run out on the same ticks share a root
+        file.  At budget 7 the keys of Timestamp 1 and of Timestamp 2,
+        added on Jan 8, run out together: 12 rollovers in 5 root files.
+        At budget 8 they fall out of phase, and the 9 root files use up
+        the Root key too: 13 rollovers."""
+        calendar = EventCalendar(role_actions=[
+            RoleAction(date(2020, 1, 8), ActionKind.ADD, "Timestamp 2", RoleType.TIMESTAMP),
+        ])
+        ticks = generate_ticks(START, date(2020, 2, 2), Cadence.DAILY)
+        catalog = Catalog([make_alg("Budget7", max_sigs=7), make_alg("Budget8", max_sigs=8)])
+        small, large = sweep(default_architecture(), calendar, ticks, catalog)
+        assert (small.rollover_events, small.root_publications) == (12, 5)
+        assert (large.rollover_events, large.root_publications) == (13, 9)
 
     def test_root_publications_are_not_monotone_in_the_budget(self):
         """Rollovers on one tick share a root file.  At budget 8 the
