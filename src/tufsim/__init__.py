@@ -20,11 +20,9 @@ changed one is built with its constructor.
 from .algorithms import (
     Catalog,
     SignatureAlgorithm,
-    find_algorithm,
     parse_algorithm_catalog,
 )
 from .errors import (
-    AlgorithmNotFoundError,
     CalendarError,
     CatalogError,
     ConfigurationError,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionKind",
     "AlgorithmAssignment",
-    "AlgorithmNotFoundError",
     "Architecture",
     "Cadence",
     "CalendarError",
@@ -86,7 +83,6 @@ __all__ = [
     "ValidationError",
     "default_architecture",
     "emit_report_csv",
-    "find_algorithm",
     "generate_poisson_events",
     "generate_ticks",
     "load_event_dates",

@@ -1,13 +1,19 @@
-"""Bases of the `__slots__` records, whose fields are read in the hot loop.
+"""Bases of the records: the `__slots__` records, whose fields are read in
+the hot loop, and the `typing.NamedTuple`s whose constructor checks.
 
-A record lists its fields in `_fields`, in constructor order.  Equality
-compares them between records of the same class, and the repr is
+A `__slots__` record lists its fields in `_fields`, in constructor order.
+Equality compares them between records of the same class, and the repr is
 `Name(field=value, ...)`.  `Record` is mutable and unhashable;
 `FrozenRecord` refuses assignment after its constructor has set the fields
 with `object.__setattr__`, and hashes, copies and pickles by its fields.
+
+`Checked`, listed before a NamedTuple base, makes `_make`, and so
+`_replace`, build through the class's own constructor and its checks.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 
 class Record:
@@ -43,3 +49,11 @@ class FrozenRecord(Record):
 
     def __reduce__(self) -> tuple[type, tuple]:
         return type(self), self._astuple()
+
+
+class Checked:
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Checked:
+        return cls(*iterable)

@@ -42,7 +42,7 @@ from operator import itemgetter
 
 from ._record import FrozenRecord
 from ._table import Table, _pieces, read_cell
-from .errors import AlgorithmNotFoundError, CatalogError, ValidationError
+from .errors import CatalogError, ValidationError
 
 _REQUIRED_COLUMNS = (
     "Name",
@@ -248,7 +248,7 @@ def _taken(text: str, line: re.Pattern[str] | None) -> tuple[dict[str, int], lis
         found = line.findall(piece)
         if len(found) < piece.count("\n") + (piece[-1] != "\n"):
             return None
-        rows.update(dict.fromkeys(found, k))
+        rows.update(zip(found, repeat(k)))
         count += len(found)
         cuts.append(cuts[-1] + len(piece))
     return (rows, cuts) if len(rows) == count else None
@@ -296,14 +296,6 @@ def _check_row(
     if problem is not None:
         raise ValidationError(f"row {lineno}: {problem}")
     return fields
-
-
-def find_algorithm(name: str, catalog: Catalog) -> SignatureAlgorithm:
-    """Return the catalog entry named exactly `name`."""
-    algorithm = catalog.get(name)
-    if algorithm is None:
-        raise AlgorithmNotFoundError("Requested algorithm type not found.")
-    return algorithm
 
 
 def _range_problem(

@@ -15,10 +15,6 @@ class ValidationError(TufSimError):
     """A domain value violates one of its invariants."""
 
 
-class AlgorithmNotFoundError(TufSimError, LookupError):
-    """A named algorithm is not present in the catalog."""
-
-
 class CalendarError(TufSimError):
     """Bad date range, event rate, or malformed event/action CSV."""
 

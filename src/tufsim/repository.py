@@ -144,9 +144,9 @@ class Repository:
 
     def add_role(
         self, name: str, role_type: RoleType, algorithm: SignatureAlgorithm
-    ) -> None:
+    ) -> RoleState:
         """Append a role instance and flag it (and any same-named sibling of
-        the same type) for inclusion in the next root file.
+        the same type) for inclusion in the next root file; returns it.
 
         Duplicate names are permitted.
         """
@@ -167,6 +167,7 @@ class Repository:
                 if role.name == name and role.role_type is role_type:
                     role.rollover = True
             self._others.append(added)
+        return added
 
     def remove_role(self, name: str) -> int:
         """Remove every role whose name matches; returns the number removed.

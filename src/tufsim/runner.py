@@ -34,9 +34,10 @@ from collections.abc import Iterable, Sequence
 from datetime import date
 from typing import NamedTuple
 
+from ._record import Checked
 from ._table import Table, parse_bool, read_cell
-from .algorithms import Catalog, SignatureAlgorithm, find_algorithm
-from .errors import AlgorithmNotFoundError, ConfigurationError
+from .algorithms import Catalog, SignatureAlgorithm
+from .errors import ConfigurationError
 from .repository import Repository, RoleState, RoleType, price_counts
 from .schedule import ActionKind, EventCalendar, RoleAction, Timeline
 
@@ -63,7 +64,7 @@ class _ArchitectureFields(NamedTuple):
     role_specs: tuple[RoleSpec, ...]
 
 
-class Architecture(_ArchitectureFields):
+class Architecture(Checked, _ArchitectureFields):
     """A device's signing layout: its name plus an ordered list of roles.
 
     Construction, `_make` and `_replace` store the role specs as a tuple,
@@ -88,10 +89,6 @@ class Architecture(_ArchitectureFields):
                 f"architecture '{device_name}' has no {', '.join(missing)} role"
             )
         return super().__new__(cls, device_name, role_specs)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Architecture":
-        return cls(*iterable)
 
 
 def default_architecture(device_name: str = "Device_A") -> Architecture:
@@ -232,11 +229,10 @@ def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Si
     matches no role.
     """
     repo = Repository(script.device_name)
-    for spec, algorithm in zip(script.role_specs, algorithms):
-        repo.add_role(spec.name, spec.role_type, algorithm)
-        repo.roles[-1].reserve = spec.reserve
-    states: list[RoleState | None] = [*repo.roles]
-    states += [None] * (len(script.slots) - len(states))
+    states: list[RoleState | None] = [None] * len(script.slots)
+    for slot, (spec, algorithm) in enumerate(zip(script.role_specs, algorithms)):
+        state = states[slot] = repo.add_role(spec.name, spec.role_type, algorithm)
+        state.reserve = spec.reserve
 
     warnings: list[str] = []
     published = 0
@@ -249,8 +245,7 @@ def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Si
         if point.actions:
             for slot, action in point.actions:
                 if action.kind is ActionKind.ADD:
-                    repo.add_role(action.name, action.role_type, algorithms[slot])
-                    states[slot] = repo.roles[-1]
+                    states[slot] = repo.add_role(action.name, action.role_type, algorithms[slot])
                     continue
                 if action.kind is ActionKind.REMOVE:
                     matched = repo.remove_role(action.name)
@@ -391,6 +386,14 @@ def parse_assignment_csv(csv_text: str, label: str = "per-role") -> PerRole:
     return PerRole(algorithms=algorithms, label=label)
 
 
+def find_algorithm(name: str, catalog: Catalog, role_name: str) -> SignatureAlgorithm:
+    """The catalog entry named exactly `name`, which role `role_name` takes."""
+    algorithm = catalog.get(name)
+    if algorithm is None:
+        raise ConfigurationError(f"role '{role_name}': algorithm '{name}' is not in the catalog")
+    return algorithm
+
+
 def _resolve(
     slots: Sequence[tuple[str, str | None]],
     assignment: AlgorithmAssignment,
@@ -418,12 +421,7 @@ def _resolve(
             taken.add(role_name)
         algorithm = found.get(name)
         if algorithm is None:
-            try:
-                algorithm = found[name] = find_algorithm(name, catalog)
-            except AlgorithmNotFoundError:
-                raise ConfigurationError(
-                    f"role '{role_name}': algorithm '{name}' is not in the catalog"
-                ) from None
+            algorithm = found[name] = find_algorithm(name, catalog, role_name)
         algorithms.append(algorithm)
     warnings = []
     for row in assignment.algorithms if isinstance(assignment, PerRole) else ():

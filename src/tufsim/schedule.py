@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from datetime import date, timedelta
 from typing import NamedTuple
 
-from ._record import FrozenRecord
+from ._record import Checked, FrozenRecord
 from ._table import Table, parse_bool, read_cell
 from .errors import CalendarError
 from .repository import RoleType
@@ -83,7 +83,7 @@ class _RoleActionFields(NamedTuple):
     flag: bool | None = None
 
 
-class RoleAction(_RoleActionFields):
+class RoleAction(Checked, _RoleActionFields):
     """A scripted mid-run role change, applied on the first tick of its date.
 
     kind=ADD reads a `RoleType` role_type and algorithm_name (None means
@@ -119,17 +119,13 @@ class RoleAction(_RoleActionFields):
             raise CalendarError(f"reserve action for '{name}' needs a bool flag, got {flag!r}")
         return self
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "RoleAction":
-        return cls(*iterable)
-
 
 class _EventCalendarFields(NamedTuple):
     update_events: frozenset[tuple[date, str]]
     role_actions: tuple[RoleAction, ...]
 
 
-class EventCalendar(_EventCalendarFields):
+class EventCalendar(Checked, _EventCalendarFields):
     """Update events (a set of date/target pairs) plus scripted role actions.
 
     The constructor, and so `_make` and `_replace`, stores the events as a
@@ -144,10 +140,6 @@ class EventCalendar(_EventCalendarFields):
         role_actions: Iterable[RoleAction] = (),
     ) -> "EventCalendar":
         return super().__new__(cls, frozenset(update_events), tuple(role_actions))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "EventCalendar":
-        return cls(*iterable)
 
 
 class Timeline(FrozenRecord):

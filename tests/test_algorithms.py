@@ -14,12 +14,10 @@ import tufsim._table
 import tufsim.algorithms
 import tufsim.runner
 from tufsim import (
-    AlgorithmNotFoundError,
     Catalog,
     CatalogError,
     SignatureAlgorithm,
     ValidationError,
-    find_algorithm,
     parse_algorithm_catalog,
 )
 from tufsim.cli import run_cli
@@ -156,22 +154,6 @@ def test_round_trip():
     ]
 
 
-def test_find_algorithm_returns_entry():
-    catalog = Catalog([make_alg("AlgA"), make_alg("AlgB")])
-    assert find_algorithm("AlgA", catalog) is catalog[0]
-
-
-def test_find_algorithm_missing_name():
-    with pytest.raises(AlgorithmNotFoundError) as excinfo:
-        find_algorithm("Missing", Catalog([make_alg("AlgA")]))
-    assert str(excinfo.value) == "Requested algorithm type not found."
-
-
-def test_find_algorithm_empty_catalog():
-    with pytest.raises(AlgorithmNotFoundError):
-        find_algorithm("AlgA", Catalog())
-
-
 DIGITS = st.text("0123456789", min_size=1, max_size=22)
 MAX_SIGNATURES_CELLS = st.one_of(
     DIGITS,
@@ -242,7 +224,6 @@ class TestCatalog:
         assert catalog.get("Alg1") is first
         assert catalog[1] is first
         assert list(catalog)[1] is first
-        assert find_algorithm("Alg1", catalog) is first
 
     def test_built_from_algorithms_returns_them(self):
         algorithms = [make_alg("AlgA"), make_alg("AlgB", sig_size=7)]
@@ -553,8 +534,9 @@ def test_a_name_repeated_in_the_last_piece_is_the_reference_s_duplicate_error():
 
 
 def test_a_fully_quoted_catalog_keeps_under_220_bytes_a_row():
-    # a row csv reads is kept as the text of its four number cells, as a
-    # row the line pattern takes is, until it is first read
+    # a row csv reads is kept as the text of its four number cells until it
+    # is first read; a row the line pattern takes is kept as its name and a
+    # piece number instead
     text = _written(csv.reader(bulk_catalog_text(7).splitlines()),
                     quoting=csv.QUOTE_ALL, lineterminator="\n")
     catalog, kept, _ = parse_traced(text)

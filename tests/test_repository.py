@@ -87,6 +87,13 @@ class TestRoleManagement:
         assert role.pending is True and role.rollover is True
         assert role.lifetime_sigs - role.key_start == 0
 
+    def test_add_role_returns_the_role_it_adds(self):
+        repo = build_repo()
+        for role_type in (RoleType.TARGET, RoleType.ROOT):
+            added = repo.add_role("Extra", role_type, make_alg())
+            assert added is repo.roles[-1]
+            assert (added.name, added.role_type) == ("Extra", role_type)
+
     def test_add_second_instance_of_same_type(self):
         repo = build_repo()
         repo.add_role("Target 2", RoleType.TARGET, make_alg())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tufsim.runner
-from tufsim.runner import Simulation, compile_script, run_scenario
+from tufsim.runner import Simulation, compile_script, find_algorithm, run_scenario
 from tufsim import (
     ActionKind,
     Architecture,
@@ -25,7 +25,6 @@ from tufsim import (
     Uniform,
     default_architecture,
     emit_report_csv,
-    find_algorithm,
     generate_poisson_events,
     generate_ticks,
     load_role_actions,
@@ -769,9 +768,9 @@ class TestSweepSimulatesOncePerBudgetVector:
     def test_each_name_resolves_once_per_sweep(self, monkeypatch):
         names = []
 
-        def counting(name, index):
+        def counting(name, *args):
             names.append(name)
-            return find_algorithm(name, index)
+            return find_algorithm(name, *args)
 
         monkeypatch.setattr(tufsim.runner, "find_algorithm", counting)
         add = RoleAction(date(2020, 1, 4), ActionKind.ADD, "Target 2", RoleType.TARGET)
@@ -827,6 +826,15 @@ class TestSweepSimulatesOncePerBudgetVector:
                 ten_day_ticks(), Catalog([make_alg()]),
             )
         assert calls == []
+
+    def test_find_algorithm_gives_the_entry_or_the_sweep_error(self):
+        catalog = Catalog([make_alg("AlgA")])
+        assert find_algorithm("AlgA", catalog, "Root 1") is catalog.get("AlgA")
+        message = "^role 'Root 1': algorithm 'AlgB' is not in the catalog$"
+        with pytest.raises(ConfigurationError, match=message):
+            find_algorithm("AlgB", catalog, "Root 1")
+        with pytest.raises(ConfigurationError, match=message):
+            find_algorithm("AlgB", Catalog(), "Root 1")
 
 
 class TestEmitReportCsv:
