@@ -23,12 +23,14 @@ from typing import TypeVar
 
 from .errors import TufSimError
 
-# Characters per piece of the text that csv reads through one StringIO,
-# rounded up to the end of a line.  A StringIO holds four bytes a
-# character, so one over the whole text is a copy four times the size of
-# an ASCII text; pieces cut after a newline give csv the same lines and
-# line numbers.
-CHUNK_CHARS = 1 << 16
+# Characters per piece of the text, rounded up to the end of a line: csv
+# reads one piece through each StringIO, and the catalog's line pattern
+# takes one piece at a time.  A StringIO holds four bytes a character, so
+# one over the whole text is a copy four times the size of an ASCII text;
+# pieces cut after a newline give csv the same lines and line numbers.
+# A catalog's first read of a row searches for its name within its piece,
+# so the size also bounds that search.
+CHUNK_CHARS = 1 << 12
 
 T = TypeVar("T")
 

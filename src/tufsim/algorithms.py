@@ -11,7 +11,10 @@ pass over pieces of whole lines (see `_table`), so a large catalog is
 never copied whole: it accepts only lines that csv and a split at commas
 read alike and whose cells the per-row checks accept.  It gives only the
 names: the catalog keeps the text it parsed, and each name maps to the
-number of the piece that holds its line, which a first read finds again.
+number of the piece that holds its line.  Every read of a row, by name,
+by index or by iteration, goes through `Catalog.get`, which on a row's
+first read searches for its name within that piece of about 4 KB, so
+iterating over a whole large catalog costs one such search a row.
 When any line fails the pattern, or a name repeats, it takes nothing,
 and the catalog is read by csv and checked row by row through
 `Table.rows`, as every other input is; such a row is kept as the text of
@@ -25,8 +28,8 @@ Catalogs are immutable after parsing and safe to share between threads.
 What a catalog fills in on first read never changes what a read returns:
 each built entry is stored with `dict.setdefault`, so threads that read a
 row for the first time at once all get the one object stored first, and
-the names and line starts behind indexing come out the same whichever
-thread makes them.
+the list of names behind indexing comes out the same whichever thread
+makes it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import re
 from collections.abc import Container, Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from ._record import FrozenRecord
@@ -115,16 +118,16 @@ class Catalog(Sequence[SignatureAlgorithm]):
     keeps that text; a row csv read is kept as the text of its four number
     cells.  On first read a row is converted, turned into a
     `SignatureAlgorithm` and kept in its place, so every read of a name
-    gives the same object.  `get` finds a line by its name within its
-    piece; iteration, indexing and `==` walk the lines in order instead.
-    A catalog equals another with the same entries in the same order, and
-    a list of them.
+    gives the same object.  `get` is the one read: it finds a kept line
+    by its name within its piece, and iteration, indexing and `==` read
+    each row through it.  A catalog equals another with the same entries
+    in the same order, and a list of them.
     """
 
     def __init__(self, algorithms: Iterable[SignatureAlgorithm] = ()) -> None:
         self._entries: dict[str, SignatureAlgorithm | str | int] = {}
         self._built: dict[str, SignatureAlgorithm] = {}  # decides a race to build a row
-        self._index: tuple[list[str], list[int]] | None = None  # made on first use
+        self._names: list[str] | None = None  # for indexing, made on first use
         self._text, self._cuts = "", (0,)  # the parsed text, when rows are kept as pieces
         for algorithm in algorithms:
             if algorithm.name in self._entries:
@@ -132,26 +135,22 @@ class Catalog(Sequence[SignatureAlgorithm]):
             self._entries[algorithm.name] = algorithm
 
     def get(self, name: str) -> SignatureAlgorithm | None:
-        """The entry named exactly `name`, or None."""
-        return self._read(name, self._entries.get(name), "")
-
-    def _read(self, name: str, entry: SignatureAlgorithm | str | int | None,
-              line: str) -> SignatureAlgorithm | None:
-        """`entry`, kept for `name`, built on first read; `line` is its line
-        of the parsed text, or "" when that is not known."""
+        """The entry named exactly `name`, or None; a kept row is built on
+        its first read."""
+        entry = self._entries.get(name)
         if isinstance(entry, int):
-            entry = line or self._line_at(self._line_start(name, entry))
+            entry = self._line(name, entry)
         if isinstance(entry, str):  # checked when parsed, so this cannot fail
             fields = _check_row(0, (), name, *self._pick(entry.split(",")))
             entry = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
             self._entries[name] = entry
         return entry
 
-    def _line_start(self, name: str, piece: int) -> int:
-        """Where the line of `name` starts: the line of piece number
-        `piece` whose cell number `_column` is `name`.  The name may also
-        make up or sit inside other cells, so a match counts only when it
-        fills a cell and has `_column` commas before it on its line."""
+    def _line(self, name: str, piece: int) -> str:
+        """The line of `name`: the line of piece number `piece` whose cell
+        number `_column` is `name`.  The name may also make up or sit
+        inside other cells, so a match counts only when it fills a cell
+        and has `_column` commas before it on its line."""
         text, start, end = self._text, self._cuts[piece], self._cuts[piece + 1]
         at = start - 1  # a newline ends the text before each piece
         while True:  # names are unique, so this stops at the line of `name`
@@ -159,39 +158,21 @@ class Catalog(Sequence[SignatureAlgorithm]):
             after, line = at + len(name), text.rfind("\n", start - 1, at) + 1
             if (text[at - 1] in ",\n" and (after == end or text[after] in ",\n")
                     and text.count(",", line, at) == self._column):
-                return line
-
-    def _line_at(self, at: int) -> str:
-        """The line of the parsed text that starts at `at`."""
-        end = self._text.find("\n", at)
-        return self._text[at:end] if end >= 0 else self._text[at:]
-
-    def _lines(self) -> Iterator[str]:
-        """Each row's line of the parsed text, in row order, by one walk
-        of the text a piece at a time, then "" without end, as for every
-        row of a catalog that keeps no text: pair it with the rows."""
-        text, cuts = self._text, self._cuts
-        pieces = (text[start:end].rstrip("\n").split("\n") for start, end in zip(cuts, cuts[1:]))
-        return chain(chain.from_iterable(pieces), repeat(""))
+                stop = text.find("\n", after, end)
+                return text[line:stop] if stop >= 0 else text[line:end]
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __getitem__(self, index: int | slice) -> SignatureAlgorithm | list[SignatureAlgorithm]:
-        if self._index is None:  # where each line starts, found by one walk
-            ends = (len(line) + 1 for line in islice(self._lines(), len(self)))
-            starts = list(accumulate(ends, initial=self._cuts[0]))
-            starts.pop()  # the end of the last line
-            self._index = list(self._entries), starts
-        names, starts = self._index
+        if self._names is None:
+            self._names = list(self._entries)
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(names)))]
-        name = names[index]
-        return self._read(name, self._entries[name], self._line_at(starts[index]))
+            return [self.get(name) for name in self._names[index]]
+        return self.get(self._names[index])
 
     def __iter__(self) -> Iterator[SignatureAlgorithm]:
-        entries = self._entries  # a first read replaces a value, never a key
-        return map(self._read, entries, entries.values(), self._lines())
+        return map(self.get, self._entries)  # a first read replaces a value, never a key
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Catalog, list)):

@@ -4,6 +4,7 @@ import csv
 import io
 import random
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -765,8 +766,8 @@ def lookup_texts(draw):
 @given(text=lookup_texts(), data=st.data())
 def test_reads_of_a_plain_catalog_agree_with_row_by_row_reference(text, data):
     # every read starts from a fresh parse, so each way of reading finds
-    # the lines itself: `get` by name within a piece, iteration, indexing
-    # and `==` by walking the text
+    # the lines itself: `get` by name within a piece, and iteration,
+    # indexing and `==` through `get`
     want = list(reference_catalog(text))
     by_name = {entry.name: entry for entry in want}
     catalog = parse_algorithm_catalog(text)
@@ -797,21 +798,58 @@ def test_reads_of_a_plain_catalog_agree_with_row_by_row_reference(text, data):
     assert_same_entries(catalog[:], want)
 
 
-def test_iteration_indexing_and_equality_walk_the_text_without_a_search(monkeypatch):
-    # a search for a name scans its piece, so reading every row that way
-    # would take time in proportion to the rows times the piece size
-    text = bulk_catalog_text(7, count=3_000)
-    want = list(reference_catalog(text))
+def test_every_piece_of_a_plain_catalog_spans_at_most_a_chunk_and_a_line():
+    # every read of a row, by iteration and indexing too, searches for its
+    # name within its piece, so the piece size bounds what a read scans
+    text = bulk_catalog_text(7)
+    cuts = parse_algorithm_catalog(text)._cuts
+    assert len(cuts) > 2, "the line pattern did not take the catalog in pieces"
+    longest = max(len(line) for line in text.splitlines(keepends=True))
+    assert max(end - start for start, end in zip(cuts, cuts[1:])) <= (
+        tufsim._table.CHUNK_CHARS + longest
+    )
 
-    def search(self, name, piece):
-        raise AssertionError(f"searched for {name!r}")
 
-    monkeypatch.setattr(Catalog, "_line_start", search)
-    assert_same_entries(list(parse_algorithm_catalog(text)), want)
-    catalog = parse_algorithm_catalog(text)
-    assert_same_entries([catalog[i] for i in range(-len(want), len(want))], want * 2)
-    assert_same_entries(parse_algorithm_catalog(text)[::-3], want[::-3])
-    assert parse_algorithm_catalog(text) == want
+# each way of reading row 0 of a catalog
+FIRST_ROW_READS = (lambda c: c.get("Alg0"), lambda c: next(iter(c)), lambda c: c[0])
+# three rows that the line pattern takes, and the same rows quoted, which
+# csv reads row by row
+THREE_ROWS = {
+    "plain": _catalog_text(_rows(3)),
+    "quoted": _written([CATALOG_COLUMNS, *(map(str, row) for row in _rows(3))],
+                       quoting=csv.QUOTE_ALL),
+}
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+@pytest.mark.parametrize("form", THREE_ROWS)
+def test_threads_that_first_read_a_row_at_once_all_get_one_object(monkeypatch, threads, form):
+    # every thread has checked the row before any stores what it built, so
+    # all but the first to store must return the object stored first
+    catalog = parse_algorithm_catalog(THREE_ROWS[form])
+    barrier = threading.Barrier(threads)
+    check_row = tufsim.algorithms._check_row
+
+    def check_all_at_once(*args):
+        fields = check_row(*args)
+        barrier.wait(timeout=10)
+        return fields
+
+    monkeypatch.setattr(tufsim.algorithms, "_check_row", check_all_at_once)
+    read = [None] * threads
+
+    def reader(k):
+        read[k] = FIRST_ROW_READS[k % 3](catalog)
+
+    workers = [threading.Thread(target=reader, args=(k,)) for k in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    assert read[0] == SignatureAlgorithm("Alg0", 10, 5, 2, 0.0)
+    for entry in [*read, *(reading(catalog) for reading in FIRST_ROW_READS)]:
+        assert entry is read[0]
 
 
 def test_a_parsed_catalog_without_rows_has_no_index():
