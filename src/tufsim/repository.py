@@ -8,13 +8,16 @@ advances n ticks to the same state, applying the quiet ticks after each
 real tick in closed form.  Both are checked against the plain four-phase
 tick and tick-by-tick run in `tests/oracle.py`, which scan every role.
 
-A tick visits only the roles that can act: the Root, Timestamp and
-Snapshot roles, which are few, and the pending Targets, kept once each on
-a due list by `stage_update` and `add_role`.  Their rollover check, the
-signing and the quiet-run length never touch an idle Target, so a fleet
-of thousands of Target bins costs per tick what its updated bins do.  Only
-a root file, published when a key rolls over or a role is added or
-removed, visits every role.
+A tick visits only the roles that can act.  The Root, Timestamp and
+Snapshot roles, which are few, are kept on one list per type, and the
+pending Targets once each on a due list by `stage_update` and `add_role`.
+The rollover scan visits the three per-type lists and the due list.  The
+signing reads only the Timestamps, the due Targets, and the Snapshots
+when a Target signed; the quiet-run length reads the three per-type
+lists.  None of them tests a role's type or touches an idle Target, so a
+fleet of thousands of Target bins costs per tick what its updated bins
+do.  Only a root file, published when a key rolls over or a role is
+added or removed, visits every role, and the Root list signs it.
 
 The ledger is integers only: each role, current or removed, counts its
 signatures and the root files that carried its key.  Only `price_counts`
@@ -134,9 +137,13 @@ class Repository:
         self.retired: list[RoleState] = []  # removed roles, counts kept whole
         # Target roles by name, so staging an update touches only its matches
         self._targets: dict[str, list[RoleState]] = {}
-        # what a busy tick visits: the current Root, Timestamp and Snapshot
-        # roles, which are always pending, and each pending Target once
-        self._others: list[RoleState] = []
+        # the current Root, Timestamp and Snapshot roles, one list per type
+        # in `roles` order: always pending, so every tick's rollover scan
+        # visits them, and a tick signs from the list of the type it signs
+        self._roots: list[RoleState] = []
+        self._timestamps: list[RoleState] = []
+        self._snapshots: list[RoleState] = []
+        # each pending Target once: the only Targets a tick visits
         self._due: list[RoleState] = []
         self.rollover_events = 0
         self.root_publications = 0
@@ -163,10 +170,11 @@ class Repository:
             siblings.append(added)
             self._due.append(added)
         else:
-            for role in self._others:  # always pending: only re-key them
-                if role.name == name and role.role_type is role_type:
+            same = self._of_type()[role_type]
+            for role in same:  # always pending: only re-key them
+                if role.name == name:
                     role.rollover = True
-            self._others.append(added)
+            same.append(added)
         return added
 
     def remove_role(self, name: str) -> int:
@@ -181,14 +189,17 @@ class Repository:
             self.retired += [role for role in self.roles if role.name == name]
             self.roles[:] = kept
             self._targets.pop(name, None)
-            self._others = [role for role in self._others if role.name != name]
+            for roles in self._of_type().values():
+                roles[:] = [role for role in roles if role.name != name]
             self._due = [role for role in self._due if role.name != name]
             self.update_root = True
         return removed
 
     def set_reserve(self, name: str, flag: bool) -> int:
         """Assign the reserve flag on every matching role; returns match count."""
-        matched = [role for role in self._others if role.name == name]
+        matched = [
+            role for roles in self._of_type().values() for role in roles if role.name == name
+        ]
         matched += self._targets.get(name, ())
         for role in matched:
             role.reserve = flag
@@ -196,10 +207,14 @@ class Repository:
 
     def missing_role_types(self) -> list[RoleType]:
         """The role types of which no current role remains, in enum order."""
-        present = {role.role_type for role in self._others}
-        if self._targets:
-            present.add(RoleType.TARGET)
-        return [role_type for role_type in RoleType if role_type not in present]
+        present = {**self._of_type(), RoleType.TARGET: self._targets}
+        return [role_type for role_type, roles in present.items() if not roles]
+
+    def _of_type(self) -> dict[RoleType, list[RoleState]]:
+        """The Root, Timestamp and Snapshot lists keyed by role type: the
+        first three members of `RoleType`, in enum order.  These are the
+        lists themselves, which are changed only in place."""
+        return dict(zip(RoleType, (self._roots, self._timestamps, self._snapshots)))
 
     def stage_update(self, target_name: str) -> int:
         """Require a signature of every Target named `target_name`.
@@ -227,14 +242,14 @@ class Repository:
         rollover only while pending.
         """
         rolled = 0
-        for roles in (self._others, self._due):
+        for roles in (self._roots, self._timestamps, self._snapshots, self._due):
             for role in roles:
-                used = role.lifetime_sigs - role.key_start
-                if role.rollover or used == role.algorithm.max_sigs:
+                if role.rollover or role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
                     role.rollover = True
                     role.key_start = role.lifetime_sigs
                     rolled += 1
-        self.rollover_events += rolled
+        if rolled:
+            self.rollover_events += rolled
         return rolled
 
     def publish_timestamp(self) -> None:
@@ -246,15 +261,12 @@ class Repository:
         non-reserve Target signs and is cleared, each non-reserve Timestamp
         signs, and the non-reserve Snapshots sign if any Target did.
         """
-        # read an enum member once per tick, not once per role: the class
-        # attribute lookup costs about ten times a local read
-        root, timestamp, snapshot = RoleType.ROOT, RoleType.TIMESTAMP, RoleType.SNAPSHOT
         if self.rollover_check() > 0 or self.update_root:
             for role in self.roles:
                 role.key_publications += 1
-                if role.role_type is root:
-                    role.lifetime_sigs += 1
                 role.rollover = False
+            for role in self._roots:
+                role.lifetime_sigs += 1
             self.update_root = False
             self.root_publications += 1
 
@@ -269,12 +281,13 @@ class Repository:
                     role.lifetime_sigs += 1
                     updated = True
             self._due = reserved
-        for role in self._others:
-            if role.reserve:
-                continue
-            role_type = role.role_type
-            if role_type is timestamp or (updated and role_type is snapshot):
+        for role in self._timestamps:
+            if not role.reserve:
                 role.lifetime_sigs += 1
+        if updated:
+            for role in self._snapshots:
+                if not role.reserve:
+                    role.lifetime_sigs += 1
 
     def publish_timestamps(self, count: int) -> None:
         """Advance the repository by `count` ticks.
@@ -286,23 +299,26 @@ class Repository:
         is used up.  A quiet run of one tick is left to the next pass, as a
         real tick.
         """
-        timestamp = RoleType.TIMESTAMP
         while count > 0:
             self.publish_timestamp()
             count -= 1
             if count < 2:  # no quiet run longer than one tick fits
                 continue
-            quiet, signers = count, []
-            for role in self._others:
+            quiet = count
+            for role in self._timestamps:
                 unused = role.algorithm.max_sigs - role.lifetime_sigs + role.key_start
-                if role.role_type is timestamp and not role.reserve:
-                    signers.append(role)
-                    quiet = min(quiet, unused)
+                if unused < quiet and not role.reserve:  # a signer's key sets the run
+                    quiet = unused
                 elif not unused:  # used up: the next tick rolls it over
                     quiet = 0
+            for roles in (self._roots, self._snapshots):
+                for role in roles:
+                    if role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
+                        quiet = 0
             if quiet > 1:
-                for role in signers:
-                    role.lifetime_sigs += quiet
+                for role in self._timestamps:
+                    if not role.reserve:
+                        role.lifetime_sigs += quiet
                 count -= quiet
 
     def ledger_totals(self) -> LedgerTotals:

@@ -109,6 +109,18 @@ class TestRoleManagement:
         repo.add_role("Target 1", RoleType.TARGET, make_alg())
         assert target.pending is True and target.rollover is True
 
+    @pytest.mark.parametrize("role_type", [RoleType.ROOT, RoleType.TIMESTAMP, RoleType.SNAPSHOT])
+    def test_add_duplicate_rekeys_a_same_named_role_of_its_type_only(self, role_type):
+        repo = build_repo()
+        repo.publish_timestamp()  # clears initial flags
+        existing = next(r for r in repo.roles if r.role_type is role_type)
+        other_type = RoleType.SNAPSHOT if role_type is RoleType.ROOT else RoleType.ROOT
+        repo.add_role(existing.name, other_type, make_alg())
+        assert existing.rollover is False
+        repo.add_role(existing.name, role_type, make_alg())
+        assert existing.rollover is True and existing.pending is True
+        assert [r.name for r in repo.roles if r.rollover] == [existing.name] * 3
+
     def test_remove_existing_role(self):
         repo = build_repo()
         repo.publish_timestamp()
@@ -374,17 +386,26 @@ def snapshot(repo: Repository) -> dict:
 
 def assert_indexed(repo: Repository) -> None:
     """The private lists hold their invariant: the Target index groups the
-    current Targets by name, the non-Target list is the current Root,
-    Timestamp and Snapshot roles in order, and the due list holds every
+    current Targets by name; the Root, Timestamp and Snapshot lists each
+    hold the current roles of their type, in `roles` order, and are the
+    lists that `_of_type` gives by type; and the due list holds every
     pending Target exactly once and nothing else."""
     targets: dict[str, list[int]] = {}
     for role in repo.roles:
         if role.role_type is RoleType.TARGET:
             targets.setdefault(role.name, []).append(id(role))
     assert {name: list(map(id, roles)) for name, roles in repo._targets.items()} == targets
-    assert list(map(id, repo._others)) == [
-        id(role) for role in repo.roles if role.role_type is not RoleType.TARGET
-    ]
+    per_type = {
+        RoleType.ROOT: repo._roots,
+        RoleType.TIMESTAMP: repo._timestamps,
+        RoleType.SNAPSHOT: repo._snapshots,
+    }
+    for role_type, roles in per_type.items():
+        assert repo._of_type()[role_type] is roles
+        assert list(map(id, roles)) == [
+            id(role) for role in repo.roles if role.role_type is role_type
+        ]
+    assert list(repo._of_type()) == list(per_type)
     assert sorted(map(id, repo._due)) == sorted(
         id(role) for role in repo.roles if role.role_type is RoleType.TARGET and role.pending
     )
