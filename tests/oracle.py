@@ -8,6 +8,16 @@ calls the engine's tick, its rollover check, its quiet-stretch jumps or
 engine's lists of the roles that can act, so a fault in any of them shows
 up as a difference instead of being shared by both sides.
 
+The oracle manages its own roles and imports no engine class: a
+`ReferenceRepository` keeps one plain list of `ReferenceRole` records,
+which carry `RoleState`'s field names, and writes out adding (with the
+re-key of a same-named role of the same type), removing to `retired`,
+reserving, staging and the missing role types as scans of that list, from
+the README's rules.  `reference_tick` reads only fields by name, so it
+ticks these records and the engine's alike.  `reference_run` prices its
+counts by the documented rule in its own code: merged per algorithm, the
+cost one `math.fsum`.
+
 `reference_catalog` parses a catalog row by row: header, stripped cells,
 then each field's own check, calling none of `tufsim._table` or the
 catalog parser's helpers, and reading the whole text, after any leading
@@ -38,7 +48,6 @@ from tufsim import (
     ConfigurationError,
     EventCalendar,
     PerRole,
-    Repository,
     RoleAction,
     RoleSpec,
     RoleType,
@@ -51,10 +60,103 @@ CATALOG_COLUMNS = ("Name", "Signature Size", "Public Key Size", "Max Signatures"
                    "Computational Cost")
 
 
-def reference_tick(repo: Repository) -> None:
+class ReferenceRole:
+    """One role as a plain record, under `RoleState`'s field names.  A new
+    role is pending and flagged for rollover, so it signs, and its key is
+    published, on the next tick."""
+
+    def __init__(self, name, role_type, algorithm):
+        self.name = name
+        self.role_type = role_type
+        self.algorithm = algorithm
+        self.lifetime_sigs = 0
+        self.key_start = 0
+        self.key_publications = 0
+        self.reserve = False
+        self.pending = True
+        self.rollover = True
+
+
+class ReferenceRepository:
+    """Roles kept on one plain list, each operation a scan of all of it.
+
+    The public names are the engine's, so a test applies the same
+    operation to both sides and compares the same public state.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.roles = []
+        self.retired = []
+        self.rollover_events = 0
+        self.root_publications = 0
+        self.update_root = True
+
+    def add_role(self, name, role_type, algorithm):
+        """A new role publishes a root file, and a current role of the same
+        name and type gets a new key with it; a Target among them is due
+        to sign again."""
+        for role in self.roles:
+            if role.name == name and role.role_type is role_type:
+                role.rollover = True
+                role.pending = True
+        added = ReferenceRole(name, role_type, algorithm)
+        self.roles.append(added)
+        self.update_root = True
+        return added
+
+    def remove_role(self, name):
+        """Every role of the name leaves for `retired`, counts and all, and
+        a root file is published; returns how many left."""
+        removed = [role for role in self.roles if role.name == name]
+        if removed:
+            self.retired += removed
+            self.roles = [role for role in self.roles if role.name != name]
+            self.update_root = True
+        return len(removed)
+
+    def set_reserve(self, name, flag):
+        """Set the reserve flag of every role of the name; returns how many."""
+        matched = [role for role in self.roles if role.name == name]
+        for role in matched:
+            role.reserve = flag
+        return len(matched)
+
+    def stage_update(self, name):
+        """Mark every Target of the name pending; returns how many."""
+        targets = [role for role in self.roles
+                   if role.name == name and role.role_type is RoleType.TARGET]
+        for role in targets:
+            role.pending = True
+        return len(targets)
+
+    def missing_role_types(self):
+        """The role types that no current role has, in enum order."""
+        present = {role.role_type for role in self.roles}
+        return [role_type for role_type in RoleType if role_type not in present]
+
+
+def reference_prices(roles):
+    """(signature bytes, public-key bytes, cost, signatures) of the roles'
+    counts: merged per algorithm first, the cost one `math.fsum` of a
+    product per algorithm."""
+    merged = {}
+    for role in roles:
+        sigs, keys = merged.get(role.algorithm, (0, 0))
+        merged[role.algorithm] = (sigs + role.lifetime_sigs, keys + role.key_publications)
+    return (
+        sum(sigs * algorithm.sig_size for algorithm, (sigs, _) in merged.items()),
+        sum(keys * algorithm.pk_size for algorithm, (_, keys) in merged.items()),
+        math.fsum(sigs * algorithm.cost for algorithm, (sigs, _) in merged.items()),
+        sum(sigs for sigs, _ in merged.values()),
+    )
+
+
+def reference_tick(repo) -> None:
     """One tick in four phases: the rollover check and root file over every
     role, the Targets, then the Timestamps and Snapshots, then every
-    collected signer signs."""
+    collected signer signs.  It reads and writes fields by name, so it
+    ticks a `ReferenceRepository` or a copy of the engine's repository."""
     rolled = 0
     for role in repo.roles:
         used = role.lifetime_sigs - role.key_start
@@ -108,7 +210,8 @@ def materialized_ticks(start: date, end: date, cadence: Cadence) -> Iterator[tup
 
 
 def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
-    """Reference run: walk every tick, act on each date's first tick.
+    """Reference run: walk every tick of a `ReferenceRepository`, act on
+    each date's first tick, and price the counts with `reference_prices`.
 
     Names resolve against the catalog directly: a pin first, then the
     Uniform algorithm or the PerRole row of the role's name.  A PerRole
@@ -127,13 +230,13 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
             return algorithms[assignment.algorithms[name]]
         return algorithms[assignment.algorithm_name]
 
-    repo = Repository(arch.device_name)
+    repo = ReferenceRepository(arch.device_name)
     for spec in arch.role_specs:
         repo.add_role(spec.name, spec.role_type, algorithm(spec.algorithm_name, spec.name))
         repo.roles[-1].reserve = spec.reserve
     spec_states = list(repo.roles)
     adds = [i for i, a in enumerate(calendar.role_actions) if a.kind is ActionKind.ADD]
-    added = {}  # position in role_actions -> the RoleState that add created
+    added = {}  # position in role_actions -> the role that add created
     warnings = []
     if isinstance(assignment, PerRole):
         pins = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
@@ -183,7 +286,7 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
                     warnings.append(
                         f"{day}: {action.kind.value} action for '{action.name}' matched no role"
                     )
-            missing = [t.value for t in RoleType if t not in {r.role_type for r in repo.roles}]
+            missing = [t.value for t in repo.missing_role_types()]
             if actions and missing:
                 warnings.append(
                     f"{day.isoformat()}: no {', '.join(missing)} role remains after scripted actions"
@@ -195,11 +298,11 @@ def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:
                     )
         reference_tick(repo)
     warn_dropped(None)
-    t = repo.ledger_totals()
+    sig_bytes, pk_bytes, cost, signatures = reference_prices(repo.roles + repo.retired)
     states = spec_states + [added.get(i) for i in adds]
     return RunResult(
-        arch.device_name, assignment.label, t.sig_bytes, t.pk_bytes, t.cost,
-        t.signatures, t.rollover_events, t.root_publications, tuple(warnings),
+        arch.device_name, assignment.label, sig_bytes, pk_bytes, cost,
+        signatures, repo.rollover_events, repo.root_publications, tuple(warnings),
         tuple((s.lifetime_sigs, s.key_publications) if s else (0, 0) for s in states),
     )
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import copy
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +12,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from tufsim import Repository, RoleState, RoleType
 from tests.conftest import make_alg
-from tests.oracle import reference_tick
+from tests import oracle
+from tests.oracle import ReferenceRepository, reference_tick
 
 
 def build_repo(alg=None) -> Repository:
@@ -369,43 +372,46 @@ class TestLedgerTotals:
         assert repo.ledger_totals() == repo.ledger_totals()
 
 
-def snapshot(repo: Repository) -> dict:
-    """Every public ledger field, `retired` and every RoleState field, by
-    value.  The private lists are checked by `assert_indexed` on the engine
-    side instead: the reference tick clears `pending` itself, so a
-    reference repository keeps stale entries on its due list."""
+def snapshot(repo) -> dict:
+    """Every public ledger field, and every RoleState field of each current
+    and retired role, by value, of an engine or a reference repository.
+    The private lists are checked by `assert_indexed` on the engine side
+    instead: the reference tick clears `pending` itself, so a copy of the
+    engine's repository that it ticks keeps stale entries on its due list."""
     state = {
         key: value for key, value in vars(repo).items()
-        if key != "roles" and not key.startswith("_")
+        if key not in ("roles", "retired") and not key.startswith("_")
     }
-    state["roles"] = [
-        {field: getattr(role, field) for field in RoleState._fields} for role in repo.roles
-    ]
+    for key in ("roles", "retired"):
+        state[key] = [
+            {field: getattr(role, field) for field in RoleState._fields}
+            for role in getattr(repo, key)
+        ]
     return state
 
 
 def assert_indexed(repo: Repository) -> None:
-    """The private lists hold their invariant: the Target index groups the
-    current Targets by name; the Root, Timestamp and Snapshot lists each
-    hold the current roles of their type, in `roles` order, and are the
-    lists that `_of_type` gives by type; and the due list holds every
-    pending Target exactly once and nothing else."""
-    targets: dict[str, list[int]] = {}
+    """The private lists hold their invariant: the name index groups the
+    current roles by name, each name's roles in `roles` order; the Root,
+    Timestamp and Snapshot lists each hold the current roles of their
+    type, in `roles` order, and are the lists that `_of_type` holds by
+    type; and the due list holds every pending Target exactly once and
+    nothing else."""
+    named: dict[str, list[int]] = {}
     for role in repo.roles:
-        if role.role_type is RoleType.TARGET:
-            targets.setdefault(role.name, []).append(id(role))
-    assert {name: list(map(id, roles)) for name, roles in repo._targets.items()} == targets
+        named.setdefault(role.name, []).append(id(role))
+    assert {name: list(map(id, roles)) for name, roles in repo._named.items()} == named
     per_type = {
         RoleType.ROOT: repo._roots,
         RoleType.TIMESTAMP: repo._timestamps,
         RoleType.SNAPSHOT: repo._snapshots,
     }
     for role_type, roles in per_type.items():
-        assert repo._of_type()[role_type] is roles
+        assert repo._of_type[role_type] is roles
         assert list(map(id, roles)) == [
             id(role) for role in repo.roles if role.role_type is role_type
         ]
-    assert list(repo._of_type()) == list(per_type)
+    assert list(repo._of_type) == list(per_type)
     assert sorted(map(id, repo._due)) == sorted(
         id(role) for role in repo.roles if role.role_type is RoleType.TARGET and role.pending
     )
@@ -429,6 +435,16 @@ differential_ops = st.one_of(
     st.tuples(st.just("reserve"), st.sampled_from(ROLE_NAMES), st.booleans()),
     st.tuples(st.just("stage"), st.sampled_from(ROLE_NAMES)),
 )
+# two names of the first roles, over every role type, so that an operation
+# often meets several roles of its name, and an add a sibling of its own
+# type to re-key
+sibling_names = st.sampled_from(["Timestamp 1", "Target 1"])
+sibling_ops = st.one_of(
+    st.tuples(st.just("add"), sibling_names, st.sampled_from(list(RoleType)), differential_algs),
+    st.tuples(st.just("remove"), sibling_names),
+    st.tuples(st.just("reserve"), sibling_names, st.booleans()),
+    st.tuples(st.just("stage"), sibling_names),
+)
 
 
 def apply(repo: Repository, op: tuple) -> None:
@@ -443,7 +459,8 @@ def apply(repo: Repository, op: tuple) -> None:
 
 
 class TestPublishTimestamps:
-    """publish_timestamps(n) against n calls of the oracle's reference_tick."""
+    """publish_timestamps(n) against n calls of the oracle's reference_tick
+    on the oracle's own repository, which applies the same operations."""
 
     @given(
         catalog=st.lists(differential_algs, min_size=4, max_size=4),
@@ -458,7 +475,23 @@ class TestPublishTimestamps:
     )
     @settings(deadline=None, max_examples=100)
     def test_matches_tick_by_tick(self, catalog, steps):
-        jumped, reference = Repository("Device_A"), Repository("Device_A")
+        self.assert_matches(catalog, steps)
+
+    @given(
+        catalog=st.lists(differential_algs, min_size=4, max_size=4),
+        steps=st.lists(
+            st.tuples(st.lists(sibling_ops, min_size=1, max_size=4), st.integers(0, 3)),
+            min_size=6,
+            max_size=12,
+        ),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_tick_by_tick_among_same_named_roles(self, catalog, steps):
+        self.assert_matches(catalog, steps)
+
+    @staticmethod
+    def assert_matches(catalog, steps):
+        jumped, reference = Repository("Device_A"), ReferenceRepository("Device_A")
         for repo in (jumped, reference):
             for role_type, algorithm in zip(RoleType, catalog):
                 repo.add_role(f"{role_type.value} 1", role_type, algorithm)
@@ -534,6 +567,23 @@ class TestPublishTimestampOracle:
             assert_indexed(repo)
 
 
+def test_the_oracle_imports_no_engine_state():
+    """The oracle names neither the engine's repository, its role record nor
+    its pricing, in an import or anywhere else, so no differential test
+    shares the engine's role management, staging or pricing."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None))
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names & {"Repository", "RoleState", "price_counts", "tufsim.repository"} == set()
+
+
 class RepositoryMachine(RuleBasedStateMachine):
     """Random op sequences must preserve the ledger invariants."""
 
@@ -588,6 +638,11 @@ class RepositoryMachine(RuleBasedStateMachine):
     @invariant()
     def lists_match_the_roles(self):
         assert_indexed(self.repo)
+
+    @invariant()
+    def missing_types_are_those_no_role_has(self):
+        present = {role.role_type for role in self.repo.roles}
+        assert self.repo.missing_role_types() == [t for t in RoleType if t not in present]
 
     @invariant()
     def check(self):
