@@ -28,6 +28,9 @@ from .errors import TufSimError
 # takes one piece at a time.  A StringIO holds four bytes a character, so
 # one over the whole text is a copy four times the size of an ASCII text;
 # pieces cut after a newline give csv the same lines and line numbers.
+# The catalog's pattern pass tests the csv field limit once a piece, not
+# once a cell, so a plain catalog is taken only when its pieces fit that
+# limit (131,072 characters by default, far above this size plus a line).
 # A catalog's first read of a row searches for its name within its piece,
 # so the size also bounds that search.
 CHUNK_CHARS = 1 << 12

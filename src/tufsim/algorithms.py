@@ -9,16 +9,20 @@ large catalog may use a handful of its rows.
 One regular expression takes the whole body of a plain catalog in one
 pass over pieces of whole lines (see `_table`), so a large catalog is
 never copied whole: it accepts only lines that csv and a split at commas
-read alike and whose cells the per-row checks accept.  It gives only the
-names: the catalog keeps the text it parsed, and each name maps to the
-number of the piece that holds its line.  Every read of a row, by name,
-by index or by iteration, goes through `Catalog.get`, which on a row's
-first read searches for its name within that piece of about 4 KB, so
-iterating over a whole large catalog costs one such search a row.
-When any line fails the pattern, or a name repeats, it takes nothing,
-and the catalog is read by csv and checked row by row through
-`Table.rows`, as every other input is; such a row is kept as the text of
-its four number cells.
+read alike and whose cells the per-row checks accept.  The csv field
+limit is checked once a piece: no cell is longer than the piece that
+holds it, so csv accepts every cell of a piece no longer than the limit.
+The pattern gives only the names: the catalog keeps the text it parsed,
+and each name maps to the number of the piece that holds its line.
+Every read of a row, by name, by index or by iteration, goes through
+`Catalog.get`, which on a row's first read searches for its name within
+that piece of about 4 KB, so iterating over a whole large catalog costs
+one such search a row.  When any line fails the pattern, a piece is
+longer than the field limit or a name repeats, it takes nothing, and the
+catalog is read by csv and checked row by row through `Table.rows`, as
+every other input is; such a row is kept as the text of its four number
+cells.  Either way a row is checked once, when the catalog is parsed,
+and its first read only converts its cells.
 
 `SignatureAlgorithm` is an immutable `__slots__` record, since the engine
 reads its `max_sigs` on every busy tick; it has no `_replace`, so build a
@@ -59,18 +63,18 @@ _REQUIRED_COLUMNS = (
 # would overflow a signed 64-bit counter.
 _MAX_SIGS_BOUND = 2**63
 
-# A row's checked fields: sig_size, pk_size, max_sigs, cost.
-_Fields = tuple[int, int, int, float]
-
 # The line pattern's cells: an unread cell csv reads as is, and the number
-# cells the per-row checks convert in range, none longer than 349 characters.
-# A budget is 1 <= value < 2**63 with no leading zero, as an integer or as
-# d[.ddd]E<exp>; at 19 digits or E18 only a leading 1 to 8 stays below 2**63.
-# A cost of at most 308 digits before the point is finite.
+# cells the per-row checks convert in range.  No cell has a length bound,
+# since `_taken` tests the csv field limit once a piece; only values are
+# bounded.  A size has at most 18 digits, so that a digit run past int()'s
+# limit (4,300 digits since Python 3.11) fails the pattern at parse, not
+# on first read.  A budget is 1 <= value < 2**63 with no leading zero, as
+# an integer or as d[.ddd]E<exp>; at 19 digits or E18 only a leading 1 to 8
+# stays below 2**63.  A cost of at most 308 digits before the point is finite.
 _CELL = r'[^"\r\n\0,]'
 _BUDGET = (r"(?:[1-9][0-9]{0,17}|[1-8][0-9]{18}"
-           r"|[1-9](?:\.[0-9]{0,40})?E(?:1[0-7]|[0-9])|[1-8](?:\.[0-9]{0,40})?E18)")
-_COST = r"[0-9]{1,308}(?:\.[0-9]{0,40})?"
+           r"|[1-9](?:\.[0-9]*)?E(?:1[0-7]|[0-9])|[1-8](?:\.[0-9]*)?E18)")
+_COST = r"[0-9]{1,308}(?:\.[0-9]*)?"
 
 
 class SignatureAlgorithm(FrozenRecord):
@@ -116,12 +120,12 @@ class Catalog(Sequence[SignatureAlgorithm]):
     rows.  A row the line pattern took is kept as its name and the number
     of the piece of the parsed text that holds its line, and the catalog
     keeps that text; a row csv read is kept as the text of its four number
-    cells.  On first read a row is converted, turned into a
-    `SignatureAlgorithm` and kept in its place, so every read of a name
-    gives the same object.  `get` is the one read: it finds a kept line
-    by its name within its piece, and iteration, indexing and `==` read
-    each row through it.  A catalog equals another with the same entries
-    in the same order, and a list of them.
+    cells.  On first read a row's cells are converted, without checking
+    them again, turned into a `SignatureAlgorithm` and kept in its place,
+    so every read of a name gives the same object.  `get` is the one read:
+    it finds a kept line by its name within its piece, and iteration,
+    indexing and `==` read each row through it.  A catalog equals another
+    with the same entries in the same order, and a list of them.
     """
 
     def __init__(self, algorithms: Iterable[SignatureAlgorithm] = ()) -> None:
@@ -135,14 +139,16 @@ class Catalog(Sequence[SignatureAlgorithm]):
             self._entries[algorithm.name] = algorithm
 
     def get(self, name: str) -> SignatureAlgorithm | None:
-        """The entry named exactly `name`, or None; a kept row is built on
-        its first read."""
+        """The entry named exactly `name`, or None.  A kept row was checked
+        when the catalog was parsed, so its first read only converts its
+        four number cells, builds its entry and keeps it."""
         entry = self._entries.get(name)
         if isinstance(entry, int):
             entry = self._line(name, entry)
-        if isinstance(entry, str):  # checked when parsed, so this cannot fail
-            fields = _check_row(0, (), name, *self._pick(entry.split(",")))
-            entry = self._built.setdefault(name, SignatureAlgorithm(name, *fields))
+        if isinstance(entry, str):
+            sig_size, pk_size, max_sigs, cost = self._pick(entry.split(","))
+            entry = self._built.setdefault(name, SignatureAlgorithm(
+                name, int(sig_size), int(pk_size), int(Decimal(max_sigs)), float(cost)))
             self._entries[name] = entry
         return entry
 
@@ -196,38 +202,40 @@ def parse_algorithm_catalog(csv_text: str) -> Catalog:
     a record csv cannot read, such as one with a cell longer than
     `csv.field_size_limit()`, is an error naming its line.
 
-    When `_line_pattern` takes every line after the header and no name
-    repeats, the rows are taken in one pass; otherwise csv reads the
-    catalog and each row is checked as it is read.  Either way a row gives
-    the same entry or the same error, and is converted on first read.
+    When `_line_pattern` takes every line after the header, no piece is
+    longer than `csv.field_size_limit()` and no name repeats, the rows are
+    taken in one pass; otherwise csv reads the catalog and each row is
+    checked as it is read.  Either way a row gives the same entry or the
+    same error, and is converted on first read.
     """
     table, catalog = Table(csv_text, "catalog", CatalogError, _REQUIRED_COLUMNS), Catalog()
     name, *numbers = table.positions
-    taken = _taken(csv_text, _line_pattern((name, *numbers), table.width, csv.field_size_limit()))
+    taken = _taken(csv_text, _line_pattern((name, *numbers), table.width), csv.field_size_limit())
     if taken is not None:  # each name maps to the number of the piece that holds its line
         catalog._entries, catalog._cuts = taken
         catalog._text, catalog._column, catalog._pick = csv_text, name, itemgetter(*numbers)
         return catalog
     rows, catalog._pick = catalog._entries, itemgetter(0, 1, 2, 3)
     for lineno, cells in table.rows():
-        _check_row(lineno, rows, *cells)  # checks only: the row is kept as text
+        _check_row(lineno, rows, *cells)
         rows[cells[0]] = ",".join(cells[1:])
     return catalog
 
 
-def _taken(text: str, line: re.Pattern[str] | None) -> tuple[dict[str, int], list[int]] | None:
+def _taken(text: str, line: re.Pattern[str], limit: int) -> tuple[dict[str, int], list[int]] | None:
     """Each name that `findall` gives mapped to the number of the piece
     (see `_pieces`) that holds its line, and where each piece starts, then
     the end of the text, when `line` matches every line after a header
     line that holds no quote, which csv therefore reads as the whole
-    header, and no name repeats; else None."""
+    header, no piece is longer than the csv field limit `limit`, so csv
+    would accept each of its cells, and no name repeats; else None."""
     start = text.find("\n") + 1
-    if line is None or not start or '"' in text[:start]:
+    if not start or '"' in text[:start]:
         return None
     rows, cuts, count = {}, [start], 0
     for k, piece in enumerate(_pieces(text, start)):
         found = line.findall(piece)
-        if len(found) < piece.count("\n") + (piece[-1] != "\n"):
+        if len(piece) > limit or len(found) < piece.count("\n") + (piece[-1] != "\n"):
             return None
         rows.update(zip(found, repeat(k)))
         count += len(found)
@@ -236,20 +244,16 @@ def _taken(text: str, line: re.Pattern[str] | None) -> tuple[dict[str, int], lis
 
 
 @lru_cache(maxsize=32)
-def _line_pattern(positions: tuple[int, ...], width: int, limit: int) -> re.Pattern[str] | None:
+def _line_pattern(positions: tuple[int, ...], width: int) -> re.Pattern[str]:
     """A pattern of the catalog lines the per-row checks accept, read alike
     by csv and by a split at commas: exactly `width` cells, none holding a
-    quote, CR or NUL or longer than the csv field limit `limit`, a name
-    with no surrounding whitespace, and sizes, budget and cost that convert
-    in range.  `findall` gives each line's name.  No pattern (None) when
-    `limit` is below the longest number cell it accepts.  Built once per
-    header shape and limit."""
-    limit = min(limit, 2**31)  # re's longest repeat is 2**32 - 2
-    if limit < 349:
-        return None
+    quote, CR or NUL, a name with no surrounding whitespace, and sizes,
+    budget and cost that convert in range.  It bounds no cell's length:
+    `_taken` tests the csv field limit once a piece.  `findall` gives each
+    line's name.  Built once per header shape."""
     n, s, p, m, c = positions
-    cells = [f"{_CELL}{{0,{limit}}}"] * width
-    cells[n] = rf"((?!\s){_CELL}{{1,{limit}}}(?<!\s))"
+    cells = [f"{_CELL}*"] * width
+    cells[n] = rf"((?!\s){_CELL}+(?<!\s))"
     cells[s] = cells[p] = "[0-9]{1,18}"
     cells[m], cells[c] = _BUDGET, _COST
     return re.compile(f"^{','.join(cells)}$", re.M)
@@ -258,8 +262,8 @@ def _line_pattern(positions: tuple[int, ...], width: int, limit: int) -> re.Patt
 def _check_row(
     lineno: int, rows: Container[str], name: str, sig_size: str, pk_size: str,
     max_sigs: str, cost: str,
-) -> _Fields:
-    """One row's fields, checked one by one; raises the first failure."""
+) -> None:
+    """Check one row's fields one by one; raises the first failure."""
     if not name:
         raise CatalogError(f"row {lineno}: algorithm name is empty")
     if name in rows:
@@ -276,7 +280,6 @@ def _check_row(
     problem = _range_problem(name, *fields)
     if problem is not None:
         raise ValidationError(f"row {lineno}: {problem}")
-    return fields
 
 
 def _range_problem(

@@ -705,8 +705,8 @@ def test_quote_free_rows_at_the_line_patterns_edges_agree_with_row_by_row_refere
 
 @pytest.mark.parametrize("limit", [40, 348, 349, 1_000, sys.maxsize])
 def test_cells_at_and_past_the_csv_field_limit_read_as_row_by_row(limit):
-    # the line pattern reads the limit when the catalog is parsed, and is
-    # not used below the longest number cell it takes, a 349-character cost
+    # the limit is read when the catalog is parsed; a piece longer than it
+    # goes to csv, which reads each cell against it
     old = csv.field_size_limit(limit)
     try:
         width = min(limit, 10_000)
@@ -721,6 +721,43 @@ def test_cells_at_and_past_the_csv_field_limit_read_as_row_by_row(limit):
             )
     finally:
         csv.field_size_limit(old)
+
+
+def _parse_under_field_limit(text, limit):
+    """The outcomes of `parse_algorithm_catalog` and `reference_catalog` on
+    `text` while `csv.field_size_limit()` is `limit`, and the parsed
+    catalog's text, which is empty when csv read the catalog."""
+    old = csv.field_size_limit(limit)
+    try:
+        got, want = outcome(parse_algorithm_catalog, text), outcome(reference_catalog, text)
+        return got, want, parse_algorithm_catalog(text)._text
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_a_plain_catalog_with_a_piece_past_the_field_limit_is_read_by_csv():
+    text = _catalog_text(_rows(40))
+    limit = max(map(len, text.splitlines())) + 1  # every cell and line fits, no piece does
+    got, want, kept = _parse_under_field_limit(text, limit)
+    assert kept == ""
+    assert_same_catalog_outcome(got, want)
+
+
+def test_a_plain_catalog_shorter_than_a_low_field_limit_is_taken():
+    text = _catalog_text(_rows(3))
+    got, want, kept = _parse_under_field_limit(text, len(text))
+    long_cost = "1" * 308 + ".5"  # a number cell a plain row may hold
+    assert len(text) < len(long_cost) and kept == text
+    assert_same_catalog_outcome(got, want)
+
+
+@pytest.mark.parametrize("digits", [41, 60, 1_000])
+def test_a_cost_and_a_budget_with_long_fractions_are_taken(digits):
+    fraction = "".join(random.Random(digits).choices("0123456789", k=digits))
+    text = f"{HEADER}\nA,1,2,1.{fraction}E3,9.{fraction}\nB,3,4,8.{fraction}E18,0.{fraction}\n"
+    catalog = parse_algorithm_catalog(text)
+    assert catalog._text == text
+    assert_same_entries(list(catalog), list(reference_catalog(text)))
 
 
 # names of few characters, so that one is often a prefix, suffix or inner
@@ -824,18 +861,18 @@ THREE_ROWS = {
 @pytest.mark.parametrize("threads", [2, 3, 4])
 @pytest.mark.parametrize("form", THREE_ROWS)
 def test_threads_that_first_read_a_row_at_once_all_get_one_object(monkeypatch, threads, form):
-    # every thread has checked the row before any stores what it built, so
+    # every thread has built the row before any stores what it built, so
     # all but the first to store must return the object stored first
     catalog = parse_algorithm_catalog(THREE_ROWS[form])
     barrier = threading.Barrier(threads)
-    check_row = tufsim.algorithms._check_row
+    build = tufsim.algorithms.SignatureAlgorithm
 
-    def check_all_at_once(*args):
-        fields = check_row(*args)
+    def build_all_at_once(*fields):
+        algorithm = build(*fields)
         barrier.wait(timeout=10)
-        return fields
+        return algorithm
 
-    monkeypatch.setattr(tufsim.algorithms, "_check_row", check_all_at_once)
+    monkeypatch.setattr(tufsim.algorithms, "SignatureAlgorithm", build_all_at_once)
     read = [None] * threads
 
     def reader(k):

@@ -276,12 +276,20 @@ def differential_runs(draw, algorithms=3, budgets=(1, 2, 3, 4, 5, 10**18)):
     # st.builds would fill an optional field it is not given, so the fields
     # an action's kind does not read are passed as None
     unread = st.none()
+    # an add of an initial role's name as that role's own type, which
+    # re-keys the role, such as "Timestamp 1" added as a Timestamp
+    same_named = st.sampled_from(specs[:len(RoleType)]).flatmap(
+        lambda spec: st.builds(RoleAction, date=when, kind=st.just(ActionKind.ADD),
+                               name=st.just(spec.name), role_type=st.just(spec.role_type),
+                               algorithm_name=pinned, flag=unread)
+    )
     actions = draw(
         st.lists(
             st.builds(RoleAction, date=when, kind=st.just(ActionKind.ADD),
                       name=st.sampled_from(DIFF_NAMES),
                       role_type=st.sampled_from(list(RoleType)), algorithm_name=pinned,
                       flag=unread)
+            | same_named
             | st.builds(RoleAction, date=when, kind=st.just(ActionKind.REMOVE),
                         name=st.sampled_from(DIFF_NAMES + ["Root 1", "Target 1"]),
                         role_type=unread, algorithm_name=unread, flag=unread)
