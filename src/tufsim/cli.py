@@ -150,12 +150,14 @@ def _execute(args: argparse.Namespace, err: TextIO) -> str:
     calendar = EventCalendar()
     if args.events is not None:
         # cells are read stripped, so "" can only be a missing Target cell
-        events = load_event_dates(_read(args.events), "").update_events
-        if args.target is not None and all(name for _, name in events):
+        calendar = load_event_dates(_read(args.events), "")
+        events = calendar.update_events
+        if not all(name for _, name in events):
+            calendar = EventCalendar({(day, name or target) for day, name in events})
+        elif args.target is not None:
             reason = ("every row of the event file names its Target" if events
                       else "the event file has no rows")
             print(f"warning: --target not used: {reason}", file=err)
-        calendar = EventCalendar({(day, name or target) for day, name in events})
     elif args.poisson_rate is not None:
         calendar = generate_poisson_events(
             args.poisson_rate,
@@ -181,9 +183,7 @@ def _execute(args: argparse.Namespace, err: TextIO) -> str:
         assignments = [Uniform(alg.name) for alg in catalog]
 
     results = run_sweep(arch, assignments, calendar, ticks, catalog)
-    for result in results:
-        for warning in result.warnings:
-            print(f"warning: {warning}", file=err)
+    err.writelines(f"warning: {warning}\n" for result in results for warning in result.warnings)
     return emit_report_csv(results)
 
 

@@ -195,7 +195,12 @@ class Script(NamedTuple):
 
 
 def compile_script(arch: Architecture, calendar: EventCalendar, ticks: Timeline) -> Script:
-    """Compile a run's inputs once; `Timeline.position` places each date."""
+    """Compile a run's inputs once; `Timeline.position` places each date.
+
+    Events and actions are grouped per date; only the dates are sorted,
+    and then each date's Target names, so a date's targets are in name
+    order, as when every (date, target) pair is sorted.
+    """
     slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
     actions: dict[date, list[tuple[int, RoleAction]]] = {}
     for action in calendar.role_actions:
@@ -205,12 +210,12 @@ def compile_script(arch: Architecture, calendar: EventCalendar, ticks: Timeline)
             slots.append((action.name, action.algorithm_name))
         actions.setdefault(action.date, []).append((slot, action))
     targets: dict[date, list[str]] = {}
-    for day, target in sorted(calendar.update_events):
+    for day, target in calendar.update_events:
         targets.setdefault(day, []).append(target)
     points = []  # popping frees each date's list once its tuple exists
     for day in sorted(actions.keys() | targets.keys()):
         point = ChangePoint(day, ticks.position(day), tuple(actions.pop(day, ())),
-                            tuple(targets.pop(day, ())))
+                            tuple(sorted(targets.pop(day, ()))))
         if point.tick is None:
             items = [f"{a.kind.value} action for '{a.name}'" for _, a in point.actions]
             items += [f"update event for '{target}'" for target in point.targets]

@@ -6,10 +6,12 @@ and `_replace` included, checks or normalises the fields: a `RoleAction`
 holds only the fields its kind reads, and `EventCalendar` stores a
 frozenset and a tuple.  A tick calendar is a lazy `Timeline`, a
 `__slots__` record: it stores its date range and cadence, not its ticks,
-and `len` counts the ticks.
+plus its step and ticks a date, derived once outside its fields, and
+`len` counts the ticks.
 Update events are date-granular: several arrivals on one date collapse to
 a single event, and under sub-daily cadence an event fires on the first
-tick of its date.  `Timeline.position` is the one place that decides
+tick of its date.  `load_event_dates` parses each distinct Date cell of an
+event file once.  `Timeline.position` is the one place that decides
 which tick a date lands on, if any.
 """
 
@@ -146,27 +148,30 @@ class Timeline(FrozenRecord):
     """The ascending ticks of an inclusive date range at one cadence.
 
     Daily has one tick per date, hourly 24, per-minute 1440; weekly has
-    one tick on the start date and each 7th date after it.  Only the range
-    and cadence are stored: `len` and `position` are date arithmetic.
+    one tick on the start date and each 7th date after it.  The ticks are
+    not stored: `len` and `position` are date arithmetic.
 
     An immutable, hashable `__slots__` record with field-wise equality.
+    The constructor also sets two slots outside `_fields`, the step in
+    days between ticked dates and the ticks a date, so equality, hash,
+    repr, copy and pickle see only the three fields.
     """
 
-    __slots__ = _fields = ("start", "end", "cadence")
+    __slots__ = ("start", "end", "cadence", "_step", "_sub_ticks")
+    _fields = __slots__[:3]
 
     def __init__(self, start: date, end: date, cadence: Cadence) -> None:
         if start > end:
             raise CalendarError(f"start date {start} is after end date {end}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "cadence", cadence)
-
-    @property
-    def _step(self) -> int:
-        return 7 if self.cadence is Cadence.WEEKLY else 1
+        set_field = object.__setattr__
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "cadence", cadence)
+        set_field(self, "_step", 7 if cadence is Cadence.WEEKLY else 1)
+        set_field(self, "_sub_ticks", cadence.sub_ticks)
 
     def __len__(self) -> int:
-        return ((self.end - self.start).days // self._step + 1) * self.cadence.sub_ticks
+        return ((self.end - self.start).days // self._step + 1) * self._sub_ticks
 
     def position(self, day: date) -> int | None:
         """Index of the first tick on `day`; None when `day` is outside the
@@ -174,7 +179,7 @@ class Timeline(FrozenRecord):
         offset, off_grid = divmod((day - self.start).days, self._step)
         if off_grid or not self.start <= day <= self.end:
             return None
-        return offset * self.cadence.sub_ticks
+        return offset * self._sub_ticks
 
 
 def generate_ticks(start: date, end: date, cadence: Cadence) -> Timeline:
@@ -186,13 +191,19 @@ def load_event_dates(csv_text: str, default_target: str) -> EventCalendar:
     """Parse update events from CSV with a `Date` column and optional `Target`.
 
     Dates are ISO-8601 (YYYY-MM-DD).  Rows without a target bind to
-    `default_target`; duplicate (date, target) pairs collapse.
+    `default_target`; duplicate (date, target) pairs collapse.  Each
+    distinct Date cell, stripped, is parsed once, on its first row, so a
+    bad date's error names the first row that holds it.
     """
     events: set[tuple[date, str]] = set()
-    for lineno, (day, target) in Table(
+    days: dict[str, date] = {}
+    for lineno, (day_text, target) in Table(
         csv_text, "event file", CalendarError, ("Date",), ("Target",)
     ).rows():
-        events.add((_parse_date(day, lineno), target or default_target))
+        day = days.get(day_text)
+        if day is None:
+            day = days[day_text] = _parse_date(day_text, lineno)
+        events.add((day, target or default_target))
     return EventCalendar(update_events=frozenset(events))
 
 

@@ -2,11 +2,12 @@
 
 `reference_tick` advances a repository one tick in four plain phases,
 `materialized_ticks` enumerates a calendar's ticks one by one, and
-`reference_run` walks every tick of a run through those two.  None of them
-calls the engine's tick, its rollover check, its quiet-stretch jumps or
-`Timeline.position`, and each tick scans every role rather than the
-engine's lists of the roles that can act, so a fault in any of them shows
-up as a difference instead of being shared by both sides.
+`reference_run` walks every tick of a run through those two.
+`first_tick_index` finds a date's first tick in the enumerated ticks by a
+scan.  None of them calls the engine's tick, its rollover check, its
+quiet-stretch jumps or `Timeline.position`, and each tick scans every role
+rather than the engine's lists of the roles that can act, so a fault in
+any of them shows up as a difference instead of being shared by both sides.
 
 The oracle manages its own roles and imports no engine class: a
 `ReferenceRepository` keeps one plain list of `ReferenceRole` records,
@@ -207,6 +208,11 @@ def materialized_ticks(start: date, end: date, cadence: Cadence) -> Iterator[tup
         day = start + timedelta(days=offset)
         for sub in range(cadence.sub_ticks):
             yield day, sub
+
+
+def first_tick_index(ticks, day):
+    """Linear-scan oracle for `Timeline.position` over (date, sub) pairs."""
+    return next((i for i, (tick_day, _) in enumerate(ticks) if tick_day == day), None)
 
 
 def reference_run(arch, assignment, calendar, timeline, catalog) -> RunResult:

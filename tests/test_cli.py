@@ -3,9 +3,22 @@ from __future__ import annotations
 import io
 import subprocess
 import sys
+from datetime import date, timedelta
 
 import pytest
 
+from tufsim import (
+    Cadence,
+    Uniform,
+    emit_report_csv,
+    generate_ticks,
+    load_event_dates,
+    load_role_actions,
+    merge_calendars,
+    parse_algorithm_catalog,
+    parse_architecture_csv,
+    run_sweep,
+)
 from tufsim.cli import run_cli
 
 ALGORITHMS = (
@@ -182,6 +195,65 @@ def test_target_unused_by_an_event_file_without_rows_says_so(inputs, tmp_path):
     assert status == 0
     assert out == invoke(args)[1]
     assert err == "warning: --target not used: the event file has no rows\n"
+
+
+def test_blank_target_cells_bind_to_the_flag_as_a_filled_file_would(inputs, tmp_path):
+    rows = [("2020-01-03", "Target 1"), ("2020-01-03", ""), ("2020-01-05", ""),
+            ("2020-01-07", "Ghost"), ("2020-01-07", ""), ("2020-01-12", "")]
+    args = base_args(inputs)
+
+    def run(name, cells, *extra):
+        events = tmp_path / name
+        events.write_text("Date,Target\n" + "".join(f"{day},{target}\n" for day, target in cells))
+        args[3] = str(events)
+        return invoke([*args, *extra])
+
+    # a file with blank cells gives what one with each blank filled gives
+    for flag, fill in ((), "Target 1"), (("--target", "Nobody"), "Nobody"):
+        blanks = run("blanks.csv", rows, *flag)
+        filled = run("filled.csv", [(day, target or fill) for day, target in rows])
+        assert blanks == filled
+        assert blanks[0] == 0 and "falls on no tick" in blanks[2]
+    assert "'Nobody' matched no Target role" in blanks[2]
+
+
+def test_every_warning_of_a_sweep_is_one_line_on_stderr(inputs, tmp_path):
+    arch = tmp_path / "arch.csv"
+    arch.write_text("Role Name,Role Type,Algorithm,Reserve\n" + "".join(
+        f"{role},{role.split()[0]},,\n" for role in (
+            "Root 1", "Timestamp 1", "Snapshot 1", "Target 1", "Target 2", "Target 3")))
+    days = [date(2019, 12, 30) + timedelta(days=offset) for offset in range(95)]
+    events = tmp_path / "events.csv"
+    events.write_text("Date,Target\n" + "".join(
+        f"{day},{target}\n" for day in days for target in ("Target 2", "Ghost", "Ghost 2")))
+    actions = tmp_path / "actions.csv"
+    actions.write_text("Date,Action,Name,RoleType,Algorithm,Flag\n" + "".join(
+        f"{day},remove,Nobody,,,\n{day},reserve,Target 3,,,{'true' if day.day % 2 else 'false'}\n"
+        for day in days[::3]))
+    args = base_args(inputs, "--arch", str(arch), "--actions", str(actions),
+                     "--end", "2020-03-31")
+    args[3] = str(events)
+    status, out, err = invoke(args)
+
+    # one print per warning of each result, in result order
+    catalog = parse_algorithm_catalog(ALGORITHMS)
+    calendar = merge_calendars(load_event_dates(events.read_text(), "Target 1"),
+                               load_role_actions(actions.read_text()))
+    results = run_sweep(parse_architecture_csv(arch.read_text()),
+                        [Uniform(alg.name) for alg in catalog], calendar,
+                        generate_ticks(date(2020, 1, 1), date(2020, 3, 31), Cadence.DAILY),
+                        catalog)
+    expected = io.StringIO()
+    for result in results:
+        for warning in result.warnings:
+            print(f"warning: {warning}", file=expected)
+    assert status == 0 and out == emit_report_csv(results)
+    assert err == expected.getvalue()
+    assert err.count("\n") > 600
+
+    report = tmp_path / "report.csv"
+    assert invoke([*args, "--output", str(report)]) == (0, "", expected.getvalue())
+    assert report.read_text() == emit_report_csv(results)
 
 
 def test_start_after_end(inputs):

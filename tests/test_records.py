@@ -160,6 +160,22 @@ def test_field_order_and_keywords():
     assert RunResult._fields[-2:] == ("warnings", "slot_counts")
 
 
+def test_timeline_keeps_its_derived_slots_outside_its_fields():
+    timeline = RECORDS["Timeline"]()
+    assert Timeline._fields == ("start", "end", "cadence")
+    derived = [slot for slot in Timeline.__slots__ if slot not in Timeline._fields]
+    assert len(derived) == 2
+    values = [getattr(timeline, slot) for slot in derived]
+    for slot, value in zip(derived, values):
+        with pytest.raises(AttributeError):
+            setattr(timeline, slot, value)
+        with pytest.raises(AttributeError):
+            delattr(timeline, slot)
+    # a copy is rebuilt through the constructor, which derives them again
+    for twin in (copy.copy(timeline), pickle.loads(pickle.dumps(timeline))):
+        assert [getattr(twin, slot) for slot in derived] == values
+
+
 def test_records_of_one_class_compare_field_by_field():
     assert alg() != alg(cost=2.0)
     assert Timeline(DAY, DAY, Cadence.DAILY) != Timeline(DAY, DAY, Cadence.HOURLY)

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tufsim.runner
-from tufsim.runner import Simulation, compile_script, find_algorithm, run_scenario
+from tufsim.runner import (
+    ChangePoint,
+    Script,
+    Simulation,
+    compile_script,
+    find_algorithm,
+    run_scenario,
+)
 from tufsim import (
     ActionKind,
     Architecture,
@@ -41,7 +48,12 @@ from tests.conftest import (
     run_one,
     table_texts,
 )
-from tests.oracle import materialized_ticks, reference_architecture, reference_run
+from tests.oracle import (
+    first_tick_index,
+    materialized_ticks,
+    reference_architecture,
+    reference_run,
+)
 
 START = date(2020, 1, 1)
 
@@ -399,6 +411,87 @@ class TestEngineMatchesTickByTick:
         result = run_one(*run)
         assert result == expected
         assert result.slot_counts == expected.slot_counts
+
+
+# names listed out of name order
+COMPILE_TARGETS = ["Target 1", "Target 10", "Target 2", "bin-7", "Ghost", "target 1"]
+
+
+@st.composite
+def compile_inputs(draw):
+    """An architecture, an event calendar as a list, role actions and the
+    timeline's range: 1-6 targets on each event date, dates before, inside
+    and after the range (off the weekly grid too), and actions on the
+    event dates and on others."""
+    cadence = draw(st.sampled_from(list(Cadence)))
+    days = draw(st.integers(1, MAX_DAYS[cadence]))
+    when = st.integers(-3, days + 3).map(lambda offset: START + timedelta(days=offset))
+    dates = draw(st.lists(when, min_size=1, max_size=10, unique=True))
+    events = [
+        (day, target) for day in dates
+        for target in draw(st.lists(st.sampled_from(COMPILE_TARGETS), min_size=1, max_size=6,
+                                    unique=True))
+    ]
+    events = draw(st.permutations(events))
+    on_a_date = st.sampled_from(dates) | when
+    actions = draw(st.lists(
+        st.builds(RoleAction, date=on_a_date, kind=st.just(ActionKind.ADD),
+                  name=st.sampled_from(COMPILE_TARGETS), role_type=st.sampled_from(list(RoleType)),
+                  algorithm_name=st.none() | st.just("AlgA"), flag=st.none())
+        | st.builds(RoleAction, date=on_a_date, kind=st.just(ActionKind.REMOVE),
+                    name=st.sampled_from(COMPILE_TARGETS), role_type=st.none(),
+                    algorithm_name=st.none(), flag=st.none())
+        | st.builds(RoleAction, date=on_a_date, kind=st.just(ActionKind.RESERVE),
+                    name=st.sampled_from(COMPILE_TARGETS), role_type=st.none(),
+                    algorithm_name=st.none(), flag=st.booleans()),
+        max_size=8,
+    ))
+    return default_architecture(), events, actions, START, START + timedelta(days=days - 1), cadence
+
+
+def sorted_pairs_script(arch, calendar, start, end, cadence) -> Script:
+    """A `Script` by the rule of sorting every (date, target) pair and
+    grouping the sorted pairs by date, each date placed by a scan of the
+    materialized ticks."""
+    ticks = list(materialized_ticks(start, end, cadence))
+    slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
+    actions: dict[date, list] = {}
+    for action in calendar.role_actions:
+        slot = -1
+        if action.kind is ActionKind.ADD:
+            slot = len(slots)
+            slots.append((action.name, action.algorithm_name))
+        actions.setdefault(action.date, []).append((slot, action))
+    targets: dict[date, list[str]] = {}
+    for day, target in sorted(calendar.update_events):
+        targets.setdefault(day, []).append(target)
+    points = []
+    for day in sorted(actions.keys() | targets.keys()):
+        tick = first_tick_index(ticks, day)
+        day_actions = tuple(actions.get(day, ()))
+        day_targets = tuple(targets.get(day, ()))
+        dropped = ()
+        if tick is None:
+            items = [f"{a.kind.value} action for '{a.name}'" for _, a in day_actions]
+            items += [f"update event for '{target}'" for target in day_targets]
+            dropped = tuple(f"{day}: {item} falls on no tick and was not applied" for item in items)
+        points.append(ChangePoint(day, tick, day_actions, day_targets, dropped))
+    return Script(arch.device_name, arch.role_specs, tuple(slots), len(ticks), tuple(points))
+
+
+class TestCompileScript:
+    @given(inputs=compile_inputs())
+    @settings(deadline=None, max_examples=200)
+    def test_grouping_per_date_equals_sorting_every_pair(self, inputs):
+        arch, events, actions, start, end, cadence = inputs
+        calendar = EventCalendar(events, actions)
+        ticks = generate_ticks(start, end, cadence)
+        expected = sorted_pairs_script(arch, calendar, start, end, cadence)
+        assert compile_script(arch, calendar, ticks) == expected
+        # the same calendar built from the events in reverse
+        reversed_calendar = EventCalendar(events[::-1], actions)
+        assert reversed_calendar == calendar
+        assert compile_script(arch, reversed_calendar, ticks) == expected
 
 
 class TestInputsThatCannotApplyWarn:

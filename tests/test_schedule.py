@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tufsim.schedule
 from tufsim import (
     ActionKind,
     Cadence,
@@ -22,6 +23,7 @@ from tufsim import (
     load_role_actions,
     merge_calendars,
 )
+from tufsim.schedule import parse_iso_date
 from tests.conftest import (
     BOOL_CELLS,
     NAME_CELLS,
@@ -30,7 +32,7 @@ from tests.conftest import (
     outcome,
     table_texts,
 )
-from tests.oracle import materialized_ticks, reference_actions
+from tests.oracle import first_tick_index, materialized_ticks, reference_actions
 
 START = date(2020, 1, 1)
 # basic-format and week dates: `date.fromisoformat` takes them from Python
@@ -91,11 +93,6 @@ class TestGenerateTicks:
 
 # Ranges stay under ~3000 ticks so the materialized oracle stays quick.
 ORACLE_DAYS = {Cadence.WEEKLY: 400, Cadence.DAILY: 400, Cadence.HOURLY: 60, Cadence.MINUTE: 2}
-
-
-def first_tick_index(ticks, day):
-    """Linear-scan oracle for `Timeline.position` over (date, sub) pairs."""
-    return next((i for i, (tick_day, _) in enumerate(ticks) if tick_day == day), None)
 
 
 class TestTimeline:
@@ -173,6 +170,35 @@ class TestLoadEventDates:
     def test_date_must_be_yyyy_mm_dd(self, text):
         with pytest.raises(CalendarError, match=f"row 2: invalid date '{text}'"):
             load_event_dates(f"Date\n{text}\n", "Target 1")
+
+    def test_a_bad_date_on_two_rows_names_the_first(self):
+        text = "Date\n2020-01-03\n2020-02-30\n2020-01-04\n2020-01-03\n2020-02-30\n"
+        with pytest.raises(CalendarError, match="^row 3: invalid date '2020-02-30'$"):
+            load_event_dates(text, "Target 1")
+
+    def test_each_distinct_date_cell_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_iso_date(text)
+
+        monkeypatch.setattr(tufsim.schedule, "parse_iso_date", counting)
+        calendar = load_event_dates(
+            "Date,Target\n"
+            "2020-01-03,Target 1\n"
+            "  2020-01-04  ,Target 2\n"
+            "2020-01-03,Target 2\n"
+            "2020-01-04,Target 1\n"
+            " 2020-01-04,\n"
+            "2020-01-03,\n",
+            "Target 3",
+        )
+        assert parsed == ["2020-01-03", "2020-01-04"]
+        assert calendar == EventCalendar({
+            (date(2020, 1, day), target)
+            for day in (3, 4) for target in ("Target 1", "Target 2", "Target 3")
+        })
 
     def test_missing_date_header(self):
         with pytest.raises(CalendarError, match="Date"):
