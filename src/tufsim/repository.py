@@ -11,7 +11,12 @@ tick and tick-by-tick run in `tests/oracle.py`, which scan every role.
 A tick visits only the roles that can act.  The Root, Timestamp and
 Snapshot roles, which are few, are kept on one list per type, and the
 pending Targets once each on a due list by `stage_update` and `add_role`.
-The rollover scan visits the three per-type lists and the due list.  The
+The rollover check visits the due list every tick, and the three per-type
+lists only when one of their keys can be used up: each of those roles
+signs at most once a tick, so a check that visits them keeps a rollover
+horizon, the fewest unused signatures among them less one (none while
+one is flagged), and that many checks after it skip them.  `add_role`
+ends the horizon, and a quiet run uses up one of its checks a tick.  The
 signing reads only the Timestamps, the due Targets, and the Snapshots
 when a Target signed; the quiet-run length reads the three per-type
 lists.  None of them tests a role's type or touches an idle Target, so a
@@ -91,8 +96,11 @@ class RoleState(Record):
     key_publications counts the root files that carried the role's key.  A
     reserve role keeps its key in published root files but is excluded
     from routine signing; the flag is read when the role is used, so it
-    may be written directly.  pending is kept with the repository's due
-    list: set it through `Repository.stage_update`.
+    may be written directly, and it is the only field that may be.
+    pending is kept with the repository's due list: set it through
+    `Repository.stage_update`.  A direct write of lifetime_sigs, key_start
+    or rollover is not seen by the repository's rollover horizon, so a
+    check may skip a key that such a write used up or flagged.
 
     A mutable `__slots__` record, read on every busy tick: equality
     compares the nine fields, and it is unhashable.
@@ -166,6 +174,9 @@ class Repository:
         self._of_type = dict(zip(RoleType, (self._roots, self._timestamps, self._snapshots)))
         # each pending Target once: the only Targets a tick visits
         self._due: list[RoleState] = []
+        # the coming rollover checks in which no Root, Timestamp or Snapshot
+        # key can be used up or is flagged, so those checks skip the three lists
+        self._horizon = 0
         self.rollover_events = 0
         self.root_publications = 0
         self.update_root = True  # a fresh repository needs a first root file
@@ -181,6 +192,7 @@ class Repository:
         added = RoleState(name=name, role_type=role_type, algorithm=algorithm)
         self.roles.append(added)
         self.update_root = True
+        self._horizon = 0  # a new key, and same-named siblings flagged
         named = self._named.setdefault(name, [])
         for role in named:
             if role.role_type is role_type:
@@ -244,17 +256,38 @@ class Repository:
         internally; it is public so the trigger condition is testable alone.
         Only the Root, Timestamp and Snapshot roles and the pending Targets
         are visited, and all of them are pending: a Target is flagged for
-        rollover only while pending.
+        rollover only while pending.  The pending Targets are visited every
+        time, the other three lists only when the rollover horizon is out:
+        a check that visits them sets it to the fewest unused signatures
+        among them less one, or below one while one of them is flagged,
+        and each later check counts it down until it is out again.
+        `add_role` ends it, and `publish_timestamps` takes a quiet run's
+        ticks off it.
         """
         rolled = 0
-        for roles in (self._roots, self._timestamps, self._snapshots, self._due):
-            for role in roles:
-                if role.rollover or role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
+        if self._horizon > 0:
+            self._horizon -= 1
+        else:
+            # each of them signs at most once a tick, so none is used up
+            # before the check after its fewest unused signatures; a flagged
+            # one is processed by every check until a root file clears it
+            least = math.inf
+            for role in self._roots + self._timestamps + self._snapshots:
+                unused = role.algorithm.max_sigs - role.lifetime_sigs + role.key_start
+                if role.rollover or not unused:
                     role.rollover = True
                     role.key_start = role.lifetime_sigs
                     rolled += 1
-        if rolled:
-            self.rollover_events += rolled
+                    least = 0
+                elif unused < least:
+                    least = unused
+            self._horizon = least - 1
+        for role in self._due:
+            if role.rollover or role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
+                role.rollover = True
+                role.key_start = role.lifetime_sigs
+                rolled += 1
+        self.rollover_events += rolled
         return rolled
 
     def publish_timestamp(self) -> None:
@@ -325,6 +358,7 @@ class Repository:
                     if not role.reserve:
                         role.lifetime_sigs += quiet
                 count -= quiet
+                self._horizon -= quiet  # the quiet ticks' checks
 
     def ledger_totals(self) -> LedgerTotals:
         """Price the counts of current and removed roles with `price_counts`;

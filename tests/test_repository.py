@@ -567,6 +567,112 @@ class TestPublishTimestampOracle:
             assert_indexed(repo)
 
 
+class TestRolloverHorizon:
+    """The rollover checks that skip the Root, Timestamp and Snapshot keys
+    while none of them can run out, at its edges: the engine against the
+    oracle's `reference_tick` on its own repository, given the same
+    operations, compared after every tick."""
+
+    @staticmethod
+    def pair(*roles):
+        """An engine and an oracle repository, each holding the given
+        (name, role type, key budget) roles in order."""
+        pair = Repository("Device_A"), ReferenceRepository("Device_A")
+        for repo in pair:
+            for name, role_type, max_sigs in roles:
+                repo.add_role(name, role_type, make_alg(name=f"Alg{max_sigs}", max_sigs=max_sigs))
+        return pair
+
+    @staticmethod
+    def tick(repo, reference, ops=()):
+        for side in (repo, reference):
+            for op in ops:
+                apply(side, op)
+        repo.publish_timestamp()
+        reference_tick(reference)
+        assert snapshot(repo) == snapshot(reference)
+        assert_indexed(repo)
+
+    @pytest.mark.parametrize("budgets", [(1, 1), (2, 2), (1, 2)])
+    def test_timestamps_of_budgets_one_and_two(self, budgets):
+        repo, reference = self.pair(
+            ("Root 1", RoleType.ROOT, 10**6),
+            ("Timestamp 1", RoleType.TIMESTAMP, budgets[0]),
+            ("Timestamp 2", RoleType.TIMESTAMP, budgets[1]),
+            ("Snapshot 1", RoleType.SNAPSHOT, 10**6),
+            ("Target 1", RoleType.TARGET, 10**6),
+        )
+        for tick in range(24):
+            self.tick(repo, reference, [("stage", "Target 1")] if tick % 3 == 0 else [])
+            # a key of one or two signatures leaves the check no tick to skip
+            # but the one after a check that found it fresh
+            assert repo._horizon < min(budgets)
+        assert repo.rollover_events == reference.rollover_events > 24
+
+    def test_same_named_roles_added_while_no_key_can_run_out(self):
+        repo, reference = self.pair(
+            ("Root 1", RoleType.ROOT, 8),
+            ("Timestamp 1", RoleType.TIMESTAMP, 8),
+            ("Snapshot 1", RoleType.SNAPSHOT, 8),
+            ("Target 1", RoleType.TARGET, 10**6),
+        )
+        for name, role_type in [("Root 1", RoleType.ROOT), ("Timestamp 1", RoleType.TIMESTAMP),
+                                ("Snapshot 1", RoleType.SNAPSHOT)]:
+            self.tick(repo, reference)
+            while repo._horizon <= 0:
+                self.tick(repo, reference, [("stage", "Target 1")])
+            # the add re-keys the current role of its name and type
+            self.tick(repo, reference, [("add", name, role_type, make_alg(name="Alg8", max_sigs=8))])
+            for _ in range(10):
+                self.tick(repo, reference, [("stage", "Target 1")])
+        assert len(repo.roles) == 7
+
+    @pytest.mark.parametrize("quiet", [11, 40])
+    def test_a_quiet_run_past_the_horizon_then_busy_ticks(self, quiet):
+        repo, reference = self.pair(
+            ("Root 1", RoleType.ROOT, 4),
+            ("Timestamp 1", RoleType.TIMESTAMP, 12),
+            ("Snapshot 1", RoleType.SNAPSHOT, 6),
+            ("Target 1", RoleType.TARGET, 10**6),
+        )
+        self.tick(repo, reference)
+        # the Root's short key sets the horizon, the Timestamp's the quiet
+        # run, which lasts until the Timestamp's key is used up
+        repo.publish_timestamps(quiet)
+        for _ in range(quiet):
+            reference_tick(reference)
+        assert snapshot(repo) == snapshot(reference)
+        assert repo._horizon < 0
+        for _ in range(30):
+            self.tick(repo, reference, [("stage", "Target 1")])
+
+    def test_a_reserve_timestamp_whose_key_is_used_up(self):
+        repo, reference = self.pair(
+            ("Root 1", RoleType.ROOT, 10**6),
+            ("Timestamp 1", RoleType.TIMESTAMP, 3),
+            ("Timestamp 2", RoleType.TIMESTAMP, 10**6),
+            ("Snapshot 1", RoleType.SNAPSHOT, 10**6),
+            ("Target 1", RoleType.TARGET, 10**6),
+        )
+        for _ in range(3):
+            self.tick(repo, reference)
+        # reserved with its last signature made: still pending, so the next
+        # check gives it a new key although it does not sign
+        used_up = repo.roles[1]
+        assert used_up.lifetime_sigs - used_up.key_start == 3
+        self.tick(repo, reference, [("reserve", "Timestamp 1", True)])
+        assert used_up.key_start == used_up.lifetime_sigs == 3
+        for _ in range(5):
+            self.tick(repo, reference)
+        repo.publish_timestamps(20)
+        for _ in range(20):
+            reference_tick(reference)
+        assert snapshot(repo) == snapshot(reference)
+        self.tick(repo, reference, [("reserve", "Timestamp 1", False)])
+        for _ in range(8):
+            self.tick(repo, reference, [("stage", "Target 1")])
+
+
 def test_the_oracle_imports_no_engine_state():
     """The oracle names neither the engine's repository, its role record nor
     its pricing, in an import or anywhere else, so no differential test

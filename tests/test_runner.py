@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,10 @@ from tufsim import (
     emit_report_csv,
     generate_poisson_events,
     generate_ticks,
+    load_event_dates,
     load_role_actions,
+    merge_calendars,
+    parse_algorithm_catalog,
     parse_architecture_csv,
     parse_assignment_csv,
     run_sweep,
@@ -412,6 +418,47 @@ class TestEngineMatchesTickByTick:
         assert result == expected
         assert result.slot_counts == expected.slot_counts
 
+
+
+def dense_fleet_inputs(seed: int):
+    """The benchmark's full-size `dense-fleet` inputs at `seed`, written by
+    its generator in `perfbench/workloads.py`, which is imported as it is,
+    and parsed as the command line parses them: (arch, calendar,
+    timeline, catalog)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+        scenario = workloads.dense_fleet(seed)
+    finally:
+        del sys.modules[spec.name]
+    files = scenario.files
+    calendar = merge_calendars(load_event_dates(files["events.csv"], workloads.DEFAULT_TARGET),
+                               load_role_actions(files["actions.csv"]))
+    timeline = generate_ticks(scenario.start, scenario.end, Cadence(scenario.cadence))
+    return (parse_architecture_csv(files["arch.csv"]), calendar, timeline,
+            parse_algorithm_catalog(files["algorithms.csv"]))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_dense_fleet_sweep_equals_the_reference(seed):
+    """The benchmark checks these seeds, which have no pinned digests, only
+    against a replay through the engine's own tick, so the oracle checks
+    here the assignment of the first algorithm of each key budget, run
+    over the fleet's 365 days of events and role actions."""
+    arch, calendar, timeline, catalog = dense_fleet_inputs(seed)
+    assignments = [Uniform(alg.name) for alg in catalog]
+    swept = run_sweep(arch, assignments, calendar, timeline, catalog)
+    firsts = {}
+    for position, alg in enumerate(catalog):
+        firsts.setdefault(alg.max_sigs, position)
+    assert len(assignments) == 40 and len(firsts) == 8
+    for position in firsts.values():
+        expected = reference_run(arch, assignments[position], calendar, timeline, catalog)
+        assert swept[position] == expected
+        assert swept[position].slot_counts == expected.slot_counts
+        assert emit_report_csv([swept[position]]) == emit_report_csv([expected])
 
 # names listed out of name order
 COMPILE_TARGETS = ["Target 1", "Target 10", "Target 2", "bin-7", "Ghost", "target 1"]
