@@ -268,9 +268,10 @@ class Repository:
         if self._horizon > 0:
             self._horizon -= 1
         else:
-            # each of them signs at most once a tick, so none is used up
-            # before the check after its fewest unused signatures; a flagged
-            # one is processed by every check until a root file clears it
+            # each of them signs at most once a tick, so a key with u unused
+            # signatures is not found used up by the next u - 1 checks; a
+            # flagged one is processed by every check until a root file
+            # clears its flag
             least = math.inf
             for role in self._roots + self._timestamps + self._snapshots:
                 unused = role.algorithm.max_sigs - role.lifetime_sigs + role.key_start
