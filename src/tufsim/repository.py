@@ -18,20 +18,23 @@ horizon, the fewest unused signatures among them less one (none while
 one is flagged), and that many checks after it skip them.  `add_role`
 ends the horizon, and a quiet run uses up one of its checks a tick.  The
 signing reads only the Timestamps, the due Targets, and the Snapshots
-when a Target signed; the quiet-run length reads the three per-type
-lists.  None of them tests a role's type or touches an idle Target, so a
-fleet of thousands of Target bins costs per tick what its updated bins
-do.  Only a root file, published when a key rolls over or a role is
-added or removed, visits every role, and the Root list signs it.
+when a Target signed; the quiet-run length reads the Timestamps, and
+the Roots and Snapshots only while the horizon is out.  None of them
+tests a role's type or touches an idle Target, so a fleet of thousands
+of Target bins costs per tick what its updated bins do.  Only a root
+file, published when a key rolls over or a role is added or removed,
+visits every role, and the Root list signs it.
 
 Role management goes through one name index, every current role by
 name in `roles` order: `add_role` re-keys the same-named roles of the
 new role's type from it, `remove_role` retires the roles under the name,
 `set_reserve` flags them and `stage_update` stages the Targets among
-them, so none of them scans the fleet to find a name.  Only a removal
-rebuilds the lists, without the removed name.  The Targets are the roles
-on none of the three per-type lists, so `missing_role_types` counts each
-type from the list lengths alone, in constant time.
+them, so none of them scans the fleet to find a name.  Staging itself is
+one step, `stage_targets`, which `stage_update` takes for the Targets of
+a name and a run takes for the roles its script stages by slot.  Only a
+removal rebuilds the lists, without the removed name.  The Targets are
+the roles on none of the three per-type lists, so `missing_role_types`
+counts each type from the list lengths alone, in constant time.
 
 The ledger is integers only: each role, current or removed, counts its
 signatures and the root files that carried its key.  Only `price_counts`
@@ -238,14 +241,19 @@ class Repository:
         at the tick, from whether any Target signed.  Returns the number of
         matching Targets; no cost accrues here.
         """
-        matched = 0
-        for role in self._named.get(target_name, ()):
-            if role.role_type is _TARGET:
-                matched += 1
-                if not role.pending:
-                    role.pending = True
-                    self._due.append(role)
-        return matched
+        targets = [role for role in self._named.get(target_name, ()) if role.role_type is _TARGET]
+        self.stage_targets(targets)
+        return len(targets)
+
+    def stage_targets(self, targets: Iterable[RoleState]) -> None:
+        """Require a signature of each of `targets`, current Target roles of
+        this repository: the one staging step, which `stage_update` takes
+        for the Targets of a name and a run for the slots its script
+        stages."""
+        for role in targets:
+            if not role.pending:
+                role.pending = True
+                self._due.append(role)
 
     def rollover_check(self) -> int:
         """Stage key replacements: any role already flagged for rollover, or
@@ -335,8 +343,9 @@ class Repository:
         publish_timestamp.  Each pass makes one real tick, then applies the
         quiet ticks that follow it in closed form: only the non-reserve
         Timestamps sign, until one of their keys or a Root or Snapshot key
-        is used up.  A quiet run of one tick is left to the next pass, as a
-        real tick.
+        is used up.  While the rollover horizon is positive no such key is
+        used up, so only the Timestamps are read.  A quiet run of one tick
+        is left to the next pass, as a real tick.
         """
         while count > 0:
             self.publish_timestamp()
@@ -350,8 +359,8 @@ class Repository:
                     quiet = unused
                 elif not unused:  # used up: the next tick rolls it over
                     quiet = 0
-            for roles in (self._roots, self._snapshots):
-                for role in roles:
+            if self._horizon <= 0:  # else no Root or Snapshot key can be used up
+                for role in self._roots + self._snapshots:
                     if role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
                         quiet = 0
             if quiet > 1:

@@ -4,21 +4,26 @@ A run's slots are the architecture's role specs, then the calendar's add
 actions, by position, so two identical add rows are two slots.  An
 algorithm changes a run only through its slot's key budget (`max_sigs`),
 and only up to `len(ticks)`: a role signs at most once per tick, so a
-larger budget never runs out.  So `run_sweep`, the one path from an
-assignment to a report row, compiles its inputs once into a `Script`,
-resolves each assignment in one pass to one algorithm per slot and a
-warning per per-role row that no slot took, calls `run_scenario`
-once per distinct vector of effective budgets `min(max_sigs, len(ticks))`,
-and prices each assignment from that run's per-slot counts with
+larger budget never runs out.  Which slots hold a current role, and so
+which roles a name reaches, never depends on an algorithm.  So
+`run_sweep`, the one path from an assignment to a report row, compiles
+its inputs once into a `Script` whose change points name the slots they
+stage and which carries every warning a run makes, resolves each
+assignment in one pass to one algorithm per slot and a warning per
+per-role row that no slot took, groups once the slots that every
+assignment gives the same algorithm, calls `run_scenario` once per
+distinct vector of effective class budgets `min(max_sigs, len(ticks))`,
+and prices each assignment from that run's per-class counts with
 `repository.price_counts`, the one pricing function: bytes are exact and
 the cost is one `math.fsum`, so no total depends on the order of signing.
 
 `run_scenario(script, algorithms)` only counts.  It replays the script's
 change points against a fresh repository and advances it between them
 with `Repository.publish_timestamps`, so its cost grows with the number
-of change points, not the number of ticks.  Each replay still makes the
-warnings that depend on which roles exist, and `Simulation` keeps its
-totals: the benchmark's tracer reads both from every `run_scenario` result.
+of change points, not the number of ticks.  It stages by slot, not by
+name, and makes no warning: `Simulation.warnings` is the script's, and
+`Simulation` keeps its totals, since the benchmark's tracer reads both
+from every `run_scenario` result.
 
 Every record here is a `typing.NamedTuple`.  `Architecture` checks its
 roles in every constructor, `_make` and `_replace` included, and
@@ -158,8 +163,8 @@ class RunResult(NamedTuple):
 class Simulation(NamedTuple):
     """What one engine run counts, before any pricing.
 
-    slot_counts is as in `RunResult`; warnings are only those that depend
-    on names and dates.
+    slot_counts is as in `RunResult`; warnings are the script's, those
+    that depend only on names and dates.
     """
 
     slot_counts: tuple[tuple[int, int], ...]
@@ -170,28 +175,28 @@ class Simulation(NamedTuple):
 
 
 class ChangePoint(NamedTuple):
-    """One calendar date of a `Script`: its first tick, its actions, each
-    with its slot (-1 unless it adds a role), and its update events' Target
-    names.  On a date without a tick (tick None) nothing applies, and
-    `dropped` holds one warning per action and event."""
+    """One calendar date that has a tick: its first tick, its actions, each
+    with its slot (-1 unless it adds a role), and the slots its update
+    events stage: the Target slots current after the actions, by sorted
+    Target name, then in the order their roles were added."""
 
     day: date
-    tick: int | None
+    tick: int
     actions: tuple[tuple[int, RoleAction], ...]
-    targets: tuple[str, ...]
-    dropped: tuple[str, ...] = ()
+    staged: tuple[int, ...]
 
 
 class Script(NamedTuple):
     """What every run of a sweep replays: the initial roles, each slot's
-    (name, pinned algorithm), the tick count and the change points in date
-    order."""
+    (name, pinned algorithm), the tick count, the change points in date
+    order and every warning a run makes, in date order."""
 
     device_name: str
     role_specs: tuple[RoleSpec, ...]
     slots: tuple[tuple[str, str | None], ...]
     ticks: int
     points: tuple[ChangePoint, ...]
+    warnings: tuple[str, ...]
 
 
 def compile_script(arch: Architecture, calendar: EventCalendar, ticks: Timeline) -> Script:
@@ -199,39 +204,87 @@ def compile_script(arch: Architecture, calendar: EventCalendar, ticks: Timeline)
 
     Events and actions are grouped per date; only the dates are sorted,
     and then each date's Target names, so a date's targets are in name
-    order, as when every (date, target) pair is sorted.
+    order, as when every (date, target) pair is sorted.  Which slots hold
+    a current role never depends on an algorithm, so the one pass over
+    the names is made here, by the repository's name rules: a remove
+    takes every current role of its name, an update event stages the
+    current Targets of its name.  Each warning is made here too: a date
+    without a tick drops its items, a remove or reserve can match no role,
+    a date's actions can leave a role type with no role, and an update
+    event can match no Target.
     """
     slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
+    types = [spec.role_type for spec in arch.role_specs]
     actions: dict[date, list[tuple[int, RoleAction]]] = {}
     for action in calendar.role_actions:
         slot = -1
         if action.kind is ActionKind.ADD:
             slot = len(slots)
             slots.append((action.name, action.algorithm_name))
+            types.append(action.role_type)
         actions.setdefault(action.date, []).append((slot, action))
     targets: dict[date, list[str]] = {}
     for day, target in calendar.update_events:
         targets.setdefault(day, []).append(target)
-    points = []  # popping frees each date's list once its tuple exists
+    named: dict[str, list[int]] = {}  # the current slots by name, in order added
+    target_named: dict[str, list[int]] = {}  # the same, Targets only
+    counts = dict.fromkeys(RoleType, 0)  # current slots per role type
+
+    def add(slot: int) -> None:
+        named.setdefault(slots[slot][0], []).append(slot)
+        if types[slot] is RoleType.TARGET:
+            target_named.setdefault(slots[slot][0], []).append(slot)
+        counts[types[slot]] += 1
+
+    for slot in range(len(arch.role_specs)):
+        add(slot)
+    points, warnings = [], []
     for day in sorted(actions.keys() | targets.keys()):
-        point = ChangePoint(day, ticks.position(day), tuple(actions.pop(day, ())),
-                            tuple(sorted(targets.pop(day, ()))))
-        if point.tick is None:
-            items = [f"{a.kind.value} action for '{a.name}'" for _, a in point.actions]
-            items += [f"update event for '{target}'" for target in point.targets]
-            point = point._replace(dropped=tuple(
-                f"{day}: {item} falls on no tick and was not applied" for item in items))
-        points.append(point)
-    return Script(arch.device_name, arch.role_specs, tuple(slots), len(ticks), tuple(points))
+        day_actions = tuple(actions.pop(day, ()))  # popping frees each date's list
+        day_targets = sorted(targets.pop(day, ()))
+        tick = ticks.position(day)
+        if tick is None:
+            items = [f"{a.kind.value} action for '{a.name}'" for _, a in day_actions]
+            items += [f"update event for '{target}'" for target in day_targets]
+            warnings += [f"{day}: {item} falls on no tick and was not applied" for item in items]
+            continue
+        for slot, action in day_actions:
+            if action.kind is ActionKind.ADD:
+                add(slot)
+                continue
+            matched = named.get(action.name)
+            if not matched:
+                warnings.append(f"{day}: {action.kind.value} action for "
+                                f"'{action.name}' matched no role")
+            elif action.kind is ActionKind.REMOVE:
+                del named[action.name]
+                target_named.pop(action.name, None)
+                for removed in matched:
+                    counts[types[removed]] -= 1
+        if day_actions:
+            missing = [role_type.value for role_type, count in counts.items() if not count]
+            if missing:
+                warnings.append(f"{day}: no {', '.join(missing)} role remains after "
+                                "scripted actions")
+        staged: list[int] = []
+        for target in day_targets:
+            found = target_named.get(target)
+            if found:
+                staged += found
+            else:
+                warnings.append(f"{day}: update event for '{target}' matched no Target role")
+        points.append(ChangePoint(day, tick, day_actions, tuple(staged)))
+    return Script(arch.device_name, arch.role_specs, tuple(slots), len(ticks), tuple(points),
+                  tuple(warnings))
 
 
 def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Simulation:
     """Replay the script with one resolved algorithm per slot and count.
 
-    A date's events and actions apply on its first tick.  Inputs that
-    cannot take effect become warnings, not errors: an event or action on
-    a date without a tick, and an update event, remove or reserve that
-    matches no role.
+    A date's actions and staging apply on its first tick.  The script has
+    already matched every name and made every warning, so a replay only
+    adds roles, applies removes and reserves, stages each staged slot's
+    role and ticks: it looks up no Target by name and formats nothing.
     """
     repo = Repository(script.device_name)
     states: list[RoleState | None] = [None] * len(script.slots)
@@ -239,33 +292,22 @@ def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Si
         state = states[slot] = repo.add_role(spec.name, spec.role_type, algorithm)
         state.reserve = spec.reserve
 
-    warnings: list[str] = []
     published = 0
-    for point in script.points:
-        if point.tick is None:
-            warnings += point.dropped
-            continue
-        repo.publish_timestamps(point.tick - published)
-        published = point.tick
-        if point.actions:
-            for slot, action in point.actions:
-                if action.kind is ActionKind.ADD:
-                    states[slot] = repo.add_role(action.name, action.role_type, algorithms[slot])
-                    continue
-                if action.kind is ActionKind.REMOVE:
-                    matched = repo.remove_role(action.name)
-                else:
-                    matched = repo.set_reserve(action.name, action.flag)
-                if not matched:
-                    warnings.append(f"{point.day}: {action.kind.value} action for "
-                                    f"'{action.name}' matched no role")
-            missing = repo.missing_role_types()
-            if missing:
-                warnings.append(f"{point.day}: no {', '.join(t.value for t in missing)} "
-                                "role remains after scripted actions")
-        for target in point.targets:
-            if repo.stage_update(target) == 0:
-                warnings.append(f"{point.day}: update event for '{target}' matched no Target role")
+    for _, tick, actions, staged in script.points:
+        if tick - published == 1:
+            repo.publish_timestamp()
+        else:
+            repo.publish_timestamps(tick - published)
+        published = tick
+        for slot, action in actions:
+            if action.kind is ActionKind.ADD:
+                states[slot] = repo.add_role(action.name, action.role_type, algorithms[slot])
+            elif action.kind is ActionKind.REMOVE:
+                repo.remove_role(action.name)
+            else:
+                repo.set_reserve(action.name, action.flag)
+        if staged:
+            repo.stage_targets(map(states.__getitem__, staged))
     repo.publish_timestamps(script.ticks - published)
 
     slot_counts = tuple(
@@ -276,7 +318,7 @@ def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Si
         total_signatures=sum(sigs for sigs, _ in slot_counts),
         rollover_events=repo.rollover_events,
         root_publications=repo.root_publications,
-        warnings=tuple(warnings),
+        warnings=script.warnings,
     )
 
 
@@ -293,31 +335,45 @@ def run_sweep(
     before anything runs, so a bad name fails first: one pass over the
     slots takes each slot's pin, else its Uniform algorithm or its
     per-role row, with one catalog lookup per distinct name, and notes
-    the rows it took.  Then `run_scenario` runs once per distinct vector
-    of effective slot budgets, the first time an assignment has it, and
-    each assignment is priced from that run's `slot_counts` with its own
-    algorithms, which gives exactly what a run of its own would.  An
-    assignment's warnings are those on its per-role rows that no slot
-    took first, in row order — a row naming no role of the architecture
-    or of an add action, and a row whose every role pins its algorithm —
-    then the run's.
+    the rows it took.  The slots that every assignment gives the same
+    algorithm form a class, found once.  Then `run_scenario` runs once
+    per distinct vector of effective class budgets, the first time an
+    assignment has it; its `slot_counts` are summed per class once, and
+    each assignment is priced from those class counts with its own
+    algorithms, which merges to the very totals a run of its own would
+    price.  An assignment's warnings are those on its per-role rows that
+    no slot took first, in row order — a row naming no role of the
+    architecture or of an add action, and a row whose every role pins its
+    algorithm — then the run's.
     """
     if not assignments:
         raise ConfigurationError("at least one algorithm assignment is required")
     script = compile_script(arch, calendar, ticks)
     found: dict[str, SignatureAlgorithm] = {}
     resolved = [_resolve(script.slots, assignment, catalog, found) for assignment in assignments]
-    runs: dict[tuple[int, ...], Simulation] = {}
+    # a class is named by its first slot; its key is the slot's column of
+    # algorithm objects, one per assignment
+    first: dict[tuple[int, ...], int] = {}
+    slot_class = [first.setdefault(tuple(map(id, column)), slot)
+                  for slot, column in enumerate(zip(*(algorithms for algorithms, _ in resolved)))]
+    firsts = list(first.values())
+    runs: dict[tuple[int, ...], tuple[Simulation, dict[int, list[int]]]] = {}
     results = []
     for assignment, (algorithms, row_warnings) in zip(assignments, resolved):
+        class_algorithms = [algorithms[slot] for slot in firsts]
         # a role signs at most once per tick, so a budget of len(ticks) or
         # more never runs out: it behaves as any other such budget
-        budgets = tuple(min(alg.max_sigs, script.ticks) for alg in algorithms)
-        run = runs.get(budgets)
-        if run is None:
-            run = runs[budgets] = run_scenario(script, algorithms)
+        budgets = tuple(min(alg.max_sigs, script.ticks) for alg in class_algorithms)
+        if budgets not in runs:
+            run = run_scenario(script, algorithms)
+            class_counts = {slot: [0, 0] for slot in firsts}
+            for slot, (sigs, keys) in zip(slot_class, run.slot_counts):
+                class_counts[slot][0] += sigs
+                class_counts[slot][1] += keys
+            runs[budgets] = run, class_counts
+        run, class_counts = runs[budgets]
         sig_bytes, pk_bytes, cost, signatures = price_counts(
-            (alg, sigs, keys) for alg, (sigs, keys) in zip(algorithms, run.slot_counts)
+            (alg, sigs, keys) for alg, (sigs, keys) in zip(class_algorithms, class_counts.values())
         )
         results.append(
             RunResult(

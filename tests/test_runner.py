@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tufsim.runner
+from tufsim.repository import price_counts
 from tufsim.runner import (
     ChangePoint,
     Script,
@@ -55,6 +56,7 @@ from tests.conftest import (
     table_texts,
 )
 from tests.oracle import (
+    ReferenceRepository,
     first_tick_index,
     materialized_ticks,
     reference_architecture,
@@ -499,7 +501,10 @@ def compile_inputs(draw):
 def sorted_pairs_script(arch, calendar, start, end, cadence) -> Script:
     """A `Script` by the rule of sorting every (date, target) pair and
     grouping the sorted pairs by date, each date placed by a scan of the
-    materialized ticks."""
+    materialized ticks.  The staged slots and the warnings come from
+    replaying each date's actions on a `ReferenceRepository`, whose roles
+    carry their slot where the algorithm goes (its name rules never read
+    it): a Target is staged if `stage_update` marks it pending."""
     ticks = list(materialized_ticks(start, end, cadence))
     slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
     actions: dict[date, list] = {}
@@ -512,18 +517,40 @@ def sorted_pairs_script(arch, calendar, start, end, cadence) -> Script:
     targets: dict[date, list[str]] = {}
     for day, target in sorted(calendar.update_events):
         targets.setdefault(day, []).append(target)
-    points = []
+    repo = ReferenceRepository(arch.device_name)
+    for slot, spec in enumerate(arch.role_specs):
+        repo.add_role(spec.name, spec.role_type, slot)
+    points, warnings = [], []
     for day in sorted(actions.keys() | targets.keys()):
         tick = first_tick_index(ticks, day)
         day_actions = tuple(actions.get(day, ()))
-        day_targets = tuple(targets.get(day, ()))
-        dropped = ()
+        day_targets = targets.get(day, [])
         if tick is None:
             items = [f"{a.kind.value} action for '{a.name}'" for _, a in day_actions]
             items += [f"update event for '{target}'" for target in day_targets]
-            dropped = tuple(f"{day}: {item} falls on no tick and was not applied" for item in items)
-        points.append(ChangePoint(day, tick, day_actions, day_targets, dropped))
-    return Script(arch.device_name, arch.role_specs, tuple(slots), len(ticks), tuple(points))
+            warnings += [f"{day}: {item} falls on no tick and was not applied" for item in items]
+            continue
+        for slot, action in day_actions:
+            if action.kind is ActionKind.ADD:
+                repo.add_role(action.name, action.role_type, slot)
+            elif not (repo.remove_role(action.name) if action.kind is ActionKind.REMOVE
+                      else repo.set_reserve(action.name, action.flag)):
+                warnings.append(
+                    f"{day}: {action.kind.value} action for '{action.name}' matched no role"
+                )
+        missing = [t.value for t in repo.missing_role_types()]
+        if day_actions and missing:
+            warnings.append(f"{day}: no {', '.join(missing)} role remains after scripted actions")
+        staged = []
+        for target in day_targets:
+            for role in repo.roles:
+                role.pending = False
+            if repo.stage_update(target) == 0:
+                warnings.append(f"{day}: update event for '{target}' matched no Target role")
+            staged += [role.algorithm for role in repo.roles if role.pending]
+        points.append(ChangePoint(day, tick, day_actions, tuple(staged)))
+    return Script(arch.device_name, arch.role_specs, tuple(slots), len(ticks), tuple(points),
+                  tuple(warnings))
 
 
 class TestCompileScript:
@@ -983,6 +1010,51 @@ class TestSweepSimulatesOncePerBudgetVector:
             find_algorithm("AlgB", catalog, "Root 1")
         with pytest.raises(ConfigurationError, match=message):
             find_algorithm("AlgB", Catalog(), "Root 1")
+
+
+@st.composite
+def mixed_sweeps(draw):
+    """A sweep of two to six assignments, each a `Uniform` or a `PerRole`
+    with a row for each unpinned name, over a differential run whose slots
+    may pin their algorithms, from a catalog whose budgets often collide."""
+    arch, _, calendar, timeline, catalog = draw(
+        differential_runs(algorithms=5, budgets=(1, 3, 10**18))
+    )
+    slots = [(spec.name, spec.algorithm_name) for spec in arch.role_specs]
+    slots += [(a.name, a.algorithm_name) for a in calendar.role_actions if a.kind is ActionKind.ADD]
+    unpinned = sorted({name for name, pinned in slots if pinned is None})
+    names = st.sampled_from([alg.name for alg in catalog])
+    assignments = draw(st.lists(
+        names.map(Uniform) | st.fixed_dictionaries({name: names for name in unpinned}).map(PerRole),
+        min_size=2, max_size=6,
+    ))
+    return arch, assignments, calendar, timeline, catalog
+
+
+class TestSweepPricesPerSlotClass:
+    @given(sweep=mixed_sweeps())
+    @settings(deadline=None, max_examples=100)
+    def test_sweep_equals_pricing_every_slot(self, sweep):
+        """Each result equals a run of the assignment's own slot algorithms
+        priced slot by slot, to the last bit of the cost."""
+        arch, assignments, calendar, timeline, catalog = sweep
+        swept = run_sweep(arch, assignments, calendar, timeline, catalog)
+        script = compile_script(arch, calendar, timeline)
+        for assignment, result in zip(assignments, swept):
+            algorithms = [
+                catalog.get(pinned or (assignment.algorithm_name if isinstance(assignment, Uniform)
+                                       else assignment.algorithms[name]))
+                for name, pinned in script.slots
+            ]
+            run = run_scenario(script, algorithms)
+            assert result.slot_counts == run.slot_counts
+            priced = price_counts(
+                (alg, sigs, keys) for alg, (sigs, keys) in zip(algorithms, run.slot_counts)
+            )
+            assert priced == (result.sig_bytes, result.pk_bytes, result.cost,
+                              result.total_signatures)
+            assert (result.rollover_events, result.root_publications, result.warnings) == (
+                run.rollover_events, run.root_publications, run.warnings)
 
 
 class TestEmitReportCsv:
