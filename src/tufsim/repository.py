@@ -18,12 +18,11 @@ horizon, the fewest unused signatures among them less one (none while
 one is flagged), and that many checks after it skip them.  `add_role`
 ends the horizon, and a quiet run uses up one of its checks a tick.  The
 signing reads only the Timestamps, the due Targets, and the Snapshots
-when a Target signed; the quiet-run length reads the Timestamps, and
-the Roots and Snapshots only while the horizon is out.  None of them
-tests a role's type or touches an idle Target, so a fleet of thousands
-of Target bins costs per tick what its updated bins do.  Only a root
-file, published when a key rolls over or a role is added or removed,
-visits every role, and the Root list signs it.
+when a Target signed; the quiet-run length reads the three per-type
+lists.  None of them tests a role's type or touches an idle Target, so a
+fleet of thousands of Target bins costs per tick what its updated bins
+do.  Only a root file, published when a key rolls over or a role is
+added or removed, visits every role, and the Root list signs it.
 
 Role management goes through one name index, every current role by
 name in `roles` order: `add_role` re-keys the same-named roles of the
@@ -246,10 +245,15 @@ class Repository:
         return len(targets)
 
     def stage_targets(self, targets: Iterable[RoleState]) -> None:
-        """Require a signature of each of `targets`, current Target roles of
-        this repository: the one staging step, which `stage_update` takes
-        for the Targets of a name and a run for the slots its script
-        stages."""
+        """Require a signature of each of `targets`: the one staging step,
+        which `stage_update` takes for the Targets of a name and a run for
+        the slots its script stages.
+
+        Each must be a current Target role of this repository; nothing
+        checks it.  A Root, Timestamp or Snapshot, or a removed role, put on
+        the due list signs at the next tick as a Target would and breaks
+        that tick's counts.
+        """
         for role in targets:
             if not role.pending:
                 role.pending = True
@@ -343,9 +347,8 @@ class Repository:
         publish_timestamp.  Each pass makes one real tick, then applies the
         quiet ticks that follow it in closed form: only the non-reserve
         Timestamps sign, until one of their keys or a Root or Snapshot key
-        is used up.  While the rollover horizon is positive no such key is
-        used up, so only the Timestamps are read.  A quiet run of one tick
-        is left to the next pass, as a real tick.
+        is used up.  A quiet run of one tick is left to the next pass, as a
+        real tick.
         """
         while count > 0:
             self.publish_timestamp()
@@ -359,8 +362,8 @@ class Repository:
                     quiet = unused
                 elif not unused:  # used up: the next tick rolls it over
                     quiet = 0
-            if self._horizon <= 0:  # else no Root or Snapshot key can be used up
-                for role in self._roots + self._snapshots:
+            for roles in (self._roots, self._snapshots):
+                for role in roles:
                     if role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
                         quiet = 0
             if quiet > 1:

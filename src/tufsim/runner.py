@@ -294,10 +294,7 @@ def run_scenario(script: Script, algorithms: Sequence[SignatureAlgorithm]) -> Si
 
     published = 0
     for _, tick, actions, staged in script.points:
-        if tick - published == 1:
-            repo.publish_timestamp()
-        else:
-            repo.publish_timestamps(tick - published)
+        repo.publish_timestamps(tick - published)
         published = tick
         for slot, action in actions:
             if action.kind is ActionKind.ADD:
