@@ -74,17 +74,24 @@ class Table:
         positions = [header.index(column) for column in required]
         positions += [header.index(c) if c in header else None for c in optional]
         self.positions, self.width = positions, len(header)
+        self._what, self._error = what, error
 
     def rows(self) -> Iterator[tuple[int, list[str]]]:
         """Yield `(row number, cells)` for each data record: its cells
         stripped, in the order of `positions`, with a cell missing from a
         short record read as "".  Records whose cells are all blank are
-        skipped.  Row numbers count CSV records from 1, the header
-        included.  csv reads on from where it stopped, so a table is
-        walked once."""
-        positions = self.positions
+        skipped.  A record with a non-blank cell past the header's last
+        column is an error naming the input and the row, since a cell
+        shifted by a stray comma would otherwise be dropped; blank cells
+        there, as spreadsheet exports write them, are accepted.  Row
+        numbers count CSV records from 1, the header included.  csv reads
+        on from where it stopped, so a table is walked once."""
+        positions, width = self.positions, self.width
         for lineno, row in enumerate(self._records, start=2):
             if "".join(row).strip():
+                if len(row) > width and "".join(row[width:]).strip():
+                    raise self._error(f"{self._what} row {lineno} has {len(row)} cells; "
+                                      f"the header names {width}")
                 yield lineno, [row[i].strip() if i is not None and i < len(row) else ""
                                for i in positions]
 

@@ -10,19 +10,26 @@ tick and tick-by-tick run in `tests/oracle.py`, which scan every role.
 
 A tick visits only the roles that can act.  The Root, Timestamp and
 Snapshot roles, which are few, are kept on one list per type, and the
-pending Targets once each on a due list by `stage_update` and `add_role`.
-The rollover check visits the due list every tick, and the three per-type
-lists only when one of their keys can be used up: each of those roles
-signs at most once a tick, so a check that visits them keeps a rollover
-horizon, the fewest unused signatures among them less one (none while
-one is flagged), and that many checks after it skip them.  `add_role`
-ends the horizon, and a quiet run uses up one of its checks a tick.  The
-signing reads only the Timestamps, the due Targets, and the Snapshots
+pending Targets that can act once each on a due list by `stage_update`
+and `add_role`.  A reserve Target that a tick finds due is parked off it
+under its name: after that tick's check it can neither sign nor roll
+over, so it waits, still pending, until `set_reserve` clears its reserve
+or `add_role` re-keys it with a same-named Target, either of which puts
+it back.  The rollover check visits the due list every tick, and the
+three per-type lists only when one of their keys can be used up: each of
+those roles signs at most once a tick, so a check that visits them keeps
+a rollover horizon, the fewest unused signatures among them less one
+(none while one is flagged), and that many checks after it skip them.
+`add_role` ends the horizon, and a quiet run uses up one of its checks a
+tick.  The signing reads only the Timestamps, the due Targets, and the Snapshots
 when a Target signed; the quiet-run length reads the three per-type
 lists.  None of them tests a role's type or touches an idle Target, so a
 fleet of thousands of Target bins costs per tick what its updated bins
-do.  Only a root file, published when a key rolls over or a role is
-added or removed, visits every role, and the Root list signs it.
+do.  A root file, published when a key rolls over or a role is added or
+removed, visits no role either: the repository counts its root files in
+one counter that every current role reads its key publications from, the
+file clears the rollover flags of the roles the tick's check met (every
+flag `add_role` sets is met by the next check), and the Root list signs it.
 
 Role management goes through one name index, every current role by
 name in `roles` order: `add_role` re-keys the same-named roles of the
@@ -36,9 +43,10 @@ the roles on none of the three per-type lists, so `missing_role_types`
 counts each type from the list lengths alone, in constant time.
 
 The ledger is integers only: each role, current or removed, counts its
-signatures and the root files that carried its key.  Only `price_counts`
-prices those counts, merged per algorithm and cost by `math.fsum`, so
-totals do not depend on the order in which signatures were made;
+signatures and the root files that carried its key, the latter fixed when
+the role is removed.  Only `price_counts` prices those counts, merged per
+algorithm and cost by `math.fsum`, so totals do not depend on the order
+in which signatures were made;
 `ledger_totals` and a sweep's per-assignment pricing both call it.
 `RoleState` is a mutable `__slots__` record, read and written every tick;
 `LedgerTotals` is a `typing.NamedTuple`.
@@ -56,11 +64,11 @@ Semantics worth knowing before reading the code:
 * A Snapshot signs whenever any Target signed this tick.
 * Root-file publication charges the public key of every current role
   (reserve ones included) plus one signature per Root instance.
-* A tick leaves no root update, no rollover flag, no signing Target due
-  and no used-up key on a due Target.  So after any tick only the
-  non-reserve Timestamps sign, tick after tick, until a Root, Timestamp
-  or Snapshot key is used up: that is the quiet run `publish_timestamps`
-  applies in closed form.
+* A tick leaves no root update, no rollover flag, no Target due (the
+  reserve ones it met are parked) and no used-up key on a pending
+  Target.  So after any tick only the non-reserve Timestamps sign, tick
+  after tick, until a Root, Timestamp or Snapshot key is used up: that
+  is the quiet run `publish_timestamps` applies in closed form.
 """
 
 # No `from __future__ import annotations`: typing.NamedTuple compiles every
@@ -89,26 +97,44 @@ class RoleType(enum.Enum):
 # 2-vCPU VM), and adding and staging test for this member on every call.
 _TARGET = RoleType.TARGET
 
+# The root-file counter of a role that no repository holds: it never grows.
+_NO_FILES = (0,)
+
 
 class RoleState(Record):
     """One role instance bound to a signature algorithm.
 
     lifetime_sigs counts every signature the role made; the current key,
     issued at key_start, made lifetime_sigs - key_start of them.
-    key_publications counts the root files that carried the role's key.  A
-    reserve role keeps its key in published root files but is excluded
-    from routine signing; the flag is read when the role is used, so it
-    may be written directly, and it is the only field that may be.
-    pending is kept with the repository's due list: set it through
-    `Repository.stage_update`.  A direct write of lifetime_sigs, key_start
-    or rollover is not seen by the repository's rollover horizon, so a
-    check may skip a key that such a write used up or flagged.
+    key_publications counts the root files that carried the role's key:
+    the count it was given (0 from `Repository.add_role`) plus the root
+    files its repository published since the role was added, read from the
+    repository's one counter, so a root file visits no role; a removal
+    fixes it.  A direct write sets the count as of that moment, and each
+    later root file of the role's repository adds one while the role is
+    current.  A reserve role keeps its key in published root files but is
+    excluded from routine signing.  The reserve flag of a Root, Timestamp
+    or Snapshot is read when the role is used, so it may be written
+    directly; a Target's is read by the tick that finds it due, which
+    parks it while the flag is set, so write a Target's flag directly only
+    before its first tick (as `run_scenario` does), and after that through
+    `Repository.set_reserve`.  pending is kept with the repository's due
+    list: set it through `Repository.stage_update`.  A direct write of
+    lifetime_sigs, key_start or rollover is not seen by the repository's
+    rollover horizon, so a check may skip a key that such a write used up
+    or flagged, and a root file clears only the flags its check met.
 
     A mutable `__slots__` record, read on every busy tick: equality
-    compares the nine fields, and it is unhashable.
+    compares the nine fields, and it is unhashable.  Three slots sit
+    outside `_fields`: the stored count, the repository's counter and its
+    value when the count was stored.
     """
 
-    __slots__ = _fields = (
+    __slots__ = (
+        "name", "role_type", "algorithm", "lifetime_sigs", "key_start",
+        "_publications", "reserve", "pending", "rollover", "_files", "_files_at",
+    )
+    _fields = (
         "name", "role_type", "algorithm", "lifetime_sigs", "key_start",
         "key_publications", "reserve", "pending", "rollover",
     )
@@ -130,10 +156,19 @@ class RoleState(Record):
         self.algorithm = algorithm
         self.lifetime_sigs = lifetime_sigs
         self.key_start = key_start
-        self.key_publications = key_publications
+        self._publications = key_publications
+        self._files, self._files_at = _NO_FILES, 0
         self.reserve = reserve
         self.pending = pending
         self.rollover = rollover
+
+    @property
+    def key_publications(self) -> int:
+        return self._publications + self._files[0] - self._files_at
+
+    @key_publications.setter
+    def key_publications(self, count: int) -> None:
+        self._publications, self._files_at = count, self._files[0]
 
 
 class LedgerTotals(NamedTuple):
@@ -152,6 +187,10 @@ class LedgerTotals(NamedTuple):
 class Repository:
     """Named collection of role instances plus the cumulative ledger.
 
+    The due list holds the pending Targets that can act; a staged reserve
+    Target is parked off it by its first tick, so a Target's reserve flag
+    is written through `set_reserve` once it has been ticked.  A role's
+    key publications are read from the repository's root-file counter.
     Single-threaded: no two operations may run concurrently on the same
     instance.  Distinct repositories are fully independent.
     """
@@ -174,8 +213,18 @@ class Repository:
         # the same three lists by role type, in enum order, for role
         # management; so the lists are only ever changed in place
         self._of_type = dict(zip(RoleType, (self._roots, self._timestamps, self._snapshots)))
-        # each pending Target once: the only Targets a tick visits
+        # each pending Target that can act once: the only Targets a tick
+        # visits.  A tick moves a reserve one to the list of its name in
+        # `_parked`, as it can neither sign nor roll over until its reserve
+        # is cleared or a same-named Target's add re-keys it; both put the
+        # name's parked roles back on the due list.
         self._due: list[RoleState] = []
+        self._parked: dict[str, list[RoleState]] = {}
+        # the root files published, which each current role reads its key
+        # publications from, and the roles the last rollover check flagged:
+        # the only current roles a root file finds flagged
+        self._files = [0]
+        self._rolled: list[RoleState] = []
         # the coming rollover checks in which no Root, Timestamp or Snapshot
         # key can be used up or is flagged, so those checks skip the three lists
         self._horizon = 0
@@ -192,6 +241,7 @@ class Repository:
         Duplicate names are permitted.
         """
         added = RoleState(name=name, role_type=role_type, algorithm=algorithm)
+        added._files, added._files_at = self._files, self._files[0]
         self.roles.append(added)
         self.update_root = True
         self._horizon = 0  # a new key, and same-named siblings flagged
@@ -202,6 +252,8 @@ class Repository:
                 if not role.pending:  # only a Target is ever idle
                     role.pending = True
                     self._due.append(role)
+        if role_type is _TARGET:
+            self._due += self._parked.pop(name, ())  # re-keyed, so due again
         named.append(added)
         (self._due if role_type is _TARGET else self._of_type[role_type]).append(added)
         return added
@@ -210,21 +262,30 @@ class Repository:
         """Remove every role whose name matches; returns the number removed.
 
         Removed roles move to `retired` with their counts, so the ledger
-        totals do not change.
+        totals do not change; their key publications stop growing.
         """
         removed = self._named.pop(name, ())
         if removed:
             self.retired += removed
+            for role in removed:  # fix the count: a retired role's no longer grows
+                role._publications = role.key_publications
+                role._files, role._files_at = _NO_FILES, 0
+            self._parked.pop(name, None)
             for roles in (self.roles, *self._of_type.values(), self._due):
                 roles[:] = [role for role in roles if role.name != name]
             self.update_root = True
         return len(removed)
 
     def set_reserve(self, name: str, flag: bool) -> int:
-        """Assign the reserve flag on every matching role; returns match count."""
+        """Assign the reserve flag on every matching role; returns match count.
+
+        Clearing it puts the name's parked Targets back on the due list.
+        """
         named = self._named.get(name, ())
         for role in named:
             role.reserve = flag
+        if not flag:
+            self._due += self._parked.pop(name, ())
         return len(named)
 
     def missing_role_types(self) -> list[RoleType]:
@@ -266,17 +327,18 @@ class Repository:
 
         Returns the number of roles processed.  publish_timestamp calls this
         internally; it is public so the trigger condition is testable alone.
-        Only the Root, Timestamp and Snapshot roles and the pending Targets
-        are visited, and all of them are pending: a Target is flagged for
-        rollover only while pending.  The pending Targets are visited every
-        time, the other three lists only when the rollover horizon is out:
+        Only the Root, Timestamp and Snapshot roles and the due Targets are
+        visited, and all of them are pending: a Target is flagged for
+        rollover only while due, and a parked one was checked by the tick
+        that parked it.  The due Targets are visited every time, the other
+        three lists only when the rollover horizon is out:
         a check that visits them sets it to the fewest unused signatures
         among them less one, or below one while one of them is flagged,
         and each later check counts it down until it is out again.
         `add_role` ends it, and `publish_timestamps` takes a quiet run's
         ticks off it.
         """
-        rolled = 0
+        rolled = self._rolled = []
         if self._horizon > 0:
             self._horizon -= 1
         else:
@@ -290,7 +352,7 @@ class Repository:
                 if role.rollover or not unused:
                     role.rollover = True
                     role.key_start = role.lifetime_sigs
-                    rolled += 1
+                    rolled.append(role)
                     least = 0
                 elif unused < least:
                     least = unused
@@ -299,22 +361,24 @@ class Repository:
             if role.rollover or role.lifetime_sigs - role.key_start == role.algorithm.max_sigs:
                 role.rollover = True
                 role.key_start = role.lifetime_sigs
-                rolled += 1
-        self.rollover_events += rolled
-        return rolled
+                rolled.append(role)
+        self.rollover_events += len(rolled)
+        return len(rolled)
 
     def publish_timestamp(self) -> None:
         """Advance the repository by one tick.
 
         After `rollover_check`, if any role rolled over or a root update is
         flagged, a root file is published: every role's public key is
-        downloaded and every Root instance signs.  Then each pending
-        non-reserve Target signs and is cleared, each non-reserve Timestamp
-        signs, and the non-reserve Snapshots sign if any Target did.
+        downloaded, the check's rollover flags are cleared and every Root
+        instance signs.  Then each due non-reserve Target signs and is
+        cleared, each due reserve Target is parked, each non-reserve
+        Timestamp signs, and the non-reserve Snapshots sign if any Target
+        did.
         """
         if self.rollover_check() > 0 or self.update_root:
-            for role in self.roles:
-                role.key_publications += 1
+            self._files[0] += 1
+            for role in self._rolled:
                 role.rollover = False
             for role in self._roots:
                 role.lifetime_sigs += 1
@@ -323,15 +387,14 @@ class Repository:
 
         updated = False
         if self._due:
-            reserved = []  # pending but not signing: they stay due
-            for role in self._due:
-                if role.reserve:
-                    reserved.append(role)
+            due, self._due = self._due, []
+            for role in due:
+                if role.reserve:  # checked once this tick, it cannot act: parked
+                    self._parked.setdefault(role.name, []).append(role)
                 else:
                     role.pending = False
                     role.lifetime_sigs += 1
                     updated = True
-            self._due = reserved
         for role in self._timestamps:
             if not role.reserve:
                 role.lifetime_sigs += 1

@@ -26,7 +26,8 @@ byte-order mark, through one `io.StringIO`.  `reference_actions` and
 `reference_architecture` read an action file and an architecture table
 the same way, each writing out its row checks in order, with their
 messages, instead of reading the loaders' kind table or cell reader.
-All three walk the header, blank and short rows through `_reference_rows`.
+All three walk the header, blank, short and long rows through
+`_reference_rows`.
 """
 
 from __future__ import annotations
@@ -440,8 +441,9 @@ def _reference_role_type(text: str) -> RoleType | None:
 
 def _reference_rows(text, what, error, columns):
     """Yield `(row number, stripped cells)` for each data row that has a
-    non-blank cell, the cells in the order of `columns`; the text after
-    one leading byte-order mark is read through one `io.StringIO`."""
+    non-blank cell, the cells in the order of `columns`; a row with a
+    non-blank cell past the header's is an error.  The text after one
+    leading byte-order mark is read through one `io.StringIO`."""
     rows = csv.reader(io.StringIO(text[1:] if text.startswith("\ufeff") else text))
     try:
         header = next(rows, None)
@@ -456,7 +458,11 @@ def _reference_rows(text, what, error, columns):
                 raise error(f"{what} names the '{column}' column twice")
         positions = [header.index(column) for column in columns]
         for lineno, row in enumerate(rows, start=2):
-            if "".join(row).strip():
-                yield lineno, [row[i].strip() if i < len(row) else "" for i in positions]
+            if not "".join(row).strip():
+                continue
+            if any(cell.strip() for cell in row[len(header):]):
+                raise error(f"{what} row {lineno} has {len(row)} cells; "
+                            f"the header names {len(header)}")
+            yield lineno, [row[i].strip() if i < len(row) else "" for i in positions]
     except csv.Error as exc:
         raise error(f"{what} line {rows.line_num}: {exc}") from None

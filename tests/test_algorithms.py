@@ -674,8 +674,9 @@ def pattern_edge_texts(draw, column, edge_cells):
         row = usual()
         if shape == "short":
             row = row[:draw(st.integers(0, len(row) - 1))]
-        elif shape == "long":
-            row.append(draw(st.sampled_from(["x", '"', "x\ry"])))
+        elif shape == "long":  # an error, unless every cell past the header is blank
+            row += draw(st.lists(st.sampled_from(["x", '"', "x\ry", "", " "]), min_size=1,
+                                 max_size=2))
         elif shape == "blank":
             row = draw(st.sampled_from([[], [""] * len(row)]))
         else:

@@ -395,8 +395,9 @@ def assert_indexed(repo: Repository) -> None:
     current roles by name, each name's roles in `roles` order; the Root,
     Timestamp and Snapshot lists each hold the current roles of their
     type, in `roles` order, and are the lists that `_of_type` holds by
-    type; and the due list holds every pending Target exactly once and
-    nothing else."""
+    type; the due list and the parked lists together hold every pending
+    Target exactly once and nothing else; and each parked list is not
+    empty and holds only reserve Targets of its own name."""
     named: dict[str, list[int]] = {}
     for role in repo.roles:
         named.setdefault(role.name, []).append(id(role))
@@ -412,7 +413,14 @@ def assert_indexed(repo: Repository) -> None:
             id(role) for role in repo.roles if role.role_type is role_type
         ]
     assert list(repo._of_type) == list(per_type)
-    assert sorted(map(id, repo._due)) == sorted(
+    parked = []
+    for name, roles in repo._parked.items():
+        assert roles and all(
+            role.name == name and role.reserve and role.role_type is RoleType.TARGET
+            for role in roles
+        )
+        parked += roles
+    assert sorted(map(id, repo._due + parked)) == sorted(
         id(role) for role in repo.roles if role.role_type is RoleType.TARGET and role.pending
     )
 
@@ -672,6 +680,138 @@ class TestRolloverHorizon:
         self.tick(repo, reference, [("reserve", "Timestamp 1", False)])
         for _ in range(8):
             self.tick(repo, reference, [("stage", "Target 1")])
+
+
+class TestParkedTargets:
+    """A staged reserve Target, which a tick parks off the due list until
+    its reserve is cleared or a same-named Target's add re-keys it: the
+    engine against the oracle's `reference_tick` on its own repository,
+    given the same operations, compared after every tick."""
+
+    pair = staticmethod(TestRolloverHorizon.pair)
+    tick = staticmethod(TestRolloverHorizon.tick)
+
+    def fleet(self, target_budget=10**6):
+        return self.pair(
+            ("Root 1", RoleType.ROOT, 10**6),
+            ("Timestamp 1", RoleType.TIMESTAMP, 10**6),
+            ("Snapshot 1", RoleType.SNAPSHOT, 10**6),
+            ("Target 1", RoleType.TARGET, target_budget),
+            ("Target 2", RoleType.TARGET, 10**6),
+        )
+
+    def park(self, repo, reference):
+        """Reserve and stage Target 1, and tick: it is then parked."""
+        self.tick(repo, reference, [("reserve", "Target 1", True), ("stage", "Target 1")])
+        parked = repo._named["Target 1"][-1]
+        assert parked not in repo._due and repo._parked == {"Target 1": [parked]}
+        return parked
+
+    def test_a_staged_reserve_target_held_for_many_ticks(self):
+        repo, reference = self.fleet()
+        self.tick(repo, reference)
+        parked = self.park(repo, reference)
+        for tick in range(40):
+            self.tick(repo, reference, [("stage", "Target 2")] if tick % 4 == 0 else [])
+            assert repo._due == [] and parked.pending
+        self.tick(repo, reference, [("stage", "Target 1")])  # still pending: nothing to stage
+        assert parked.lifetime_sigs == 1
+
+    def test_the_reserve_cleared(self):
+        repo, reference = self.fleet()
+        self.tick(repo, reference)
+        parked = self.park(repo, reference)
+        self.tick(repo, reference)
+        self.tick(repo, reference, [("reserve", "Target 1", True)])  # set again: stays parked
+        assert repo._parked == {"Target 1": [parked]}
+        self.tick(repo, reference, [("reserve", "Target 1", False)])
+        assert parked.lifetime_sigs == 2 and not parked.pending and repo._parked == {}
+        for _ in range(3):
+            self.tick(repo, reference, [("stage", "Target 1")])
+
+    def test_a_same_named_target_added_while_one_is_parked(self):
+        repo, reference = self.fleet()
+        self.tick(repo, reference)
+        parked = self.park(repo, reference)
+        self.tick(repo, reference)
+        # the add re-keys the parked Target, which is then parked again
+        self.tick(repo, reference, [("add", "Target 1", RoleType.TARGET, make_alg(name="Alg3",
+                                                                                max_sigs=3))])
+        assert parked.key_start == parked.lifetime_sigs == 1
+        # a same-named role of another type re-keys no Target
+        self.tick(repo, reference, [("add", "Target 1", RoleType.SNAPSHOT, make_alg())])
+        assert repo._parked == {"Target 1": [parked]}
+        for _ in range(8):
+            self.tick(repo, reference, [("stage", "Target 1")])
+        self.tick(repo, reference, [("reserve", "Target 1", False), ("stage", "Target 1")])
+        for _ in range(4):
+            self.tick(repo, reference, [("stage", "Target 1")])
+
+    def test_the_name_removed_while_parked_then_re_added_and_unreserved(self):
+        repo, reference = self.fleet()
+        self.tick(repo, reference)
+        parked = self.park(repo, reference)
+        self.tick(repo, reference, [("remove", "Target 1")])
+        assert repo._parked == {} and parked in repo.retired
+        self.tick(repo, reference)
+        self.tick(repo, reference, [("add", "Target 1", RoleType.TARGET, make_alg())])
+        self.park(repo, reference)
+        self.tick(repo, reference, [("reserve", "Target 1", False)])
+        for _ in range(3):
+            self.tick(repo, reference, [("stage", "Target 1")])
+        assert parked.lifetime_sigs == 1 and parked.pending
+
+    def test_a_reserve_target_whose_key_is_used_up_when_it_is_staged(self):
+        repo, reference = self.fleet(target_budget=1)
+        self.tick(repo, reference)  # its one signature
+        # the tick that parks it rolls its used-up key over first
+        parked = self.park(repo, reference)
+        assert parked.key_start == parked.lifetime_sigs == 1 and repo.rollover_events == 6
+        for _ in range(5):
+            self.tick(repo, reference, [("stage", "Target 2")])
+        assert repo.rollover_events == 6
+        self.tick(repo, reference, [("reserve", "Target 1", False)])
+        for _ in range(3):  # then each signature uses up a key
+            self.tick(repo, reference, [("stage", "Target 1")])
+
+
+class TestRootFileCounter:
+    """Each role reads its key publications from its repository's count of
+    root files, so a root file visits no role."""
+
+    def test_key_publications_follow_the_root_files_while_current(self):
+        repo = build_repo()
+        root = repo.roles[0]
+        for count in range(1, 4):
+            repo.update_root = True
+            repo.publish_timestamp()
+            assert root.key_publications == count
+        repo.remove_role("Root 1")
+        for _ in range(2):
+            repo.update_root = True
+            repo.publish_timestamp()
+        assert root.key_publications == 3 and repo.root_publications == 5
+
+    def test_a_direct_write_sets_the_count_as_of_then(self):
+        repo = build_repo()
+        repo.publish_timestamp()
+        target = repo.roles[3]
+        target.key_publications = 10
+        assert target.key_publications == 10
+        repo.update_root = True
+        repo.publish_timestamp()
+        assert target.key_publications == 11
+        assert RoleState("T", RoleType.TARGET, make_alg(), key_publications=4).key_publications == 4
+
+    def test_a_root_file_clears_the_flags_the_check_met(self):
+        repo = build_repo()
+        repo.publish_timestamp()
+        repo.add_role("Target 1", RoleType.TARGET, make_alg())
+        flagged = [role for role in repo.roles if role.rollover]
+        assert len(flagged) == 2
+        repo.publish_timestamp()
+        assert not any(role.rollover for role in repo.roles)
+        assert repo.rollover_events == 6 and repo.root_publications == 2
 
 
 def test_the_oracle_imports_no_engine_state():

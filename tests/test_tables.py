@@ -184,3 +184,40 @@ def test_short_catalog_row_is_an_error_naming_its_row(header, width):
     short = ",".join(cells[column] for column in header.split(",")[:width])
     with pytest.raises(CatalogError, match="row 2"):
         parse_algorithm_catalog(f"{header}\n{short}\n")
+
+
+@reader_names
+def test_a_long_row_is_an_error_naming_the_input_and_the_row(reader):
+    # a stray comma, such as a thousands separator, shifts the cells after
+    # it, and the last would be dropped without a word
+    parse, error, header, rows, _ = READERS[reader]
+    what = {"events": "event file", "actions": "action file",
+            "architecture": "architecture file", "assignment": "assignment file"}.get(reader, reader)
+    width = header.count(",") + 1
+    for extra in ("x", " x", ",x", "x,"):
+        long_row = f"{rows[0]},{extra}"
+        cells = long_row.count(",") + 1
+        text = "\n".join([header, rows[1], long_row, *rows[2:]]) + "\n"
+        with pytest.raises(error, match=f"^{what} row 3 has {cells} cells; the header names {width}$"):
+            parse(text)
+
+
+@reader_names
+def test_blank_cells_past_the_header_are_accepted(reader):
+    # spreadsheet exports pad rows with empty cells
+    parse, _, header, rows, _ = READERS[reader]
+    for pad in (",", ", ,\t", ",,,"):
+        padded = [header, *(row + pad for row in rows)]
+        assert parse("\n".join(padded) + "\n") == parse("\n".join([header, *rows]) + "\n")
+
+
+def test_a_thousands_separator_in_a_catalog_row_fails_the_run(tmp_path):
+    # `1,024` read as budget 1 and cost 24 once gave a wrong report and exit 0
+    header = READERS["catalog"][2]
+    catalog = tmp_path / "algorithms.csv"
+    catalog.write_text(f"{header}\nECDSA-P256,64,64,1E18,0.5\nLMS-SHA256-H10,1456,60,1,024,2.9\n")
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--algorithms", str(catalog), "--start", "2020-01-01", "--end", "2020-01-10"]
+    assert run_cli(argv, stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: catalog row 3 has 6 cells; the header names 5\n"
